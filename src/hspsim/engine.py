@@ -147,7 +147,13 @@ def run_pipeline(
     cfg: PipelineConfig = PipelineConfig(),
 ) -> OutcomeDistribution:
     """Exact left-register outcome distribution p(x) = sum_h |<x,h|psi3>|^2."""
-    psi3 = _evolve(instance, fourier, cfg)[3]
+    return left_register_distribution(_evolve(instance, fourier, cfg)[3], fourier, cfg)
+
+
+def left_register_distribution(
+    psi3: np.ndarray, fourier: FourierOperator, cfg: PipelineConfig
+) -> OutcomeDistribution:
+    """Born distribution of the left register of a final (|G|, |H|) state."""
     probs = np.abs(psi3) ** 2
     labels, probs = _labelled_probs(fourier, cfg, probs.sum(axis=1))
     return finalize_distribution(labels, probs)

@@ -13,9 +13,8 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, TransversalSpec, config_to_dict, resolve_group, resolve_hidden
-from .engine import PipelineConfig, run_pipeline, sample, step_trace
+from .engine import PipelineConfig, left_register_distribution, run_pipeline, sample, step_trace
 from .errors import ConfigError
-from .groups import Subgroup
 from .oracle import build_instance, classical_brute_force_hsp
 from .recovery import (
     SampleSet,
@@ -121,8 +120,9 @@ def _pipeline_pieces(cfg: ExperimentConfig):
 
 def _run_simulate(cfg: ExperimentConfig, out: Path) -> dict:
     group, hidden, instance, fourier, pipeline_cfg = _pipeline_pieces(cfg)
-    dist = run_pipeline(instance, fourier, pipeline_cfg)
-    norms = [state.norm() for state in step_trace(instance, fourier, pipeline_cfg)]
+    states = step_trace(instance, fourier, pipeline_cfg)
+    dist = left_register_distribution(states[-1].as_matrix(), fourier, pipeline_cfg)
+    norms = [state.norm() for state in states]
     samples = sample(dist, cfg.trials, cfg.seed)
     write_distribution_csv(out / "distribution.csv", dist)
     write_samples_csv(out / "samples.csv", samples)
@@ -154,7 +154,7 @@ def _run_simon(cfg: ExperimentConfig, out: Path) -> dict:
     )
     recovered = result.candidate
     truth = classical_brute_force_hsp(instance)
-    gens = _minimal_generators(recovered)
+    gens = recovered.spanning_generators()
     return {
         "group": group.name,
         "recovered_generators": [list(group.coords(g)) for g in gens],
@@ -164,21 +164,6 @@ def _run_simon(cfg: ExperimentConfig, out: Path) -> dict:
         "matches_brute_force": recovered.elements == truth.elements,
         "paths": {"distribution": "distribution.csv", "samples": "samples.csv"},
     }
-
-
-def _minimal_generators(subgroup: Subgroup) -> list[int]:
-    """Greedy small generator list, for reporting."""
-    group = subgroup.group
-    chosen: list[int] = []
-    span = {group.identity}
-    for g in subgroup.elements:
-        if g in span:
-            continue
-        chosen.append(g)
-        span = set(Subgroup.from_generators(group, chosen).elements)
-        if len(span) == subgroup.order:
-            break
-    return chosen
 
 
 def _run_shor(cfg: ExperimentConfig, out: Path) -> dict:
@@ -255,7 +240,7 @@ def _run_recover(cfg: ExperimentConfig, out: Path) -> dict:
         "candidates": [
             {
                 "elements": [group.label(g) for g in sub.elements],
-                "generators": [group.label(g) for g in _minimal_generators(sub)],
+                "generators": [group.label(g) for g in sub.spanning_generators()],
                 "normal": sub.normal,
                 "total_variation": tv,
             }

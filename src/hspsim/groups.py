@@ -7,6 +7,13 @@ identity; the enumeration per kind is fixed (cyclic: residues ascending;
 products: mixed radix, first factor most significant; dihedral:
 e, r, ..., r^{N-1}, s, rs, ..., r^{N-1}s).  Groups and subgroups are
 immutable after construction and safe for shared read-only use.
+
+Each kind multiplies and inverts by one index formula that applies to
+Python ints and to numpy int64 arrays alike.  Closure, membership,
+normality and cosets work on generators and index arrays with that
+formula, so they need O(|G|) memory at any order.  The |G| x |G|
+multiplication table (order <= 4096) is built only on request; the
+package requests it only for subgroup enumeration (order <= 64).
 """
 
 from __future__ import annotations
@@ -33,19 +40,33 @@ class GroupElement:
 
 
 class FiniteGroup:
-    """Base class; elements are the indices 0..order-1, identity is 0."""
+    """Base class; elements are the indices 0..order-1, identity is 0.
+
+    Subclasses give the unchecked formulas `_op` and `_inv`, which take
+    Python ints or broadcastable int64 arrays.
+    """
 
     name: str
     order: int
 
-    def op(self, a: int, b: int) -> int:
+    def _op(self, a, b):
         raise NotImplementedError
 
-    def inv(self, a: int) -> int:
+    def _inv(self, a):
         raise NotImplementedError
+
+    def op(self, a: int, b: int) -> int:
+        return int(self._op(self.check_index(a), self.check_index(b)))
+
+    def inv(self, a: int) -> int:
+        return int(self._inv(self.check_index(a)))
 
     def label(self, a: int) -> str:
         raise NotImplementedError
+
+    def generators(self) -> tuple[int, ...]:
+        """A generating set; the base class uses every non-identity element."""
+        return tuple(range(1, self.order))
 
     @property
     def identity(self) -> int:
@@ -67,8 +88,9 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        t = self.op_table
-        return bool(np.array_equal(t, t.T))
+        """Whether the generators commute pairwise; for D_N, whether r s = s r, i.e. N <= 2."""
+        g = np.array(self.generators(), dtype=np.int64)
+        return bool(np.array_equal(self._op(g[:, None], g), self._op(g, g[:, None])))
 
     @cached_property
     def op_table(self) -> np.ndarray:
@@ -76,15 +98,10 @@ class FiniteGroup:
             raise ResourceCapError(
                 f"op table for {self.name} needs order <= {MAX_TABLE_ORDER}, got {self.order}"
             )
-        table = self._build_op_table()
+        idx = np.arange(self.order, dtype=np.int64)
+        table = self._op(idx[:, None], idx)
         table.flags.writeable = False
         return table
-
-    def _build_op_table(self) -> np.ndarray:
-        n = self.order
-        return np.array(
-            [[self.op(a, b) for b in range(n)] for a in range(n)], dtype=np.int64
-        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
@@ -100,25 +117,17 @@ class CyclicGroup(FiniteGroup):
         self.order = self.n
         self.name = f"Z{self.n}"
 
-    def op(self, a: int, b: int) -> int:
-        self.check_index(a)
-        self.check_index(b)
+    def _op(self, a, b):
         return (a + b) % self.n
 
-    def inv(self, a: int) -> int:
-        self.check_index(a)
-        return (-a) % self.n
+    def _inv(self, a):
+        return -a % self.n
+
+    def generators(self) -> tuple[int, ...]:
+        return (1,) if self.n > 1 else ()
 
     def label(self, a: int) -> str:
         return str(self.check_index(a))
-
-    def _build_op_table(self) -> np.ndarray:
-        idx = np.arange(self.n, dtype=np.int64)
-        return (idx[:, None] + idx[None, :]) % self.n
-
-    @cached_property
-    def is_abelian(self) -> bool:
-        return True
 
 
 class ProductGroup(FiniteGroup):
@@ -129,19 +138,31 @@ class ProductGroup(FiniteGroup):
         if not moduli or any(m < 1 for m in moduli):
             raise ValueError(f"product moduli must be positive, got {moduli}")
         self.moduli = moduli
-        order = 1
-        for m in moduli:
-            order *= m
-        self.order = order
+        # place value of each coordinate; the last factor varies fastest
+        weights = [1] * len(moduli)
+        for i in range(len(moduli) - 2, -1, -1):
+            weights[i] = weights[i + 1] * moduli[i + 1]
+        self._radix = (np.array(moduli, dtype=np.int64), np.array(weights, dtype=np.int64))
+        self.order = weights[0] * moduli[0]
         self.name = _product_name(moduli)
 
+    # Coordinate i of index a is a // w_i % m_i; the higher digits of
+    # a // w_i are multiples of m_i, so they drop out mod m_i.
+    def _op(self, a, b):
+        m, w = self._radix
+        return (np.asarray(a)[..., None] // w + np.asarray(b)[..., None] // w) % m @ w
+
+    def _inv(self, a):
+        m, w = self._radix
+        return -(np.asarray(a)[..., None] // w) % m @ w
+
+    def generators(self) -> tuple[int, ...]:
+        m, w = self._radix
+        return tuple(w[m > 1].tolist())
+
     def coords(self, a: int) -> tuple[int, ...]:
-        self.check_index(a)
-        out = []
-        for m in reversed(self.moduli):
-            a, r = divmod(a, m)
-            out.append(r)
-        return tuple(reversed(out))
+        m, w = self._radix
+        return tuple((self.check_index(a) // w % m).tolist())
 
     def index_of(self, coords) -> int:
         if len(coords) != len(self.moduli):
@@ -156,28 +177,8 @@ class ProductGroup(FiniteGroup):
             a = a * m + x
         return a
 
-    def op(self, a: int, b: int) -> int:
-        ca, cb = self.coords(a), self.coords(b)
-        return self.index_of(tuple((x + y) % m for x, y, m in zip(ca, cb, self.moduli)))
-
-    def inv(self, a: int) -> int:
-        return self.index_of(tuple((-x) % m for x, m in zip(self.coords(a), self.moduli)))
-
     def label(self, a: int) -> str:
         return "(" + ",".join(str(x) for x in self.coords(a)) + ")"
-
-    def _build_op_table(self) -> np.ndarray:
-        mods = np.array(self.moduli, dtype=np.int64)
-        coords = np.array([self.coords(a) for a in range(self.order)], dtype=np.int64)
-        summed = (coords[:, None, :] + coords[None, :, :]) % mods
-        weights = np.ones(len(mods), dtype=np.int64)
-        for i in range(len(mods) - 2, -1, -1):
-            weights[i] = weights[i + 1] * mods[i + 1]
-        return summed @ weights
-
-    @cached_property
-    def is_abelian(self) -> bool:
-        return True
 
 
 class DihedralGroup(FiniteGroup):
@@ -194,15 +195,17 @@ class DihedralGroup(FiniteGroup):
         self.check_index(a)
         return a % self.n, a // self.n
 
-    def op(self, a: int, b: int) -> int:
-        arot, aref = self.rotation_reflection(a)
-        brot, bref = self.rotation_reflection(b)
-        rot = (arot - brot) % self.n if aref else (arot + brot) % self.n
-        return ((aref + bref) % 2) * self.n + rot
+    def _op(self, a, b):
+        n = self.n
+        aref, bref = a // n, b // n
+        return (aref + bref) % 2 * n + (a % n + (1 - 2 * aref) * (b % n)) % n
 
-    def inv(self, a: int) -> int:
-        rot, ref = self.rotation_reflection(a)
-        return a if ref else (-rot) % self.n
+    def _inv(self, a):
+        ref = a // self.n
+        return ref * a + (1 - ref) * (-a % self.n)
+
+    def generators(self) -> tuple[int, ...]:
+        return (1, self.n) if self.n > 1 else (1,)
 
     def label(self, a: int) -> str:
         rot, ref = self.rotation_reflection(a)
@@ -212,14 +215,6 @@ class DihedralGroup(FiniteGroup):
         if ref:
             parts.append("s")
         return "".join(parts) or "e"
-
-    def _build_op_table(self) -> np.ndarray:
-        idx = np.arange(self.order, dtype=np.int64)
-        rot, ref = idx % self.n, idx // self.n
-        sign = np.where(ref[:, None] == 1, -1, 1)
-        out_rot = (rot[:, None] + sign * rot[None, :]) % self.n
-        out_ref = (ref[:, None] + ref[None, :]) % 2
-        return out_ref * self.n + out_rot
 
 
 class QuotientGroup(FiniteGroup):
@@ -242,38 +237,27 @@ class QuotientGroup(FiniteGroup):
         gen_names = ",".join(parent.label(g) for g in kernel.generators) or "e"
         self.name = f"{parent.name}/<{gen_names}>"
 
-        to_coset = [0] * parent.order
+        to_coset = np.empty(parent.order, dtype=np.int64)
         for q, coset in enumerate(cosets):
-            for g in coset:
-                to_coset[g] = q
-        self.epimorphism = tuple(to_coset)
-
-        table = np.empty((self.order, self.order), dtype=np.int64)
-        for i, a in enumerate(self.coset_reps):
-            for j, b in enumerate(self.coset_reps):
-                table[i, j] = to_coset[parent.op(a, b)]
-        table.flags.writeable = False
-        self._table = table
+            to_coset[list(coset)] = q
+        self.epimorphism = tuple(to_coset.tolist())
+        self._to_coset = to_coset
+        self._reps = np.array(self.coset_reps, dtype=np.int64)
+        self._table = to_coset[parent._op(self._reps[:, None], self._reps)]
 
     def project(self, g: int) -> int:
         self.parent.check_index(g)
         return self.epimorphism[g]
 
-    def op(self, a: int, b: int) -> int:
-        self.check_index(a)
-        self.check_index(b)
-        return int(self._table[a, b])
+    def _op(self, a, b):
+        return self._table[a, b]
 
-    def inv(self, a: int) -> int:
-        self.check_index(a)
-        return self.epimorphism[self.parent.inv(self.coset_reps[a])]
+    def _inv(self, a):
+        return self._to_coset[self.parent._inv(self._reps[a])]
 
     def label(self, a: int) -> str:
         self.check_index(a)
         return f"[{self.parent.label(self.coset_reps[a])}]"
-
-    def _build_op_table(self) -> np.ndarray:
-        return self._table.copy()
 
 
 @dataclass(frozen=True)
@@ -299,77 +283,98 @@ class Subgroup:
     def element_labels(self) -> tuple[str, ...]:
         return tuple(self.group.label(a) for a in self.elements)
 
+    def spanning_generators(self) -> tuple[int, ...]:
+        """A short generator list: repeatedly the least element not yet spanned."""
+        return _greedy_generators(self.group, _mask(self.group, self.elements))
+
     @classmethod
     def from_generators(cls, group: FiniteGroup, generators) -> "Subgroup":
         gens = tuple(group.check_index(g) for g in generators)
-        elems = _closure(group, gens)
-        return cls(group, elems, gens, _is_normal(group, elems))
+        span = _mask(group, (group.identity,))
+        _grow(group, span, gens)
+        elems = tuple(np.flatnonzero(span).tolist())
+        return cls(group, elems, gens, _is_normal(group, span, gens))
 
     @classmethod
     def from_elements(cls, group: FiniteGroup, elements, generators=None) -> "Subgroup":
         elems = tuple(sorted({group.check_index(a) for a in elements}))
         if not elems or elems[0] != group.identity:
             raise ValueError("subgroup must contain the identity")
-        if not _is_closed(group, elems):
-            eset = set(elems)
-            for a in elems:
-                if group.inv(a) not in eset:
-                    raise ValueError(
-                        f"element set not closed under inverse at {group.label(a)}"
-                    )
-                for b in elems:
-                    if group.op(a, b) not in eset:
-                        raise ValueError(
-                            f"element set not closed under the group operation at "
-                            f"({group.label(a)}, {group.label(b)})"
-                        )
+        inside = _mask(group, elems)
+        span_gens = _greedy_generators(group, inside)
         gens = tuple(generators) if generators is not None else elems
-        return cls(group, elems, gens, _is_normal(group, elems))
+        return cls(group, elems, gens, _is_normal(group, inside, span_gens))
 
 
-def _closure(group: FiniteGroup, gens: tuple[int, ...]) -> tuple[int, ...]:
-    seen = {group.identity}
-    queue = deque(seen)
-    gen_list = tuple(dict.fromkeys(gens))
-    while queue:
-        a = queue.popleft()
-        for g in gen_list:
-            c = group.op(a, g)
-            if c not in seen:
-                seen.add(c)
-                queue.append(c)
-    return tuple(sorted(seen))
+def _mask(group: FiniteGroup, elements) -> np.ndarray:
+    member = np.zeros(group.order, dtype=bool)
+    member[np.asarray(elements, dtype=np.int64)] = True
+    return member
 
 
-def _is_closed(group: FiniteGroup, elements: tuple[int, ...]) -> bool:
-    if group.order <= MAX_TABLE_ORDER:
-        table = group.op_table
-        idx = np.array(elements, dtype=np.int64)
-        member = np.zeros(group.order, dtype=bool)
-        member[idx] = True
-        return bool(member[table[np.ix_(idx, idx)]].all())
-    eset = set(elements)
-    return all(group.op(a, b) in eset for a in elements for b in elements)
+def _grow(group: FiniteGroup, span: np.ndarray, gens, inside=None):
+    """Close the mask `span`, which holds a subgroup, in place to <span, gens>.
+
+    Breadth-first right multiplication, one array op per layer.  The
+    generators are joined by their repeated squares, so g^k is reached
+    in O(log k) layers.  With a mask `inside`, stops at the first product
+    that leaves it and returns its two factors, both inside; else None.
+    """
+    x = np.asarray(gens, dtype=np.int64)
+    powers = [x]
+    for _ in range(group.order.bit_length() - 1):
+        if not x.any():
+            break
+        y = group._op(x, x)
+        if inside is not None and not inside[y].all():
+            i = int(np.argmin(inside[y]))
+            return int(x[i]), int(x[i])
+        powers.append(x := y)
+    x = np.concatenate(powers)
+    frontier = np.flatnonzero(span)
+    while frontier.size:
+        prods = group._op(frontier[:, None], x)
+        if inside is not None and not inside[prods].all():
+            i, j = np.argwhere(~inside[prods])[0]
+            return int(frontier[i]), int(x[j])
+        frontier = np.unique(prods[~span[prods]])
+        span[frontier] = True
+    return None
 
 
-def _is_normal(group: FiniteGroup, elements: tuple[int, ...]) -> bool:
+def _greedy_generators(group: FiniteGroup, inside: np.ndarray) -> tuple[int, ...]:
+    """Greedy generators of the element set `inside`; ValueError if it is not closed.
+
+    Each generator is the least element not yet spanned, so the span at
+    least doubles per generator and no step does |S|^2 work.
+    """
+    span = _mask(group, (group.identity,))
+    gens: list[int] = []
+    while True:
+        rest = np.flatnonzero(inside & ~span)
+        if not rest.size:
+            return tuple(gens)
+        gens.append(int(rest[0]))
+        witness = _grow(group, span, gens, inside)
+        if witness is not None:
+            a, b = witness
+            raise ValueError(
+                f"element set not closed under the group operation at "
+                f"({group.label(a)}, {group.label(b)})"
+            )
+
+
+def _is_normal(group: FiniteGroup, inside: np.ndarray, generators) -> bool:
+    """g k g^-1 in K for generators g of G and k of K.
+
+    That suffices: the g with gKg^-1 = K form a subgroup, and
+    conjugation by g maps <k_1, ..., k_m> onto <g k_1 g^-1, ...>.
+    """
     if group.is_abelian:
         return True
-    if group.order <= MAX_TABLE_ORDER:
-        table = group.op_table
-        idx = np.array(elements, dtype=np.int64)
-        inv = np.array([group.inv(g) for g in range(group.order)], dtype=np.int64)
-        member = np.zeros(group.order, dtype=bool)
-        member[idx] = True
-        conj = table[table[:, idx], inv[:, None]]
-        return bool(member[conj].all())
-    eset = set(elements)
-    for g in range(group.order):
-        ginv = group.inv(g)
-        for k in elements:
-            if group.op(group.op(g, k), ginv) not in eset:
-                return False
-    return True
+    g = np.array(group.generators(), dtype=np.int64)[:, None]
+    k = np.array(generators, dtype=np.int64)
+    return bool(inside[group._op(group._op(g, k), group._inv(g))].all())
 
 
 def subgroup_from_generators(group: FiniteGroup, generators) -> Subgroup:
@@ -380,15 +385,15 @@ def left_cosets(group: FiniteGroup, subgroup: Subgroup) -> list[tuple[int, ...]]
     """Partition of G into left cosets gK, ordered by least-index representative."""
     if subgroup.group is not group:
         raise ValueError("subgroup does not belong to the given group")
-    seen = [False] * group.order
+    kel = np.array(subgroup.elements, dtype=np.int64)
+    seen = np.zeros(group.order, dtype=bool)
     cosets = []
     for g in range(group.order):
         if seen[g]:
             continue
-        coset = tuple(sorted(group.op(g, k) for k in subgroup.elements))
-        for x in coset:
-            seen[x] = True
-        cosets.append(coset)
+        coset = np.sort(group._op(g, kel))
+        seen[coset] = True
+        cosets.append(tuple(coset.tolist()))
     return cosets
 
 
@@ -445,12 +450,10 @@ def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
                 found[jmask] = joined_gens
                 queue.append((jmask, joined_gens))
 
-    abelian = group.is_abelian
     out = []
     for mask, gens in found.items():
         elems = tuple(i for i in range(n) if mask >> i & 1)
-        normal = True if abelian else _is_normal(group, elems)
-        out.append(Subgroup(group, elems, gens, normal))
+        out.append(Subgroup(group, elems, gens, _is_normal(group, _mask(group, elems), gens)))
     out.sort(key=lambda s: (s.order, s.elements))
     return out
 

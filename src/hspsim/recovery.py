@@ -145,15 +145,11 @@ def _gf2_nullspace_basis(matrix: np.ndarray, n: int) -> list[np.ndarray]:
 def _nullspace_elements(group: ProductGroup, outcomes) -> tuple[int, ...]:
     n = len(group.moduli)
     rows = _as_bit_rows(group, sorted(set(outcomes)))
-    basis = _gf2_nullspace_basis(rows, n)
-    members = set()
-    for mask in range(1 << len(basis)):
-        v = np.zeros(n, dtype=np.uint8)
-        for i, b in enumerate(basis):
-            if mask >> i & 1:
-                v ^= b
-        members.add(group.index_of(tuple(int(x) for x in v)))
-    return tuple(sorted(members))
+    members = np.zeros(1, dtype=np.int64)
+    for b in _gf2_nullspace_basis(rows, n):
+        # the coordinates are bits, so the index of a sum is the XOR of the indices
+        members = np.concatenate([members, members ^ group.index_of(b)])
+    return tuple(np.sort(members).tolist())
 
 
 def simon_solve(samples: SampleSet, full_support=None) -> RecoveryResult:

@@ -131,6 +131,28 @@ def subgroups_by_subsets(op, order: int) -> list[tuple[int, ...]]:
     return found
 
 
+def closure_by_pairs(op, generators) -> tuple[int, ...]:
+    """Subgroup generated by `generators`: add all pairwise products until none is new."""
+    found = {0, *generators}
+    while True:
+        grown = found | {op(a, b) for a in found for b in found}
+        if grown == found:
+            return tuple(sorted(found))
+        found = grown
+
+
+def is_closed_by_pairs(op, elements) -> bool:
+    """Whether every pairwise product of the set stays in it."""
+    eset = set(elements)
+    return all(op(a, b) in eset for a in eset for b in eset)
+
+
+def is_normal_by_conjugation(op, inv, conjugators, elements) -> bool:
+    """Whether g k g^-1 lies in K for every g in `conjugators` and every k in K."""
+    eset = set(elements)
+    return all(op(op(g, k), inv(g)) in eset for g in conjugators for k in eset)
+
+
 def multiplicative_order(base: int, modulus: int) -> int:
     value, r = base % modulus, 1
     while value != 1:

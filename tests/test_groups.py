@@ -1,6 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
+from hspsim.config import config_from_dict, resolve_group, resolve_hidden
 from hspsim.errors import ResourceCapError
 from hspsim.groups import (
     CyclicGroup,
@@ -13,8 +16,15 @@ from hspsim.groups import (
     quotient_group,
     subgroup_from_generators,
 )
+from hspsim.oracle import build_instance, classical_brute_force_hsp
+from hspsim.recovery import SampleSet, simon_solve
 
-from oracles import subgroups_by_subsets
+from oracles import (
+    closure_by_pairs,
+    is_closed_by_pairs,
+    is_normal_by_conjugation,
+    subgroups_by_subsets,
+)
 
 AXIOM_GROUPS = ["Z1", "Z2", "Z6", "Z12", "Z2^3", "Z2xZ4", "D1", "D3", "D4", "D6"]
 
@@ -32,6 +42,7 @@ def test_group_axioms_exhaustive(spec):
         assert group.op(group.inv(a), a) == 0
     # associativity via the materialized table: op(op(a,b),c) == op(a,op(b,c))
     assert np.array_equal(table[table], table[:, table])
+    assert group.is_abelian == np.array_equal(table, table.T)
 
 
 def test_cyclic_op_examples():
@@ -258,3 +269,107 @@ def test_group_names_round_trip():
         again = group_from_spec(group.name)
         assert type(again) is type(group)
         assert again.order == group.order
+
+
+ORACLE_GROUPS = list(
+    dict.fromkeys(AXIOM_GROUPS + [f"D{n}" for n in range(1, 17)] + ["Z2xZ16", "Z2^5"])
+)
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_subgroup_checks_match_brute_force_oracles(spec):
+    group = group_from_spec(spec)
+    for sub in all_subgroups(group):
+        elements = closure_by_pairs(group.op, sub.generators)
+        normal = is_normal_by_conjugation(group.op, group.inv, range(group.order), elements)
+        assert sub.elements == elements
+        assert sub.normal == normal
+        generated = Subgroup.from_generators(group, sub.generators)
+        assert (generated.elements, generated.normal) == (elements, normal)
+        assert Subgroup.from_elements(group, elements).normal == normal
+
+
+def _candidate_sets(group, rng):
+    """Seeded random sets with the identity, plus subgroups with one element added or removed."""
+    for _ in range(40):
+        size = rng.randint(1, group.order)
+        yield (0, *rng.sample(range(1, group.order), size - 1))
+    subs = all_subgroups(group)
+    for sub in rng.sample(subs, min(20, len(subs))):
+        outside = sorted(set(range(group.order)) - set(sub.elements))
+        if outside:
+            yield sub.elements + (rng.choice(outside),)
+        if sub.order > 1:
+            drop = rng.choice(sub.elements[1:])
+            yield tuple(a for a in sub.elements if a != drop)
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_from_elements_accepts_exactly_the_closed_sets(spec):
+    group = group_from_spec(spec)
+    rng = random.Random(spec)
+    for candidate in _candidate_sets(group, rng):
+        if is_closed_by_pairs(group.op, candidate):
+            sub = Subgroup.from_elements(group, candidate)
+            assert sub.elements == tuple(sorted(candidate))
+            assert sub.normal == is_normal_by_conjugation(
+                group.op, group.inv, range(group.order), candidate
+            )
+        else:
+            with pytest.raises(ValueError, match="not closed"):
+                Subgroup.from_elements(group, candidate)
+
+
+def test_subgroup_checks_above_the_table_order():
+    n = 4096
+    group = DihedralGroup(n)
+    assert group.order > 4096
+    conjugators = random.Random(0).sample(range(group.order), 16)
+    # <r^2, s> has index 2, so it is normal; in <r^4, rs>, r (rs) r^-1 = r^3 s is missing
+    cases = [
+        ([2, n], tuple(range(0, n, 2)) + tuple(range(n, 2 * n, 2)), True),
+        ([4, n + 1], tuple(range(0, n, 4)) + tuple(range(n + 1, 2 * n, 4)), False),
+    ]
+    for gens, elements, normal in cases:
+        sub = Subgroup.from_generators(group, gens)
+        assert (sub.elements, sub.normal) == (elements, normal)
+        assert Subgroup.from_elements(group, elements).normal == normal
+        assert is_normal_by_conjugation(group.op, group.inv, conjugators, elements) == normal
+    assert group.op(group.op(1, n + 1), group.inv(1)) == n + 3
+    with pytest.raises(ValueError, match="not closed"):
+        Subgroup.from_elements(group, cases[1][1] + (2,))
+    with pytest.raises(ValueError, match="not closed"):
+        Subgroup.from_elements(group, cases[0][1][:-1])
+    assert "op_table" not in vars(group)
+
+
+def test_run_path_builds_no_op_table():
+    """Instance, coset, recovery and ground-truth work stay O(|G|) in memory."""
+    n = 12
+    gens = [[int(i in (j, j + 1)) for i in range(n)] for j in range(8)]
+    cfg = config_from_dict(
+        {"experiment": "simon", "group": f"Z2^{n}", "hidden_generators": gens, "trials": 15}
+    )
+    group = resolve_group(cfg)
+    hidden = resolve_hidden(cfg, group)
+    instance = build_instance(group, hidden, seed=3)
+    assert len(left_cosets(group, hidden)) == 16
+    # the annihilator of K: y with an even number of shared 1 bits with every generator
+    kernel = [group.index_of(g) for g in gens]
+    outcomes = tuple(
+        y for y in range(group.order) if all(bin(y & k).count("1") % 2 == 0 for k in kernel)
+    )
+    assert simon_solve(SampleSet(group, outcomes)).candidate.elements == hidden.elements
+    assert classical_brute_force_hsp(instance).elements == hidden.elements
+    assert "op_table" not in vars(group)
+
+    for generators in ([2, 2048], [4, 2049], [1]):
+        cfg = config_from_dict(
+            {"experiment": "simulate", "group": "D2048", "hidden_generators": generators}
+        )
+        group = resolve_group(cfg)
+        hidden = resolve_hidden(cfg, group)
+        instance = build_instance(group, hidden, seed=3)
+        assert len(left_cosets(group, hidden)) == hidden.num_cosets
+        assert classical_brute_force_hsp(instance).elements == hidden.elements
+        assert "op_table" not in vars(group)
