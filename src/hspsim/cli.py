@@ -1,5 +1,11 @@
 """Command-line front door.
 
+Each JSON config key of an experiment is also a flag of its subcommand,
+`--key` with `_` turned into `-`, generated from `config.SCHEMA`.  Four
+inputs take another shape, and the fields they supply get no flag: the
+`simulate --instance` file, `simon --n/--hidden`, `shor --transversal/--bound`
+and the positional group of `irreps` and `fourier`.
+
 Exit codes: 0 success, 2 configuration error, 3 resource cap exceeded,
 4 internal invariant violation.
 """
@@ -11,18 +17,55 @@ import json
 import sys
 from pathlib import Path
 
-from .config import config_from_dict
+from .config import SCHEMA, TRANSVERSAL_KINDS, Field, config_from_dict
 from .errors import ConfigError, IntegrityError, ResourceCapError
 from .experiments import run_experiment
 from .reporting import fmt17
 
+# subcommand -> (experiment, help)
+SUBCOMMANDS = {
+    "irreps": ("irreps", "emit the irrep/character table of a group"),
+    "fourier": ("fourier-check", "build the Fourier operator and report residuals"),
+    "simulate": ("simulate", "run the exact pipeline for an instance file"),
+    "simon": ("simon", "bit-vector hidden subgroup end to end"),
+    "shor": ("shor", "period finding over the finite image Z_Q"),
+    "sweep-transversal": ("sweep-transversal", "peak-mass sweep over offset seeds"),
+    "recover": ("recover", "rank subgroup candidates against a distribution CSV"),
+}
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--out-dir", default=".", help="directory for report artifacts")
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="stdout summary format"
-    )
+
+def _add_adapters(p: argparse.ArgumentParser, command: str) -> set:
+    """Add the inputs whose shape differs from the JSON; return the fields they supply."""
+    if command in ("irreps", "fourier"):
+        p.add_argument("group")
+        if command == "fourier":
+            p.add_argument("--check", action="store_true", help="print the residual report")
+        return {"group"}
+    if command == "simulate":
+        p.add_argument("--instance", required=True, help="instance JSON path")
+        return {"group", "hidden_generators", "oracle_seed"}
+    if command == "simon":
+        p.add_argument("--n", type=int, required=True, help="register width")
+        p.add_argument(
+            "--hidden", required=True, help="comma-separated generator bitstrings, e.g. 101,011"
+        )
+        return {"group", "hidden_generators"}
+    if command == "shor":
+        p.add_argument("--transversal", dest="kind", choices=TRANSVERSAL_KINDS,
+                       default=argparse.SUPPRESS)
+        p.add_argument("--bound", type=int, default=argparse.SUPPRESS)
+        return {"transversal"}
+    return set()
+
+
+def _add_flag(p: argparse.ArgumentParser, field: Field) -> None:
+    # Absent flags stay out of the namespace, so config defaults apply.
+    flag = "--" + field.key.replace("_", "-")
+    if field.kind is bool:
+        p.add_argument(flag, dest=field.key, action="store_true", default=argparse.SUPPRESS)
+    else:
+        p.add_argument(flag, dest=field.key, type=field.kind, choices=field.choices or None,
+                       required=field.required, default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,158 +74,60 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact hidden-subgroup experiments on small finite groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("irreps", help="emit the irrep/character table of a group")
-    p.add_argument("group")
-    _add_common(p)
-
-    p = sub.add_parser("fourier", help="build the Fourier operator and report residuals")
-    p.add_argument("group")
-    p.add_argument("--check", action="store_true", help="print the residual report")
-    p.add_argument("--ordering", default="dim_then_label")
-    _add_common(p)
-
-    p = sub.add_parser("simulate", help="run the exact pipeline for an instance file")
-    p.add_argument("--instance", required=True, help="instance JSON path")
-    p.add_argument("--trials", type=int, default=0)
-    p.add_argument("--second-transform", choices=("forward", "inverse"), default="forward")
-    p.add_argument(
-        "--measure-granularity",
-        choices=("full_triple", "irrep_label_only"),
-        default="full_triple",
-    )
-    _add_common(p)
-
-    p = sub.add_parser("simon", help="bit-vector hidden subgroup end to end")
-    p.add_argument("--n", type=int, required=True, help="register width")
-    p.add_argument(
-        "--hidden",
-        required=True,
-        help="comma-separated generator bitstrings, e.g. 101,011",
-    )
-    p.add_argument("--trials", type=int, default=0)
-    p.add_argument("--oracle-seed", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("shor", help="period finding over the finite image Z_Q")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--transversal", choices=("shor", "offset"), default="shor")
-    p.add_argument("--bound", type=int, default=1)
-    p.add_argument("--trials", type=int, default=0)
-    p.add_argument("--allow-any-q", action="store_true")
-    _add_common(p)
-
-    p = sub.add_parser("sweep-transversal", help="peak-mass sweep over offset seeds")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--Q", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--seeds", type=int, required=True)
-    p.add_argument("--allow-any-q", action="store_true")
-    _add_common(p)
-
-    p = sub.add_parser("recover", help="rank subgroup candidates against a distribution CSV")
-    p.add_argument("--dist", required=True, help="distribution CSV path")
-    p.add_argument("--group", required=True)
-    p.add_argument("--oracle-seed", type=int, default=None)
-    _add_common(p)
-
+    for command, (experiment, help_text) in SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        adapted = _add_adapters(p, command)
+        for field in SCHEMA[experiment]:
+            if field.key not in adapted:
+                _add_flag(p, field)
+        p.add_argument("--out-dir", default=".", help="directory for report artifacts")
+        p.add_argument(
+            "--format", choices=("json", "csv"), default="json", help="stdout summary format"
+        )
     return parser
 
 
+def _read_instance(path: str) -> dict:
+    try:
+        instance = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read instance file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"instance file is not valid JSON: {exc}") from exc
+    if not isinstance(instance, dict):
+        raise ConfigError("instance file must hold a JSON object")
+    unknown = sorted(set(instance) - {"group", "hidden_generators", "seed"})
+    if unknown:
+        raise ConfigError(f"unknown field {unknown[0]!r} in instance file")
+    return {
+        "group": instance.get("group"),
+        "hidden_generators": instance.get("hidden_generators", []),
+        "oracle_seed": instance.get("seed", 0),
+    }
+
+
+def _simon_generators(n: int, hidden: str) -> dict:
+    tokens = [token.strip() for token in hidden.split(",") if token.strip()]
+    for token in tokens:
+        if not set(token) <= {"0", "1"}:
+            raise ConfigError(f"field 'hidden': {token!r} is not a bitstring")
+        if len(token) != n:
+            raise ConfigError(f"field 'hidden': {token!r} does not have length n = {n}")
+    return {"group": f"Z2^{n}", "hidden_generators": [[int(b) for b in t] for t in tokens]}
+
+
 def _config_dict(args: argparse.Namespace) -> dict:
-    if args.command == "irreps":
-        return {"experiment": "irreps", "group": args.group, "seed": args.seed}
-    if args.command == "fourier":
-        return {
-            "experiment": "fourier-check",
-            "group": args.group,
-            "ordering": args.ordering,
-            "seed": args.seed,
-        }
+    experiment = SUBCOMMANDS[args.command][0]
+    given = vars(args)
+    d = {"experiment": experiment}
+    d.update((f.key, given[f.key]) for f in SCHEMA[experiment] if f.key in given)
     if args.command == "simulate":
-        try:
-            instance = json.loads(Path(args.instance).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read instance file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"instance file is not valid JSON: {exc}") from exc
-        if not isinstance(instance, dict):
-            raise ConfigError("instance file must hold a JSON object")
-        unknown = sorted(set(instance) - {"group", "hidden_generators", "seed"})
-        if unknown:
-            raise ConfigError(f"unknown field {unknown[0]!r} in instance file")
-        return {
-            "experiment": "simulate",
-            "group": instance.get("group"),
-            "hidden_generators": instance.get("hidden_generators", []),
-            "oracle_seed": instance.get("seed", 0),
-            "trials": args.trials,
-            "second_transform": args.second_transform,
-            "measure_granularity": args.measure_granularity,
-            "seed": args.seed,
-        }
+        d.update(_read_instance(args.instance))
     if args.command == "simon":
-        gens = []
-        for token in args.hidden.split(","):
-            token = token.strip()
-            if token and not set(token) <= {"0", "1"}:
-                raise ConfigError(f"field 'hidden': {token!r} is not a bitstring")
-            if token and len(token) != args.n:
-                raise ConfigError(
-                    f"field 'hidden': {token!r} does not have length n = {args.n}"
-                )
-            if token:
-                gens.append([int(b) for b in token])
-        d = {
-            "experiment": "simon",
-            "group": f"Z2^{args.n}",
-            "hidden_generators": gens,
-            "trials": args.trials,
-            "seed": args.seed,
-        }
-        if args.oracle_seed is not None:
-            d["oracle_seed"] = args.oracle_seed
-        return d
+        d.update(_simon_generators(args.n, args.hidden))
     if args.command == "shor":
-        d = {
-            "experiment": "shor",
-            "N": args.N,
-            "a": args.a,
-            "Q": args.Q,
-            "transversal": {"kind": args.transversal, "bound": args.bound},
-            "trials": args.trials,
-            "seed": args.seed,
-        }
-        if args.allow_any_q:
-            d["allow_any_q"] = True
-        return d
-    if args.command == "sweep-transversal":
-        d = {
-            "experiment": "sweep-transversal",
-            "N": args.N,
-            "a": args.a,
-            "Q": args.Q,
-            "bound": args.bound,
-            "seeds": args.seeds,
-            "seed": args.seed,
-        }
-        if args.allow_any_q:
-            d["allow_any_q"] = True
-        return d
-    if args.command == "recover":
-        d = {
-            "experiment": "recover",
-            "dist": args.dist,
-            "group": args.group,
-            "seed": args.seed,
-        }
-        if args.oracle_seed is not None:
-            d["oracle_seed"] = args.oracle_seed
-        return d
-    raise ConfigError(f"unknown command {args.command!r}")
+        d["transversal"] = {key: given[key] for key in ("kind", "bound") if key in given}
+    return d
 
 
 def _print_summary(report: dict, fmt: str) -> None:

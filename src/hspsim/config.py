@@ -1,56 +1,25 @@
-"""Experiment configuration: strict JSON parsing and validation.
+"""Experiment configuration: one field table, strict JSON parsing and validation.
 
-Unknown keys are rejected, every structural error names the offending
-field, and resource caps are enforced here rather than mid-run.
+SCHEMA lists the fields each experiment accepts.  Parsing, the config
+echo in reports and the CLI flags are all loops over it.  Unknown keys
+are rejected, every structural error names the offending field, and
+resource caps are enforced here rather than mid-run.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 from .engine import STATE_SIZE_CAP, MEASURE_GRANULARITIES, SECOND_TRANSFORMS
 from .errors import ConfigError, ResourceCapError
-from .groups import FiniteGroup, ProductGroup, Subgroup, group_from_spec
+from .groups import MAX_TABLE_ORDER, FiniteGroup, ProductGroup, Subgroup, group_from_spec
 from .representations import BasisOrdering
 from .transversals import PERIOD_STATE_CAP
 
-EXPERIMENTS = (
-    "simulate",
-    "simon",
-    "shor",
-    "sweep-transversal",
-    "irreps",
-    "fourier-check",
-    "recover",
-)
-
 TRANSVERSAL_KINDS = ("shor", "offset")
-
-_COMMON_KEYS = {"experiment", "seed"}
-_ALLOWED_KEYS = {
-    "simulate": _COMMON_KEYS
-    | {"group", "hidden_generators", "oracle_seed", "trials", "second_transform",
-       "measure_granularity", "ordering"},
-    "simon": _COMMON_KEYS | {"group", "hidden_generators", "oracle_seed", "trials"},
-    "shor": _COMMON_KEYS | {"N", "a", "Q", "transversal", "trials", "allow_any_q",
-                            "second_transform"},
-    "sweep-transversal": _COMMON_KEYS | {"N", "a", "Q", "bound", "seeds", "allow_any_q"},
-    "irreps": _COMMON_KEYS | {"group"},
-    "fourier-check": _COMMON_KEYS | {"group", "ordering"},
-    "recover": _COMMON_KEYS | {"group", "dist", "second_transform", "measure_granularity",
-                               "oracle_seed"},
-}
-_REQUIRED_KEYS = {
-    "simulate": {"group", "hidden_generators"},
-    "simon": {"group", "hidden_generators"},
-    "shor": {"N", "a", "Q"},
-    "sweep-transversal": {"N", "a", "Q", "bound", "seeds"},
-    "irreps": {"group"},
-    "fourier-check": {"group"},
-    "recover": {"group", "dist"},
-}
 
 
 @dataclass(frozen=True)
@@ -70,7 +39,7 @@ class ExperimentConfig:
     modulus: int | None = None
     base: int | None = None
     big_q: int | None = None
-    transversal: TransversalSpec | None = None
+    transversal: TransversalSpec = TransversalSpec()
     allow_any_q: bool = False
     second_transform: str = "forward"
     measure_granularity: str = "full_triple"
@@ -81,15 +50,6 @@ class ExperimentConfig:
 
     def resolved_oracle_seed(self) -> int:
         return self.seed if self.oracle_seed is None else self.oracle_seed
-
-
-def _require_int(raw: dict, key: str, minimum: int | None = None) -> int:
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"field {key!r} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"field {key!r} must be at least {minimum}, got {value}")
-    return value
 
 
 def _normalize_generators(raw_gens) -> tuple:
@@ -108,6 +68,91 @@ def _normalize_generators(raw_gens) -> tuple:
     return tuple(out)
 
 
+def _dump_generators(gens: tuple) -> list:
+    return [list(g) if isinstance(g, tuple) else g for g in gens]
+
+
+def _parse_transversal(spec) -> TransversalSpec:
+    if not isinstance(spec, dict):
+        raise ConfigError("field 'transversal' must be an object")
+    unknown = sorted(set(spec) - {"kind", "bound"})
+    if unknown:
+        raise ConfigError(f"unknown field 'transversal.{unknown[0]}'")
+    parsed = TransversalSpec(**spec)
+    if parsed.kind not in TRANSVERSAL_KINDS:
+        raise ConfigError(f"field 'transversal.kind' must be one of {list(TRANSVERSAL_KINDS)}")
+    if isinstance(parsed.bound, bool) or not isinstance(parsed.bound, int) or parsed.bound < 1:
+        raise ConfigError("field 'transversal.bound' must be a positive integer")
+    return parsed
+
+
+_KIND_NAMES = {int: "an integer", str: "a string", bool: "a boolean"}
+
+
+@dataclass(frozen=True)
+class Field:
+    """One config field: its JSON key, its ExperimentConfig attribute and its check.
+
+    `kind` is int, str or bool, or a parser for a structured value.  The
+    default is the ExperimentConfig default of `attr`.  The CLI flag is
+    `--key` with `_` turned into `-`; structured fields have no flag.
+    """
+
+    key: str
+    attr: str
+    kind: type | Callable = int
+    required: bool = False
+    minimum: int | None = None
+    choices: tuple = ()
+    dump: Callable = lambda value: value
+
+    def parse(self, value):
+        if self.kind not in _KIND_NAMES:
+            return self.kind(value)
+        if not isinstance(value, self.kind) or (self.kind is int and isinstance(value, bool)):
+            raise ConfigError(
+                f"field {self.key!r} must be {_KIND_NAMES[self.kind]}, got {value!r}"
+            )
+        if self.minimum is not None and value < self.minimum:
+            raise ConfigError(f"field {self.key!r} must be at least {self.minimum}, got {value}")
+        if self.choices and value not in self.choices:
+            raise ConfigError(f"field {self.key!r} must be one of {list(self.choices)}")
+        return value
+
+
+_SEED = Field("seed", "seed")
+_ORACLE_SEED = Field("oracle_seed", "oracle_seed")
+_TRIALS = Field("trials", "trials", minimum=0)
+_GROUP = Field("group", "group", str, required=True)
+_HIDDEN = Field("hidden_generators", "hidden_generators", _normalize_generators, required=True,
+                dump=_dump_generators)
+_N = Field("N", "modulus", required=True, minimum=2)
+_A = Field("a", "base", required=True, minimum=1)
+_Q = Field("Q", "big_q", required=True, minimum=1)
+_ALLOW_ANY_Q = Field("allow_any_q", "allow_any_q", bool)
+_TRANSVERSAL = Field("transversal", "transversal", _parse_transversal, dump=asdict)
+_BOUND = Field("bound", "bound", required=True, minimum=1)
+_SEEDS = Field("seeds", "seeds", required=True, minimum=1)
+_DIST = Field("dist", "dist", str, required=True)
+_SECOND_TRANSFORM = Field("second_transform", "second_transform", str,
+                          choices=SECOND_TRANSFORMS)
+_MEASURE_GRANULARITY = Field("measure_granularity", "measure_granularity", str,
+                             choices=MEASURE_GRANULARITIES)
+_ORDERING = Field("ordering", "ordering", str, choices=tuple(o.value for o in BasisOrdering))
+
+# The fields each experiment accepts, besides "experiment" itself.
+SCHEMA = {
+    "simulate": (_SEED, _GROUP, _HIDDEN, _ORACLE_SEED, _TRIALS, _SECOND_TRANSFORM,
+                 _MEASURE_GRANULARITY, _ORDERING),
+    "simon": (_SEED, _GROUP, _HIDDEN, _ORACLE_SEED, _TRIALS),
+    "shor": (_SEED, _N, _A, _Q, _TRANSVERSAL, _TRIALS, _ALLOW_ANY_Q, _SECOND_TRANSFORM),
+    "sweep-transversal": (_SEED, _N, _A, _Q, _BOUND, _SEEDS, _ALLOW_ANY_Q),
+    "irreps": (_SEED, _GROUP),
+    "fourier-check": (_SEED, _GROUP, _ORDERING),
+    "recover": (_SEED, _GROUP, _DIST, _SECOND_TRANSFORM, _MEASURE_GRANULARITY, _ORACLE_SEED),
+}
+
+
 def resolve_group(cfg: ExperimentConfig) -> FiniteGroup:
     try:
         return group_from_spec(cfg.group)
@@ -119,21 +164,15 @@ def resolve_hidden(cfg: ExperimentConfig, group: FiniteGroup) -> Subgroup:
     """Generator entries are element indices, or coordinate tuples for products."""
     indices = []
     for g in cfg.hidden_generators:
-        if isinstance(g, tuple):
-            if not isinstance(group, ProductGroup):
-                raise ConfigError(
-                    f"field 'hidden_generators': coordinate entry {list(g)!r} "
-                    f"needs a product group, got {group.name}"
-                )
-            try:
-                indices.append(group.index_of(g))
-            except ValueError as exc:
-                raise ConfigError(f"field 'hidden_generators': {exc}") from exc
-        else:
-            try:
-                indices.append(group.check_index(g))
-            except ValueError as exc:
-                raise ConfigError(f"field 'hidden_generators': {exc}") from exc
+        if isinstance(g, tuple) and not isinstance(group, ProductGroup):
+            raise ConfigError(
+                f"field 'hidden_generators': coordinate entry {list(g)!r} "
+                f"needs a product group, got {group.name}"
+            )
+        try:
+            indices.append(group.index_of(g) if isinstance(g, tuple) else group.check_index(g))
+        except ValueError as exc:
+            raise ConfigError(f"field 'hidden_generators': {exc}") from exc
     return Subgroup.from_generators(group, indices)
 
 
@@ -141,86 +180,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
     experiment = raw.get("experiment")
-    if experiment not in EXPERIMENTS:
+    if experiment not in SCHEMA:
         raise ConfigError(
-            f"field 'experiment' must be one of {list(EXPERIMENTS)}, got {experiment!r}"
+            f"field 'experiment' must be one of {list(SCHEMA)}, got {experiment!r}"
         )
-    allowed = _ALLOWED_KEYS[experiment]
-    unknown = sorted(set(raw) - allowed)
+    fields = SCHEMA[experiment]
+    unknown = sorted(set(raw) - {"experiment"} - {f.key for f in fields})
     if unknown:
         raise ConfigError(f"unknown field {unknown[0]!r} for experiment {experiment!r}")
-    missing = sorted(_REQUIRED_KEYS[experiment] - set(raw))
+    missing = sorted(f.key for f in fields if f.required and f.key not in raw)
     if missing:
         raise ConfigError(f"missing field {missing[0]!r} for experiment {experiment!r}")
-
-    kwargs: dict = {"experiment": experiment}
-    if "seed" in raw:
-        kwargs["seed"] = _require_int(raw, "seed")
-    if "oracle_seed" in raw:
-        kwargs["oracle_seed"] = _require_int(raw, "oracle_seed")
-    if "trials" in raw:
-        kwargs["trials"] = _require_int(raw, "trials", minimum=0)
-    if "group" in raw:
-        if not isinstance(raw["group"], str):
-            raise ConfigError(f"field 'group' must be a string, got {raw['group']!r}")
-        kwargs["group"] = raw["group"]
-    if "hidden_generators" in raw:
-        kwargs["hidden_generators"] = _normalize_generators(raw["hidden_generators"])
-    if "N" in raw:
-        kwargs["modulus"] = _require_int(raw, "N", minimum=2)
-    if "a" in raw:
-        kwargs["base"] = _require_int(raw, "a", minimum=1)
-    if "Q" in raw:
-        kwargs["big_q"] = _require_int(raw, "Q", minimum=1)
-    if "allow_any_q" in raw:
-        if not isinstance(raw["allow_any_q"], bool):
-            raise ConfigError("field 'allow_any_q' must be a boolean")
-        kwargs["allow_any_q"] = raw["allow_any_q"]
-    if "second_transform" in raw:
-        if raw["second_transform"] not in SECOND_TRANSFORMS:
-            raise ConfigError(
-                f"field 'second_transform' must be one of {list(SECOND_TRANSFORMS)}"
-            )
-        kwargs["second_transform"] = raw["second_transform"]
-    if "measure_granularity" in raw:
-        if raw["measure_granularity"] not in MEASURE_GRANULARITIES:
-            raise ConfigError(
-                f"field 'measure_granularity' must be one of {list(MEASURE_GRANULARITIES)}"
-            )
-        kwargs["measure_granularity"] = raw["measure_granularity"]
-    if "ordering" in raw:
-        try:
-            kwargs["ordering"] = BasisOrdering(raw["ordering"]).value
-        except ValueError as exc:
-            raise ConfigError(
-                f"field 'ordering' must be one of {[o.value for o in BasisOrdering]}"
-            ) from exc
-    if "transversal" in raw:
-        spec = raw["transversal"]
-        if not isinstance(spec, dict):
-            raise ConfigError("field 'transversal' must be an object")
-        unknown = sorted(set(spec) - {"kind", "bound"})
-        if unknown:
-            raise ConfigError(f"unknown field 'transversal.{unknown[0]}'")
-        kind = spec.get("kind", "shor")
-        if kind not in TRANSVERSAL_KINDS:
-            raise ConfigError(
-                f"field 'transversal.kind' must be one of {list(TRANSVERSAL_KINDS)}"
-            )
-        bound = spec.get("bound", 1)
-        if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
-            raise ConfigError("field 'transversal.bound' must be a positive integer")
-        kwargs["transversal"] = TransversalSpec(kind, bound)
-    if "bound" in raw:
-        kwargs["bound"] = _require_int(raw, "bound", minimum=1)
-    if "seeds" in raw:
-        kwargs["seeds"] = _require_int(raw, "seeds", minimum=1)
-    if "dist" in raw:
-        if not isinstance(raw["dist"], str):
-            raise ConfigError("field 'dist' must be a path string")
-        kwargs["dist"] = raw["dist"]
-
-    cfg = ExperimentConfig(**kwargs)
+    cfg = ExperimentConfig(
+        experiment, **{f.attr: f.parse(raw[f.key]) for f in fields if f.key in raw}
+    )
     _validate_semantics(cfg)
     return cfg
 
@@ -228,6 +201,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 def _validate_semantics(cfg: ExperimentConfig) -> None:
     if cfg.experiment in ("simulate", "simon", "irreps", "fourier-check", "recover"):
         group = resolve_group(cfg)
+        # recover ranks every subgroup; the others build |G| x |G| arrays
+        # (the dense Fourier operator or the character table).
+        cap = 32 if cfg.experiment == "recover" else MAX_TABLE_ORDER
+        if group.order > cap:
+            raise ResourceCapError(
+                f"{cfg.experiment} is capped at order {cap}, "
+                f"got {cfg.group!r} of order {group.order}"
+            )
         if cfg.experiment == "simon":
             if not isinstance(group, ProductGroup) or any(m != 2 for m in group.moduli):
                 raise ConfigError(
@@ -240,11 +221,6 @@ def _validate_semantics(cfg: ExperimentConfig) -> None:
                 raise ResourceCapError(
                     f"state size {group.order}*{hidden.num_cosets} exceeds {STATE_SIZE_CAP}"
                 )
-        if cfg.experiment == "recover" and group.order > 32:
-            raise ResourceCapError(
-                f"recover ranks all subgroups and is capped at order 32, "
-                f"got {cfg.group!r} of order {group.order}"
-            )
     if cfg.experiment in ("shor", "sweep-transversal"):
         if math.gcd(cfg.base, cfg.modulus) != 1:
             raise ConfigError(
@@ -270,43 +246,17 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Canonical JSON-ready form; round-trips through config_from_dict."""
-    out: dict = {"experiment": cfg.experiment, "seed": cfg.seed}
-    if cfg.group is not None:
-        out["group"] = cfg.group
-    if cfg.experiment in ("simulate", "simon"):
-        out["hidden_generators"] = [
-            list(g) if isinstance(g, tuple) else g for g in cfg.hidden_generators
-        ]
-        if cfg.oracle_seed is not None:
-            out["oracle_seed"] = cfg.oracle_seed
-        out["trials"] = cfg.trials
-    if cfg.experiment in ("shor", "sweep-transversal"):
-        out["N"] = cfg.modulus
-        out["a"] = cfg.base
-        out["Q"] = cfg.big_q
-        if cfg.allow_any_q:
-            out["allow_any_q"] = True
-    if cfg.experiment == "shor":
-        spec = cfg.transversal or TransversalSpec()
-        out["transversal"] = {"kind": spec.kind, "bound": spec.bound}
-        out["trials"] = cfg.trials
-        out["second_transform"] = cfg.second_transform
-    if cfg.experiment == "sweep-transversal":
-        out["bound"] = cfg.bound
-        out["seeds"] = cfg.seeds
-    if cfg.experiment == "simulate":
-        out["second_transform"] = cfg.second_transform
-        out["measure_granularity"] = cfg.measure_granularity
-        out["ordering"] = cfg.ordering
-    if cfg.experiment == "fourier-check":
-        out["ordering"] = cfg.ordering
-    if cfg.experiment == "recover":
-        out["dist"] = cfg.dist
-        out["second_transform"] = cfg.second_transform
-        out["measure_granularity"] = cfg.measure_granularity
-        if cfg.oracle_seed is not None:
-            out["oracle_seed"] = cfg.oracle_seed
+    """Canonical JSON-ready form; round-trips through config_from_dict.
+
+    Every field of the experiment is emitted except those at None or False,
+    which for a parsed config are an unset oracle_seed and a false
+    allow_any_q.
+    """
+    out: dict = {"experiment": cfg.experiment}
+    for f in SCHEMA[cfg.experiment]:
+        value = getattr(cfg, f.attr)
+        if value is not None and value is not False:
+            out[f.key] = f.dump(value)
     return out
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, TransversalSpec, config_to_dict, resolve_group, resolve_hidden
+from .config import ExperimentConfig, config_to_dict, resolve_group, resolve_hidden
 from .engine import PipelineConfig, left_register_distribution, run_pipeline, sample, step_trace
 from .errors import ConfigError
 from .oracle import build_instance, classical_brute_force_hsp
@@ -168,11 +168,10 @@ def _run_simon(cfg: ExperimentConfig, out: Path) -> dict:
 
 def _run_shor(cfg: ExperimentConfig, out: Path) -> dict:
     instance = PeriodicInstance(cfg.modulus, cfg.base, cfg.big_q, cfg.allow_any_q)
-    spec = cfg.transversal or TransversalSpec()
-    if spec.kind == "shor":
+    if cfg.transversal.kind == "shor":
         tau = shor_transversal(cfg.big_q)
     else:
-        tau = offset_transversal(cfg.big_q, spec.bound, cfg.seed)
+        tau = offset_transversal(cfg.big_q, cfg.transversal.bound, cfg.seed)
     dist = shor_pipeline(instance, tau, cfg.second_transform)
     write_distribution_csv(out / "distribution.csv", dist)
     report = {

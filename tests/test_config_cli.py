@@ -1,9 +1,14 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from hspsim.cli import main
+from hspsim import cli
+from hspsim.cli import build_parser, main
 from hspsim.config import (
+    SCHEMA,
+    ExperimentConfig,
     config_from_dict,
     config_to_dict,
     parse_config,
@@ -69,10 +74,29 @@ def test_parse_enforces_resource_caps():
         )
 
 
+def test_parse_caps_group_order_of_dense_array_experiments():
+    for text in (
+        '{"experiment":"simulate","group":"D2560","hidden_generators":[2,2560]}',
+        '{"experiment":"fourier-check","group":"Z8192"}',
+        '{"experiment":"irreps","group":"Z8192"}',
+        '{"experiment":"simon","group":"Z2^13","hidden_generators":[]}',
+    ):
+        with pytest.raises(ResourceCapError, match="capped at order 4096"):
+            parse_config(text)
+    parse_config('{"experiment":"simulate","group":"D2048","hidden_generators":[2,2048]}')
+    unit_vectors = [[int(i == j) for j in range(12)] for i in range(8)]
+    config_from_dict(
+        {"experiment": "simon", "group": "Z2^12", "hidden_generators": unit_vectors}
+    )
+    parse_config('{"experiment":"fourier-check","group":"D2048"}')
+    parse_config('{"experiment":"irreps","group":"Z2^12"}')
+
+
 @pytest.mark.parametrize(
     "text",
     [
         '{"experiment":"shor","N":15,"a":7,"Q":16,"transversal":{"kind":"offset","bound":4},"seed":9}',
+        '{"experiment":"shor","N":15,"a":7,"Q":16}',
         '{"experiment":"simon","group":"Z2^4","hidden_generators":[[1,0,1,0],[0,1,0,1]],"trials":12}',
         '{"experiment":"simulate","group":"D4","hidden_generators":[2],"oracle_seed":7,"trials":3}',
         '{"experiment":"irreps","group":"Z12"}',
@@ -131,6 +155,10 @@ def test_reports_echo_config_for_replay(tmp_path):
     report = run_experiment(parse_config(text), tmp_path)
     echoed = config_from_dict(report["config"])
     assert echoed == parse_config(text)
+    assert report["config"] == {
+        "experiment": "shor", "seed": 1, "N": 15, "a": 7, "Q": 16,
+        "transversal": {"kind": "shor", "bound": 1}, "trials": 0, "second_transform": "forward",
+    }
 
 
 def test_cli_simulate_and_exit_codes(tmp_path, capsys):
@@ -195,17 +223,19 @@ def test_cli_fourier_check_prints_residuals(tmp_path, capsys):
 def test_cli_recover_round_trip(tmp_path, capsys):
     instance = tmp_path / "instance.json"
     instance.write_text('{"group": "D4", "hidden_generators": [2], "seed": 0}')
-    run_dir = tmp_path / "sim"
-    assert main(["simulate", "--instance", str(instance), "--out-dir", str(run_dir)]) == 0
-    capsys.readouterr()
-    code = main(
-        ["recover", "--dist", str(run_dir / "distribution.csv"), "--group", "D4",
-         "--out-dir", str(tmp_path / "rec")]
-    )
-    assert code == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["candidates"][0]["elements"] == ["e", "r2"]
-    assert report["candidates"][0]["total_variation"] < 1e-10
+    for name, flags in (("full", []), ("label", ["--measure-granularity", "irrep_label_only"])):
+        run_dir = tmp_path / name
+        code = main(["simulate", "--instance", str(instance), "--out-dir", str(run_dir), *flags])
+        assert code == 0
+        capsys.readouterr()
+        code = main(
+            ["recover", "--dist", str(run_dir / "distribution.csv"), "--group", "D4",
+             "--out-dir", str(run_dir / "rec"), *flags]
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["candidates"][0]["elements"] == ["e", "r2"]
+        assert report["candidates"][0]["total_variation"] < 1e-10
 
 
 def test_cli_recover_bad_dist_exits_2(tmp_path, capsys):
@@ -229,3 +259,75 @@ def test_cli_sweep_transversal(tmp_path, capsys):
     assert len(lines) == 4
     report = json.loads(capsys.readouterr().out)
     assert report["wins_shor"] == 3
+
+
+# Per experiment: a JSON config and the command line that sets the same
+# required and adapter-supplied fields, each to a value other than its default.
+SCHEMA_BASES = {
+    "simulate": (
+        {"group": "D4", "hidden_generators": [2], "oracle_seed": 7},
+        ["simulate", "--instance", "instance.json"],
+    ),
+    "simon": (
+        {"group": "Z2^3", "hidden_generators": [[1, 0, 1]]},
+        ["simon", "--n", "3", "--hidden", "101"],
+    ),
+    "shor": (
+        {"N": 15, "a": 7, "Q": 16, "transversal": {"kind": "offset", "bound": 4}},
+        ["shor", "--N", "15", "--a", "7", "--Q", "16", "--transversal", "offset", "--bound", "4"],
+    ),
+    "sweep-transversal": (
+        {"N": 21, "a": 2, "Q": 512, "bound": 21, "seeds": 3},
+        ["sweep-transversal", "--N", "21", "--a", "2", "--Q", "512", "--bound", "21",
+         "--seeds", "3"],
+    ),
+    "irreps": ({"group": "D4"}, ["irreps", "D4"]),
+    "fourier-check": ({"group": "D4"}, ["fourier", "D4"]),
+    "recover": (
+        {"group": "D4", "dist": "distribution.csv"},
+        ["recover", "--group", "D4", "--dist", "distribution.csv"],
+    ),
+}
+# A value other than the default for every field set by a generated flag alone.
+FLAG_VALUES = {
+    "seed": 5,
+    "oracle_seed": 3,
+    "trials": 7,
+    "allow_any_q": True,
+    "second_transform": "inverse",
+    "measure_granularity": "irrep_label_only",
+    "ordering": "dim_desc_then_label",
+}
+
+
+@pytest.mark.parametrize(
+    "experiment,field",
+    [pytest.param(e, f, id=f"{e}-{f.key}") for e, fields in SCHEMA.items() for f in fields],
+)
+def test_cli_sets_every_schema_field_like_json(tmp_path, monkeypatch, experiment, field):
+    monkeypatch.chdir(tmp_path)
+    Path("instance.json").write_text('{"group": "D4", "hidden_generators": [2], "seed": 7}')
+    raw, argv = SCHEMA_BASES[experiment]
+    if field.key not in raw:
+        value = FLAG_VALUES[field.key]
+        flag = "--" + field.key.replace("_", "-")
+        raw = {**raw, field.key: value}
+        argv = argv + ([flag] if value is True else [flag, str(value)])
+    from_json = config_from_dict({"experiment": experiment, **raw})
+    from_cli = config_from_dict(cli._config_dict(build_parser().parse_args(argv)))
+    assert from_cli == from_json
+    assert getattr(from_json, field.attr) != getattr(ExperimentConfig(experiment), field.attr)
+
+
+def _readme_command_lines():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("hspsim ")]
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_command_lines_parse(line):
+    args = build_parser().parse_args(shlex.split(line)[1:])
+    if args.command != "simulate":  # simulate reads its instance file
+        config_from_dict(cli._config_dict(args))
+
