@@ -41,9 +41,11 @@ from .recovery import (
 from .representations import (
     BasisOrdering,
     FourierOperator,
+    FourierTransform,
     Irrep,
     contragredient,
     fourier_operator,
+    fourier_transform,
     irreps_of,
     verify_representation_suite,
 )

@@ -198,12 +198,22 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return cfg
 
 
+# recover ranks every subgroup; irreps and fourier-check build |G| x |G| arrays
+# (the character table, the dense Fourier operator); simulate and simon hold
+# |G| * |G/K| amplitudes, so |G| alone must already meet the state cap.
+ORDER_CAPS = {
+    "recover": 32,
+    "irreps": MAX_TABLE_ORDER,
+    "fourier-check": MAX_TABLE_ORDER,
+    "simulate": STATE_SIZE_CAP,
+    "simon": STATE_SIZE_CAP,
+}
+
+
 def _validate_semantics(cfg: ExperimentConfig) -> None:
-    if cfg.experiment in ("simulate", "simon", "irreps", "fourier-check", "recover"):
+    if cfg.experiment in ORDER_CAPS:
         group = resolve_group(cfg)
-        # recover ranks every subgroup; the others build |G| x |G| arrays
-        # (the dense Fourier operator or the character table).
-        cap = 32 if cfg.experiment == "recover" else MAX_TABLE_ORDER
+        cap = ORDER_CAPS[cfg.experiment]
         if group.order > cap:
             raise ResourceCapError(
                 f"{cfg.experiment} is capped at order {cap}, "

@@ -6,6 +6,11 @@ applies the blackbox permutation, transforms the left register again
 Born distribution of the left register, marginalized (never collapsed)
 over the right register.  Exact distributions are first class; sampling
 is a seeded layer on top.  State sizes are capped at |G|*|H| <= 65536.
+
+The transforms are applied by FFT (`FourierTransform.apply` and
+`apply_inverse`); the first one is written directly, since F|e> is
+column 0 of F.  No |G| x |G| matrix is built, so memory stays linear
+in the state size.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .errors import IntegrityError, ResourceCapError
 from .oracle import HspInstance, OracleUnitary
-from .representations import FourierOperator
+from .representations import FourierTransform
 
 STATE_SIZE_CAP = 65536
 NORM_TOL = 1e-12
@@ -91,9 +96,9 @@ def finalize_distribution(labels: tuple, probs: np.ndarray) -> OutcomeDistributi
     return OutcomeDistribution(labels, probs)
 
 
-def _check_dims(instance: HspInstance, fourier: FourierOperator) -> tuple[int, int]:
+def _check_dims(instance: HspInstance, fourier: FourierTransform) -> tuple[int, int]:
     n_g, n_h = instance.group.order, instance.codomain.order
-    if fourier.matrix.shape[0] != n_g or fourier.group.name != instance.group.name:
+    if len(fourier.row_index) != n_g or fourier.group.name != instance.group.name:
         raise ValueError(
             f"Fourier operator for {fourier.group.name} does not match "
             f"instance group {instance.group.name} of order {n_g}"
@@ -112,23 +117,24 @@ def _check_norm(matrix: np.ndarray, step: str) -> None:
 
 
 def _evolve(
-    instance: HspInstance, fourier: FourierOperator, cfg: PipelineConfig
+    instance: HspInstance, fourier: FourierTransform, cfg: PipelineConfig
 ) -> list[np.ndarray]:
     n_g, n_h = _check_dims(instance, fourier)
     psi0 = np.zeros((n_g, n_h), dtype=np.complex128)
     psi0[0, 0] = 1.0
-    psi1 = fourier.matrix @ psi0
+    psi1 = np.zeros((n_g, n_h), dtype=np.complex128)
+    psi1[:, 0] = fourier.identity_column()
     _check_norm(psi1, "the first Fourier transform")
     psi2 = OracleUnitary(instance).permute(psi1)
     _check_norm(psi2, "the blackbox application")
-    second = fourier.matrix if cfg.second_transform == "forward" else fourier.matrix.conj().T
-    psi3 = second @ psi2
+    second = fourier.apply if cfg.second_transform == "forward" else fourier.apply_inverse
+    psi3 = second(psi2)
     _check_norm(psi3, "the second Fourier transform")
     return [psi0, psi1, psi2, psi3]
 
 
 def _labelled_probs(
-    fourier: FourierOperator, cfg: PipelineConfig, probs: np.ndarray
+    fourier: FourierTransform, cfg: PipelineConfig, probs: np.ndarray
 ) -> tuple[tuple, np.ndarray]:
     if cfg.measure_granularity == "irrep_label_only":
         labels = tuple(dict.fromkeys(i for i, _, _ in fourier.row_index))
@@ -143,7 +149,7 @@ def _labelled_probs(
 
 def run_pipeline(
     instance: HspInstance,
-    fourier: FourierOperator,
+    fourier: FourierTransform,
     cfg: PipelineConfig = PipelineConfig(),
 ) -> OutcomeDistribution:
     """Exact left-register outcome distribution p(x) = sum_h |<x,h|psi3>|^2."""
@@ -151,7 +157,7 @@ def run_pipeline(
 
 
 def left_register_distribution(
-    psi3: np.ndarray, fourier: FourierOperator, cfg: PipelineConfig
+    psi3: np.ndarray, fourier: FourierTransform, cfg: PipelineConfig
 ) -> OutcomeDistribution:
     """Born distribution of the left register of a final (|G|, |H|) state."""
     probs = np.abs(psi3) ** 2
@@ -161,7 +167,7 @@ def left_register_distribution(
 
 def step_trace(
     instance: HspInstance,
-    fourier: FourierOperator,
+    fourier: FourierTransform,
     cfg: PipelineConfig = PipelineConfig(),
 ) -> list[QuantumState]:
     """Snapshots psi0..psi3 of the pipeline, for inspection and testing."""

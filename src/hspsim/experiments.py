@@ -31,7 +31,13 @@ from .reporting import (
     write_json,
     write_samples_csv,
 )
-from .representations import BasisOrdering, fourier_operator, irreps_of, verify_representation_suite
+from .representations import (
+    BasisOrdering,
+    fourier_operator,
+    fourier_transform,
+    irreps_of,
+    verify_representation_suite,
+)
 from .transversals import (
     PeriodicInstance,
     offset_transversal,
@@ -113,7 +119,7 @@ def _pipeline_pieces(cfg: ExperimentConfig):
     group = resolve_group(cfg)
     hidden = resolve_hidden(cfg, group)
     instance = build_instance(group, hidden, cfg.resolved_oracle_seed())
-    fourier = fourier_operator(group, BasisOrdering(cfg.ordering))
+    fourier = fourier_transform(group, BasisOrdering(cfg.ordering))
     pipeline_cfg = PipelineConfig(cfg.second_transform, cfg.measure_granularity)
     return group, hidden, instance, fourier, pipeline_cfg
 
@@ -229,7 +235,7 @@ def _run_recover(cfg: ExperimentConfig, out: Path) -> dict:
         raise ConfigError(f"field 'dist': cannot read {cfg.dist!r}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"field 'dist': {exc}") from exc
-    fourier = fourier_operator(group)
+    fourier = fourier_transform(group)
     pipeline_cfg = PipelineConfig(cfg.second_transform, cfg.measure_granularity)
     ranking = subgroup_consistency_rank(
         dist, group, fourier, pipeline_cfg, instance_seed=cfg.resolved_oracle_seed()

@@ -20,7 +20,7 @@ from .engine import OutcomeDistribution, PipelineConfig, run_pipeline
 from .errors import ResourceCapError
 from .groups import CyclicGroup, FiniteGroup, ProductGroup, Subgroup, all_subgroups
 from .oracle import build_instance
-from .representations import fourier_operator
+from .representations import fourier_transform
 
 RANK_TIE_TOL = 1e-12
 
@@ -222,20 +222,16 @@ def subgroup_consistency_rank(
             f"{group.name} has order {group.order}"
         )
     if fourier is None:
-        fourier = fourier_operator(group)
-    candidates = all_subgroups(group)
-    predicted = [
-        run_pipeline(build_instance(group, k, instance_seed), fourier, cfg)
-        for k in candidates
-    ]
-    scored = sorted(
-        zip(candidates, predicted),
-        key=lambda pair: (dist.total_variation(pair[1]), pair[0].elements),
-    )
-    entries = tuple((k, dist.total_variation(p)) for k, p in scored)
+        fourier = fourier_transform(group)
+    scored = []
+    for k in all_subgroups(group):
+        pred = run_pipeline(build_instance(group, k, instance_seed), fourier, cfg)
+        scored.append((dist.total_variation(pred), k, pred))
+    scored.sort(key=lambda entry: (entry[0], entry[1].elements))
+    entries = tuple((k, tv) for tv, k, _ in scored)
 
     signature_groups: dict[tuple, list[int]] = {}
-    for pos, (_, pred) in enumerate(scored):
+    for pos, (_, _, pred) in enumerate(scored):
         key = tuple(int(round(p / RANK_TIE_TOL)) for p in pred.probs)
         signature_groups.setdefault(key, []).append(pos)
     ties = tuple(

@@ -76,18 +76,29 @@ def test_parse_enforces_resource_caps():
 
 def test_parse_caps_group_order_of_dense_array_experiments():
     for text in (
-        '{"experiment":"simulate","group":"D2560","hidden_generators":[2,2560]}',
         '{"experiment":"fourier-check","group":"Z8192"}',
         '{"experiment":"irreps","group":"Z8192"}',
-        '{"experiment":"simon","group":"Z2^13","hidden_generators":[]}',
     ):
         with pytest.raises(ResourceCapError, match="capped at order 4096"):
             parse_config(text)
+    # simulate and simon build no |G| x |G| array: only the state cap bounds them
+    for text in (
+        '{"experiment":"simulate","group":"Z65536","hidden_generators":[2]}',
+        '{"experiment":"simon","group":"Z2^13","hidden_generators":[]}',
+    ):
+        with pytest.raises(ResourceCapError, match="state size"):
+            parse_config(text)
+    with pytest.raises(ResourceCapError, match="capped at order 65536"):
+        parse_config('{"experiment":"simulate","group":"Z65537","hidden_generators":[1]}')
     parse_config('{"experiment":"simulate","group":"D2048","hidden_generators":[2,2048]}')
-    unit_vectors = [[int(i == j) for j in range(12)] for i in range(8)]
-    config_from_dict(
-        {"experiment": "simon", "group": "Z2^12", "hidden_generators": unit_vectors}
-    )
+    parse_config('{"experiment":"simulate","group":"D2560","hidden_generators":[2,2560]}')
+    parse_config('{"experiment":"simulate","group":"D32768","hidden_generators":[1,32768]}')
+    parse_config('{"experiment":"simulate","group":"Z65536","hidden_generators":[1]}')
+    for n, dim in ((12, 8), (13, 10)):
+        unit_vectors = [[int(i == j) for j in range(n)] for i in range(dim)]
+        config_from_dict(
+            {"experiment": "simon", "group": f"Z2^{n}", "hidden_generators": unit_vectors}
+        )
     parse_config('{"experiment":"fourier-check","group":"D2048"}')
     parse_config('{"experiment":"irreps","group":"Z2^12"}')
 

@@ -1,6 +1,10 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hspsim.config import config_from_dict
 from hspsim.engine import (
     OutcomeDistribution,
     PipelineConfig,
@@ -9,6 +13,7 @@ from hspsim.engine import (
     step_trace,
 )
 from hspsim.errors import ResourceCapError
+from hspsim.experiments import run_experiment
 from hspsim.groups import all_subgroups, group_from_spec, subgroup_from_generators
 from hspsim.oracle import build_instance
 from hspsim.recovery import SampleSet, character_sieve
@@ -169,6 +174,33 @@ def test_pipeline_state_size_cap():
     fop = fourier_operator(group)
     with pytest.raises(ResourceCapError):
         run_pipeline(inst, fop)
+
+
+def test_run_path_builds_no_dense_fourier_matrix(tmp_path, monkeypatch):
+    """simulate and simon apply F by FFT: no irrep stack, no |G| x |G| array."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run path built dense representation arrays")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("hspsim")]:
+        for attr in ("fourier_operator", "irreps_of"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, refuse)
+    unit_vectors = [[int(i == j) for j in range(12)] for i in range(8)]
+    configs = [
+        {"experiment": "simulate", "group": "D2048", "hidden_generators": [4, 2049]},
+        {"experiment": "simon", "group": "Z2^12", "hidden_generators": unit_vectors},
+    ]
+    for i, raw in enumerate(configs):
+        cfg = config_from_dict(raw)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, tmp_path / str(i))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense F of order 4096 alone takes 256 MiB
+        assert peak < 16 * 2**20
 
 
 def test_sample_point_mass_and_determinism():

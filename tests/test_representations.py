@@ -7,6 +7,7 @@ from hspsim.representations import (
     Irrep,
     contragredient,
     fourier_operator,
+    fourier_transform,
     irreps_of,
     verify_representation_suite,
 )
@@ -177,6 +178,29 @@ def test_alternative_basis_orderings():
     lookup = {idx: row for idx, row in zip(default.row_index, default.matrix)}
     for idx, row in zip(desc.row_index, desc.matrix):
         assert np.abs(lookup[idx] - row).max() == 0.0
+
+
+EQUIVALENCE_GROUPS = [
+    "Z1", "Z12", "Z31", "Z2^5", "Z2xZ4", "Z3xZ9",
+    "D1", "D2", "D3", "D7", "D8", "D16",
+]
+
+
+@pytest.mark.parametrize("ordering", list(BasisOrdering))
+@pytest.mark.parametrize("spec", EQUIVALENCE_GROUPS)
+def test_fft_transform_matches_dense_matrix(spec, ordering):
+    group = group_from_spec(spec)
+    fop = fourier_operator(group, ordering)
+    rng = np.random.default_rng(group.order)
+    x = rng.normal(size=(group.order, 3)) + 1j * rng.normal(size=(group.order, 3))
+    assert np.abs(fop.apply(x) - fop.matrix @ x).max() < 1e-12
+    assert np.abs(fop.apply_inverse(x) - fop.matrix.conj().T @ x).max() < 1e-12
+    assert np.array_equal(fop.identity_column(), fop.matrix[:, 0])
+    fourier = fourier_transform(group, ordering)
+    assert fourier.row_index == fop.row_index
+    assert fourier.normalization == fop.normalization
+    assert np.array_equal(fourier.apply(x), fop.apply(x))
+    assert np.array_equal(fourier.apply_inverse(x), fop.apply_inverse(x))
 
 
 def test_verify_representation_suite_values():
