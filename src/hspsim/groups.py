@@ -243,14 +243,13 @@ class QuotientGroup(FiniteGroup):
         self.epimorphism = tuple(to_coset.tolist())
         self._to_coset = to_coset
         self._reps = np.array(self.coset_reps, dtype=np.int64)
-        self._table = to_coset[parent._op(self._reps[:, None], self._reps)]
 
     def project(self, g: int) -> int:
         self.parent.check_index(g)
         return self.epimorphism[g]
 
     def _op(self, a, b):
-        return self._table[a, b]
+        return self._to_coset[self.parent._op(self._reps[a], self._reps[b])]
 
     def _inv(self, a):
         return self._to_coset[self.parent._inv(self._reps[a])]

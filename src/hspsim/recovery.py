@@ -1,12 +1,12 @@
 """Classical post-processing of measurement outcomes.
 
 Abelian outcomes are character indices; the hidden subgroup is the
-intersection of the sampled character kernels (for bit-vector groups,
-equivalently the GF(2) null space of the sample span).  Period finding
-extracts candidate denominators from continued-fraction convergents in
-exact integer arithmetic.  A result is confirmed only by an independent
-check: the full exact support not shrinking the candidate, or the
-modular identity a^r = 1; never by sample count alone.
+intersection of the sampled character kernels, Simon's problem
+included.  Period finding extracts candidate denominators from
+continued-fraction convergents in exact integer arithmetic.  A result
+is confirmed only by an independent check: the full exact support not
+shrinking the candidate, or the modular identity a^r = 1; never by
+sample count alone.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .oracle import build_instance
 from .representations import fourier_transform
 
 RANK_TIE_TOL = 1e-12
+# element-outcome pairs evaluated at once by the character sieve
+_PAIRING_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -63,107 +65,59 @@ class RankedCandidates:
     tie_classes: tuple[tuple[int, ...], ...]
 
 
-def _character_pairing_trivial(group: FiniteGroup, y: int, k: int) -> bool:
-    """Whether character y takes the value 1 on element k (exact integers)."""
+def _abelian_moduli(group: FiniteGroup) -> tuple[int, ...]:
     if isinstance(group, CyclicGroup):
-        return (y * k) % group.n == 0
+        return (group.n,)
     if isinstance(group, ProductGroup):
-        mods = group.moduli
-        big = math.lcm(*mods)
-        yc, kc = group.coords(y), group.coords(k)
-        t = sum((yi * ki) * (big // m) for yi, ki, m in zip(yc, kc, mods))
-        return t % big == 0
+        return group.moduli
     raise ValueError(f"character sieve needs an abelian built-in group, got {group.name}")
 
 
-def _kernel_intersection(group: FiniteGroup, outcomes) -> tuple[int, ...]:
-    distinct = sorted(set(outcomes))
-    return tuple(
-        k
-        for k in range(group.order)
-        if all(_character_pairing_trivial(group, y, k) for y in distinct)
-    )
+def _kernel_intersection(moduli, coords: np.ndarray, ks: np.ndarray, outcomes) -> np.ndarray:
+    """The elements of `ks` on which every sampled character chi_y is 1.
+
+    chi_y(k) = exp(2 pi i t(k, y) / L) with t(k, y) = sum_c k_c y_c (L / m_c)
+    and L = lcm of the moduli m_c, so chi_y(k) = 1 exactly when t = 0 mod L.
+    `coords` holds the coordinates of every element of G, one row each.
+    """
+    big = math.lcm(*moduli)
+    unique = np.unique(np.asarray(outcomes, dtype=np.int64))
+    w = coords[unique] * (big // np.array(moduli, dtype=np.int64))
+    kc = coords[ks]
+    keep = np.ones(len(ks), dtype=bool)
+    step = max(1, _PAIRING_CHUNK // len(ks))
+    for lo in range(0, len(w), step):
+        # k_c < m_c and y_c L / m_c < L, so t < L sum_c m_c <= |G| (|G| + c):
+        # no int64 overflow for any group whose coordinate array fits in memory
+        keep &= ~(kc @ w[lo:lo + step].T % big).any(axis=1)
+    return ks[keep]
 
 
 def character_sieve(samples: SampleSet, full_support=None) -> RecoveryResult:
     """K = intersection of ker(chi_y) over sampled y; confirmed when the
     full exact-distribution support would not shrink it further."""
     group = samples.group
-    elems = _kernel_intersection(group, samples.outcomes)
-    candidate = Subgroup.from_elements(group, elems)
+    moduli = _abelian_moduli(group)
+    everything = np.arange(group.order)
+    coords = np.stack(np.unravel_index(everything, moduli), axis=1)
+    kernel = _kernel_intersection(moduli, coords, everything, samples.outcomes)
+    elems = tuple(kernel.tolist())
+    # an intersection of kernels is a subgroup, and in an abelian group
+    # every subgroup is normal, so no closure or normality check is needed
+    candidate = Subgroup(group, elems, elems, True)
     confirmed = False
     if full_support is not None:
-        widened = _kernel_intersection(group, tuple(samples.outcomes) + tuple(full_support))
-        confirmed = widened == elems
+        support = [group.check_index(y) for y in full_support]
+        confirmed = len(_kernel_intersection(moduli, coords, kernel, support)) == len(kernel)
     return RecoveryResult(candidate, confirmed, len(samples.outcomes))
-
-
-def _as_bit_rows(group: ProductGroup, outcomes) -> np.ndarray:
-    rows = [group.coords(y) for y in outcomes]
-    return np.array(rows, dtype=np.uint8).reshape(len(rows), len(group.moduli))
-
-
-def _gf2_rref(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    a = (matrix & 1).astype(np.uint8).copy()
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        hits = np.nonzero(a[r:, c])[0]
-        if hits.size == 0:
-            continue
-        p = r + int(hits[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            a[others] ^= a[r]
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def _gf2_nullspace_basis(matrix: np.ndarray, n: int) -> list[np.ndarray]:
-    if matrix.size == 0:
-        return [np.eye(n, dtype=np.uint8)[i] for i in range(n)]
-    rref, pivots = _gf2_rref(matrix)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for c in free:
-        v = np.zeros(n, dtype=np.uint8)
-        v[c] = 1
-        for row, pc in zip(rref, pivots):
-            if row[c]:
-                v[pc] = 1
-        basis.append(v)
-    return basis
-
-
-def _nullspace_elements(group: ProductGroup, outcomes) -> tuple[int, ...]:
-    n = len(group.moduli)
-    rows = _as_bit_rows(group, sorted(set(outcomes)))
-    members = np.zeros(1, dtype=np.int64)
-    for b in _gf2_nullspace_basis(rows, n):
-        # the coordinates are bits, so the index of a sum is the XOR of the indices
-        members = np.concatenate([members, members ^ group.index_of(b)])
-    return tuple(np.sort(members).tolist())
 
 
 def simon_solve(samples: SampleSet, full_support=None) -> RecoveryResult:
-    """Null space, over the 2-element field, of the span of the samples."""
+    """Simon's problem: the character sieve on Z2^n."""
     group = samples.group
     if not isinstance(group, ProductGroup) or any(m != 2 for m in group.moduli):
         raise ValueError(f"simon_solve needs a Z2^n context, got {group.name}")
-    elems = _nullspace_elements(group, samples.outcomes)
-    candidate = Subgroup.from_elements(group, elems)
-    confirmed = False
-    if full_support is not None:
-        widened = _nullspace_elements(group, tuple(samples.outcomes) + tuple(full_support))
-        confirmed = widened == elems
-    return RecoveryResult(candidate, confirmed, len(samples.outcomes))
+    return character_sieve(samples, full_support)
 
 
 def continued_fraction_period(y: int, big_q: int, n: int) -> int | None:

@@ -58,31 +58,44 @@ def direct_fourier_probs(f_values, big_q: int, forward: bool = True) -> list[flo
     return probs
 
 
+def mixed_radix_coords(moduli, a: int) -> tuple[int, ...]:
+    """Coordinates of index a, first factor most significant."""
+    out = []
+    for m in reversed(moduli):
+        a, r = divmod(a, m)
+        out.append(r)
+    return tuple(reversed(out))
+
+
+def character_trivial_on(moduli, y: int, k: int) -> bool:
+    """Whether character chi_y is 1 on element k: sum_c y_c k_c / m_c is an integer."""
+    big = math.lcm(*moduli)
+    t = sum(
+        yi * ki * (big // m)
+        for yi, ki, m in zip(mixed_radix_coords(moduli, y), mixed_radix_coords(moduli, k), moduli)
+    )
+    return t % big == 0
+
+
+def kernel_intersection(moduli, outcomes) -> tuple[int, ...]:
+    """Elements on which every character chi_y, y in `outcomes`, is 1, pair by pair."""
+    return tuple(
+        k
+        for k in range(math.prod(moduli))
+        if all(character_trivial_on(moduli, y, k) for y in outcomes)
+    )
+
+
 def character_kernel_probs(moduli, hidden_elements) -> dict[int, float]:
     """Closed form for abelian instances: uniform on the annihilator of K.
 
     p(y) = |K|/|G| exactly when chi_y is trivial on K, else 0.
     """
     order = math.prod(moduli)
-    big = math.lcm(*moduli)
-
-    def coords(a):
-        out = []
-        for m in reversed(moduli):
-            a, r = divmod(a, m)
-            out.append(r)
-        return tuple(reversed(out))
-
-    def trivial_on(y, k):
-        t = sum(
-            yi * ki * (big // m) for yi, ki, m in zip(coords(y), coords(k), moduli)
-        )
-        return t % big == 0
-
     probs = {}
     weight = len(hidden_elements) / order
     for y in range(order):
-        annihilates = all(trivial_on(y, k) for k in hidden_elements)
+        annihilates = all(character_trivial_on(moduli, y, k) for k in hidden_elements)
         probs[y] = weight if annihilates else 0.0
     return probs
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,22 @@ def test_quotient_refuses_non_normal():
     refl = subgroup_from_generators(d3, [3])
     with pytest.raises(ValueError, match="normal"):
         quotient_group(d3, refl)
+
+
+def test_quotient_holds_no_multiplication_table():
+    """G/K multiplies through coset representatives, in memory linear in |G|."""
+    z4096 = CyclicGroup(4096)
+    trivial = Subgroup.from_elements(z4096, [0])
+    tracemalloc.start()
+    try:
+        q = quotient_group(z4096, trivial)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a |G/K|^2 int64 table alone would take 128 MiB
+    assert peak < 16 * 2**20
+    assert q.op(4000, 100) == 4
+    assert q.inv(5) == 4091
 
 
 @pytest.mark.parametrize("spec", AXIOM_GROUPS)

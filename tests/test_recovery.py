@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from hspsim import groups
 from hspsim.engine import PipelineConfig, run_pipeline, sample
 from hspsim.errors import ResourceCapError
-from hspsim.groups import all_subgroups, group_from_spec, subgroup_from_generators
+from hspsim.groups import Subgroup, all_subgroups, group_from_spec, subgroup_from_generators
 from hspsim.oracle import build_instance
 from hspsim.recovery import (
     SampleSet,
@@ -16,7 +17,7 @@ from hspsim.recovery import (
 from hspsim.representations import fourier_operator
 from hspsim.transversals import PeriodicInstance, shor_pipeline, shor_transversal
 
-from oracles import reference_period_denominator
+from oracles import character_trivial_on, kernel_intersection, reference_period_denominator
 
 
 def test_simon_solve_single_sample():
@@ -63,6 +64,8 @@ def test_character_sieve_z12_examples():
     assert trivial.candidate.elements == tuple(range(12))
     assert not trivial.confirmed
     assert character_sieve(SampleSet(z12, (4, 6))).candidate.elements == (0, 6)
+    with pytest.raises(ValueError, match="out of range"):
+        character_sieve(SampleSet(z12, (6,)), full_support=(0, 12))
 
 
 @pytest.mark.parametrize("spec", ["Z4", "Z6", "Z8", "Z12", "Z16", "Z2^3", "Z2^5", "Z2xZ4", "Z2^2xZ4"])
@@ -77,15 +80,67 @@ def test_sieve_on_full_support_recovers_every_subgroup(spec):
         assert result.confirmed
 
 
+def _check_against_oracle(group, solve, seed):
+    """Seeded outcome sets, the empty one first, against the pure-Python oracle.
+
+    Half the supports are drawn from the annihilator of the oracle's K, so
+    both answers of the confirmation are exercised.
+    """
+    moduli = getattr(group, "moduli", (group.order,))
+    rng = np.random.default_rng(seed)
+    for trial in range(25):
+        size = 0 if trial == 0 else int(rng.integers(1, 6))
+        outcomes = tuple(int(x) for x in rng.integers(0, group.order, size))
+        expected = kernel_intersection(moduli, outcomes)
+        pool = range(group.order)
+        if trial % 2:
+            pool = [y for y in pool if all(character_trivial_on(moduli, y, k) for k in expected)]
+        support = tuple(int(y) for y in rng.choice(pool, int(rng.integers(0, 4))))
+        widened = kernel_intersection(moduli, outcomes + support)
+
+        bare = solve(SampleSet(group, outcomes))
+        assert bare.candidate.elements == expected
+        # the same fields as the closure-checked construction
+        assert bare.candidate == Subgroup.from_elements(group, expected)
+        assert not bare.confirmed
+        result = solve(SampleSet(group, outcomes), full_support=support)
+        assert result.candidate.elements == expected
+        assert result.confirmed == (widened == expected)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_simon_solve_agrees_with_character_sieve(n):
-    group = group_from_spec(f"Z2^{n}")
-    rng = np.random.default_rng(n)
-    for _ in range(25):
-        outcomes = tuple(int(x) for x in rng.integers(0, group.order, rng.integers(0, 5)))
-        a = simon_solve(SampleSet(group, outcomes))
-        b = character_sieve(SampleSet(group, outcomes))
-        assert a.candidate.elements == b.candidate.elements
+    """simon_solve against the pair-by-pair character sieve of tests/oracles.py."""
+    _check_against_oracle(group_from_spec(f"Z2^{n}"), simon_solve, seed=n)
+
+
+@pytest.mark.parametrize("spec", ["Z12", "Z2xZ4", "Z2^2xZ4", "Z3xZ9"])
+def test_character_sieve_agrees_with_oracle(spec):
+    _check_against_oracle(group_from_spec(spec), character_sieve, seed=len(spec))
+
+
+def test_character_sieve_refuses_non_abelian_group():
+    with pytest.raises(ValueError, match="D4"):
+        character_sieve(SampleSet(group_from_spec("D4"), (1,)))
+
+
+def test_abelian_recovery_runs_no_closure_search(monkeypatch):
+    """A kernel intersection is a subgroup by construction; nothing re-checks it."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("closure search on the recovery path")
+
+    monkeypatch.setattr(groups, "_grow", refuse)
+    z2_16 = group_from_spec("Z2^16")
+    result = simon_solve(SampleSet(z2_16, (0,) * 19), full_support=(0,))
+    assert result.candidate.elements == tuple(range(z2_16.order))
+    assert result.confirmed
+    # 17 distinct outcomes on 65536 elements exceed one pairing chunk
+    units = (0,) + tuple(1 << i for i in range(16))
+    assert simon_solve(SampleSet(z2_16, units)).candidate.elements == (0,)
+    z3x9 = group_from_spec("Z3xZ9")
+    result = character_sieve(SampleSet(z3x9, (3, 12)))
+    assert result.candidate.elements == kernel_intersection((3, 9), (3, 12))
 
 
 def test_continued_fraction_examples():
