@@ -18,12 +18,10 @@ from .groups import (
     FiniteGroup,
     GroupElement,
     ProductGroup,
-    QuotientGroup,
     Subgroup,
     all_subgroups,
     group_from_spec,
     left_cosets,
-    quotient_group,
     subgroup_from_generators,
 )
 from .oracle import HspInstance, OracleUnitary, apply_oracle, build_instance, classical_brute_force_hsp
@@ -54,7 +52,6 @@ from .transversals import (
     PeriodicInstance,
     Transversal,
     approximate_function,
-    finite_transversal,
     offset_transversal,
     peak_mass,
     shor_pipeline,

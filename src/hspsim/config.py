@@ -120,8 +120,8 @@ class Field:
         return value
 
 
-_SEED = Field("seed", "seed")
-_ORACLE_SEED = Field("oracle_seed", "oracle_seed")
+_SEED = Field("seed", "seed", minimum=0)
+_ORACLE_SEED = Field("oracle_seed", "oracle_seed", minimum=0)
 _TRIALS = Field("trials", "trials", minimum=0)
 _GROUP = Field("group", "group", str, required=True)
 _HIDDEN = Field("hidden_generators", "hidden_generators", _normalize_generators, required=True,
@@ -232,6 +232,8 @@ def _validate_semantics(cfg: ExperimentConfig) -> None:
                     f"state size {group.order}*{hidden.num_cosets} exceeds {STATE_SIZE_CAP}"
                 )
     if cfg.experiment in ("shor", "sweep-transversal"):
+        if cfg.base >= cfg.modulus:
+            raise ConfigError(f"field 'a': base {cfg.base} must be below N = {cfg.modulus}")
         if math.gcd(cfg.base, cfg.modulus) != 1:
             raise ConfigError(
                 f"field 'a': gcd({cfg.base}, {cfg.modulus}) != 1, base must be coprime"

@@ -43,7 +43,8 @@ class FiniteGroup:
     """Base class; elements are the indices 0..order-1, identity is 0.
 
     Subclasses give the unchecked formulas `_op` and `_inv`, which take
-    Python ints or broadcastable int64 arrays.
+    Python ints or broadcastable int64 arrays, plus `label` and a
+    generating set `generators`.
     """
 
     name: str
@@ -65,8 +66,7 @@ class FiniteGroup:
         raise NotImplementedError
 
     def generators(self) -> tuple[int, ...]:
-        """A generating set; the base class uses every non-identity element."""
-        return tuple(range(1, self.order))
+        raise NotImplementedError
 
     @property
     def identity(self) -> int:
@@ -217,48 +217,6 @@ class DihedralGroup(FiniteGroup):
         return "".join(parts) or "e"
 
 
-class QuotientGroup(FiniteGroup):
-    """G/K on least-index coset representatives, with the natural epimorphism."""
-
-    def __init__(self, parent: FiniteGroup, kernel: "Subgroup"):
-        if kernel.group is not parent:
-            raise ValueError("kernel subgroup does not belong to the parent group")
-        if not kernel.normal:
-            raise ValueError(
-                f"quotient {parent.name}/K needs a normal K; "
-                f"<{','.join(parent.label(g) for g in kernel.generators) or 'e'}> is not normal"
-            )
-        cosets = left_cosets(parent, kernel)
-        self.parent = parent
-        self.kernel = kernel
-        self.cosets = tuple(cosets)
-        self.coset_reps = tuple(c[0] for c in cosets)
-        self.order = len(cosets)
-        gen_names = ",".join(parent.label(g) for g in kernel.generators) or "e"
-        self.name = f"{parent.name}/<{gen_names}>"
-
-        to_coset = np.empty(parent.order, dtype=np.int64)
-        for q, coset in enumerate(cosets):
-            to_coset[list(coset)] = q
-        self.epimorphism = tuple(to_coset.tolist())
-        self._to_coset = to_coset
-        self._reps = np.array(self.coset_reps, dtype=np.int64)
-
-    def project(self, g: int) -> int:
-        self.parent.check_index(g)
-        return self.epimorphism[g]
-
-    def _op(self, a, b):
-        return self._to_coset[self.parent._op(self._reps[a], self._reps[b])]
-
-    def _inv(self, a):
-        return self._to_coset[self.parent._inv(self._reps[a])]
-
-    def label(self, a: int) -> str:
-        self.check_index(a)
-        return f"[{self.parent.label(self.coset_reps[a])}]"
-
-
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup given by its sorted element indices inside a parent group."""
@@ -394,11 +352,6 @@ def left_cosets(group: FiniteGroup, subgroup: Subgroup) -> list[tuple[int, ...]]
         seen[coset] = True
         cosets.append(tuple(coset.tolist()))
     return cosets
-
-
-def quotient_group(group: FiniteGroup, subgroup: Subgroup) -> QuotientGroup:
-    """G/K with the induced operation; refuses non-normal K."""
-    return QuotientGroup(group, subgroup)
 
 
 def all_subgroups(group: FiniteGroup) -> list[Subgroup]:

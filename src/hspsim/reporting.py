@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import OutcomeDistribution
+from .engine import PROB_SUM_TOL, OutcomeDistribution
 
 
 def fmt17(x: float) -> str:
@@ -35,6 +35,7 @@ def write_distribution_csv(path: Path, dist: OutcomeDistribution) -> None:
 
 
 def read_distribution_csv(path: Path) -> OutcomeDistribution:
+    """Read a distribution CSV; ValueError unless it is a probability distribution."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "outcome_label,probability":
         raise ValueError(f"{path} is not a distribution CSV")
@@ -45,7 +46,14 @@ def read_distribution_csv(path: Path) -> OutcomeDistribution:
         lab, prob = line.rsplit(",", 1)
         labels.append(parse_label(lab))
         probs.append(float(prob))
-    return OutcomeDistribution(tuple(labels), np.array(probs))
+    probs = np.array(probs)
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"{path} repeats an outcome label")
+    if not (probs >= 0).all():
+        raise ValueError(f"{path} has a negative or NaN probability")
+    if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
+        raise ValueError(f"{path} probabilities sum to {probs.sum()!r}, not 1")
+    return OutcomeDistribution(tuple(labels), probs)
 
 
 def write_f_table_csv(path: Path, instance) -> None:

@@ -1,11 +1,11 @@
-"""Transversal maps tau: Q -> G and period-finding over the finite image Z_Q.
+"""Transversals of Z -> Z_Q and period finding over the finite image Z_Q.
 
-A transversal picks one representative per fiber of an epimorphism
-nu: G -> Q, so nu . tau = id_Q.  For period finding the domain is the
-integer line, never materialized: only the representative table and the
-composed table f~(q) = a^tau(q) mod N exist.  The canonical transversal
-maps q to its least non-negative representative; the adversarial family
-adds per-point offsets q + Q*m_q, which keeps the section property while
+A transversal tau picks one integer representative per residue class
+modulo Q, so tau(q) mod Q = q.  The integer line is never materialized:
+only the representative table and the composed table
+f~(q) = a^tau(q) mod N exist.  The canonical transversal maps q to its
+least non-negative representative; the adversarial family adds
+per-point offsets q + Q*m_q, which keeps the section property while
 generically destroying the periodicity of f~.
 """
 
@@ -19,44 +19,26 @@ import numpy as np
 
 from .engine import OutcomeDistribution, finalize_distribution
 from .errors import ResourceCapError
-from .groups import FiniteGroup, QuotientGroup, Subgroup, quotient_group
 
 PERIOD_STATE_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
 class Transversal:
-    """Section table of an epimorphism; target None means the integer line."""
+    """Integer representatives tau(q) of the residues q = 0..Q-1, with Q = len(table)."""
 
-    quotient_order: int
     table: tuple[int, ...]
-    target: FiniteGroup | None
-    quotient: QuotientGroup | None
     kind: str
     seed: int | None = None
     bound: int | None = None
 
     def __post_init__(self):
-        q = self.quotient_order
-        if len(self.table) != q:
-            raise ValueError(f"transversal table has {len(self.table)} entries, expected {q}")
+        q = len(self.table)
         if len(set(self.table)) != q:
             raise ValueError("transversal table is not injective")
-        if self.target is None:
-            for i, rep in enumerate(self.table):
-                if rep < 0 or rep % q != i:
-                    raise ValueError(
-                        f"representative {rep} does not reduce to {i} modulo {q}"
-                    )
-        else:
-            if self.quotient is None or self.quotient.order != q:
-                raise ValueError("finite-target transversal needs its quotient group")
-            for i, rep in enumerate(self.table):
-                if self.quotient.project(rep) != i:
-                    raise ValueError(
-                        f"representative {self.target.label(rep)} lies in coset "
-                        f"{self.quotient.project(rep)}, expected {i}"
-                    )
+        for i, rep in enumerate(self.table):
+            if rep < 0 or rep % q != i:
+                raise ValueError(f"representative {rep} does not reduce to {i} modulo {q}")
 
     def __call__(self, q: int) -> int:
         return self.table[q]
@@ -72,7 +54,7 @@ def shor_transversal(q: int) -> Transversal:
     """Least non-negative representatives of Z_q inside the integers."""
     if q < 1:
         raise ValueError(f"quotient order must be positive, got {q}")
-    return Transversal(q, tuple(range(q)), None, None, "shor")
+    return Transversal(tuple(range(q)), "shor")
 
 
 def offset_transversal(q: int, bound: int, seed: int) -> Transversal:
@@ -84,22 +66,7 @@ def offset_transversal(q: int, bound: int, seed: int) -> Transversal:
     rng = np.random.default_rng(seed)
     offsets = rng.integers(0, bound, size=q)
     table = tuple(i + q * int(m) for i, m in enumerate(offsets))
-    return Transversal(q, table, None, None, "offset", seed=int(seed), bound=int(bound))
-
-
-def finite_transversal(
-    group: FiniteGroup, hidden: Subgroup, policy: str = "least_index", seed: int | None = None
-) -> Transversal:
-    """One representative per coset of a normal subgroup; least-index or seeded."""
-    if policy not in ("least_index", "seeded_random"):
-        raise ValueError(f"unknown transversal policy {policy!r}")
-    quotient = quotient_group(group, hidden)
-    if policy == "least_index":
-        reps = quotient.coset_reps
-    else:
-        rng = np.random.default_rng(seed)
-        reps = tuple(int(coset[rng.integers(len(coset))]) for coset in quotient.cosets)
-    return Transversal(quotient.order, reps, group, quotient, policy, seed=seed)
+    return Transversal(table, "offset", seed=int(seed), bound=int(bound))
 
 
 @dataclass(frozen=True)
@@ -136,22 +103,19 @@ class PeriodicInstance:
 
 @dataclass(frozen=True)
 class ApproximateFunction:
-    """Composed table f~(q) = f(tau(q)) with the provenance of tau."""
+    """Composed table f~(q) = f(tau(q))."""
 
     transversal: Transversal
     values: tuple[int, ...]
-    provenance: str
 
 
 def approximate_function(instance: PeriodicInstance, tau: Transversal) -> ApproximateFunction:
-    if tau.target is not None:
-        raise ValueError("period finding needs a transversal into the integer line")
-    if tau.quotient_order != instance.q:
+    if len(tau.table) != instance.q:
         raise ValueError(
-            f"transversal has quotient order {tau.quotient_order}, instance expects {instance.q}"
+            f"transversal has quotient order {len(tau.table)}, instance expects {instance.q}"
         )
     values = tuple(pow(instance.base, rep, instance.modulus) for rep in tau.table)
-    return ApproximateFunction(tau, values, tau.provenance)
+    return ApproximateFunction(tau, values)
 
 
 def shor_pipeline(

@@ -17,6 +17,8 @@ from hspsim.config import (
 from hspsim.errors import ConfigError, ResourceCapError
 from hspsim.experiments import run_experiment
 
+from test_acceptance import PEAK_MASS_N21_A2_Q512
+
 
 def test_parse_shor_config_example():
     cfg = parse_config(
@@ -63,6 +65,26 @@ def test_parse_rejects_missing_and_malformed_fields():
         parse_config('{"experiment":"shor","N":15,"a":7,"Q":12}')
     with pytest.raises(ConfigError, match="Z2"):
         parse_config('{"experiment":"simon","group":"Z6","hidden_generators":[3]}')
+    with pytest.raises(ConfigError, match="'seed'"):
+        parse_config('{"experiment":"simon","group":"Z2^3","hidden_generators":[5],"seed":-1}')
+    with pytest.raises(ConfigError, match="'oracle_seed'"):
+        parse_config(
+            '{"experiment":"simon","group":"Z2^3","hidden_generators":[5],"oracle_seed":-2}'
+        )
+    with pytest.raises(ConfigError, match="'seed'"):
+        parse_config(
+            '{"experiment":"sweep-transversal","N":21,"a":2,"Q":512,"bound":21,"seeds":3,'
+            '"seed":-1}'
+        )
+
+
+def test_parse_rejects_base_at_or_above_modulus():
+    with pytest.raises(ConfigError, match="'a'"):
+        parse_config('{"experiment":"shor","N":15,"a":16,"Q":16}')
+    with pytest.raises(ConfigError, match="'a'"):
+        parse_config(
+            '{"experiment":"sweep-transversal","N":21,"a":23,"Q":512,"bound":21,"seeds":3}'
+        )
 
 
 def test_parse_enforces_resource_caps():
@@ -190,6 +212,13 @@ def test_cli_simulate_and_exit_codes(tmp_path, capsys):
 
     assert main(["shor", "--N", "15", "--a", "5", "--Q", "16"]) == 2
     assert "field 'a'" in capsys.readouterr().err
+    assert main(["shor", "--N", "15", "--a", "16", "--Q", "16"]) == 2
+    assert "field 'a'" in capsys.readouterr().err
+    assert main(["simon", "--n", "3", "--hidden", "101", "--seed", "-1"]) == 2
+    assert "field 'seed'" in capsys.readouterr().err
+    instance.write_text('{"group": "D4", "hidden_generators": [2], "seed": -1}')
+    assert main(["simulate", "--instance", str(instance), "--out-dir", str(out)]) == 2
+    assert "field 'oracle_seed'" in capsys.readouterr().err
     assert main(["shor", "--N", "4097", "--a", "3", "--Q", "2048"]) == 3
     capsys.readouterr()
 
@@ -256,6 +285,10 @@ def test_cli_recover_bad_dist_exits_2(tmp_path, capsys):
     bad.write_text("wrong,header\n1,2\n")
     assert main(["recover", "--dist", str(bad), "--group", "Z4"]) == 2
     capsys.readouterr()
+    for rows in ("0,nan\n1,1", "0,2\n1,-1", "0,0.5\n0,0.5", "0,2\n1,1.5", "0,0.5\n1,0.4"):
+        bad.write_text("outcome_label,probability\n" + rows + "\n")
+        assert main(["recover", "--dist", str(bad), "--group", "Z2"]) == 2
+        assert "'dist'" in capsys.readouterr().err
 
 
 def test_cli_sweep_transversal(tmp_path, capsys):
@@ -341,4 +374,20 @@ def test_readme_command_lines_parse(line):
     args = build_parser().parse_args(shlex.split(line)[1:])
     if args.command != "simulate":  # simulate reads its instance file
         config_from_dict(cli._config_dict(args))
+
+
+def test_readme_library_code_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in readme.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(block, namespace)
+    capsys.readouterr()
+    best, tv = namespace["ranking"].entries[0]
+    assert best.element_labels() == ("e", "r2") and tv < 1e-10
+    h, inst = namespace["h"], namespace["inst"]
+    pm = h.peak_mass(namespace["dist"], inst.period, 512)
+    assert abs(pm - PEAK_MASS_N21_A2_Q512) < 1e-10
+    assert namespace["est"].period == 6 and namespace["est"].confirmed
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hspsim.groups import CyclicGroup, DihedralGroup, ProductGroup, group_from_spec
+from hspsim.groups import CyclicGroup, DihedralGroup, FiniteGroup, ProductGroup, group_from_spec
 from hspsim.representations import (
     BasisOrdering,
     Irrep,
@@ -212,9 +212,11 @@ def test_verify_representation_suite_values():
 
 
 def test_irreps_unsupported_kind():
-    from hspsim.groups import Subgroup, quotient_group
+    class Z2Copy(FiniteGroup):
+        name, order = "Z2copy", 2
 
-    z4 = CyclicGroup(4)
-    q = quotient_group(z4, Subgroup.from_elements(z4, [0, 2]))
+        def _op(self, a, b):
+            return (a + b) % 2
+
     with pytest.raises(ValueError, match="kind"):
-        irreps_of(q)
+        irreps_of(Z2Copy())

@@ -3,12 +3,10 @@ import pytest
 
 from hspsim.engine import OutcomeDistribution
 from hspsim.errors import ResourceCapError
-from hspsim.groups import group_from_spec, subgroup_from_generators
 from hspsim.transversals import (
     PeriodicInstance,
     Transversal,
     approximate_function,
-    finite_transversal,
     offset_transversal,
     peak_mass,
     shor_pipeline,
@@ -62,41 +60,11 @@ def test_offset_transversal_breaks_periodicity():
 
 def test_transversal_validation_rejects_bad_tables():
     with pytest.raises(ValueError, match="injective"):
-        Transversal(4, (0, 1, 2, 2), None, None, "custom")
+        Transversal((0, 1, 2, 2), "custom")
     with pytest.raises(ValueError, match="reduce"):
-        Transversal(4, (0, 1, 2, 5), None, None, "custom")
+        Transversal((0, 1, 2, 5), "custom")
     with pytest.raises(ValueError):
         offset_transversal(16, 0, seed=0)
-
-
-def test_finite_transversal_least_index():
-    z12 = group_from_spec("Z12")
-    k = subgroup_from_generators(z12, [4])
-    tau = finite_transversal(z12, k)
-    assert tau.table == (0, 1, 2, 3)
-    assert all(tau.quotient.project(tau(q)) == q for q in range(4))
-
-
-def test_finite_transversal_seeded_random_still_section():
-    z12 = group_from_spec("Z12")
-    k = subgroup_from_generators(z12, [4])
-    tau = finite_transversal(z12, k, policy="seeded_random", seed=9)
-    assert all(tau.quotient.project(tau(q)) == q for q in range(4))
-
-
-def test_finite_transversal_dihedral_center():
-    d4 = group_from_spec("D4")
-    center = subgroup_from_generators(d4, [2])
-    tau = finite_transversal(d4, center)
-    assert len(tau.table) == 4
-    assert all(tau.quotient.project(tau(q)) == q for q in range(4))
-
-
-def test_finite_transversal_refuses_non_normal():
-    d3 = group_from_spec("D3")
-    refl = subgroup_from_generators(d3, [3])
-    with pytest.raises(ValueError, match="normal"):
-        finite_transversal(d3, refl)
 
 
 def test_periodic_instance_validation_and_period():
@@ -172,7 +140,7 @@ def test_shift_covariance_of_the_distribution():
     base = shor_pipeline(inst, shor_transversal(16))
     for shift in range(1, 6):
         table = tuple(q + shift * 16 for q in range(16))
-        shifted = Transversal(16, table, None, None, "custom")
+        shifted = Transversal(table, "custom")
         dist = shor_pipeline(inst, shifted)
         assert np.abs(np.asarray(dist.probs) - np.asarray(base.probs)).max() < 1e-12
 
@@ -197,10 +165,6 @@ def test_pipeline_caps_and_mismatches():
     inst = PeriodicInstance(15, 7, 16)
     with pytest.raises(ValueError, match="quotient order"):
         shor_pipeline(inst, shor_transversal(8))
-    z12 = group_from_spec("Z12")
-    k = subgroup_from_generators(z12, [4])
-    with pytest.raises(ValueError, match="integer line"):
-        shor_pipeline(inst, finite_transversal(z12, k))
 
 
 def test_quality_sweep_prefers_canonical_transversal():
