@@ -17,7 +17,7 @@ from .engine import STATE_SIZE_CAP, MEASURE_GRANULARITIES, SECOND_TRANSFORMS
 from .errors import ConfigError, ResourceCapError
 from .groups import MAX_TABLE_ORDER, FiniteGroup, ProductGroup, Subgroup, group_from_spec
 from .representations import BasisOrdering
-from .transversals import PERIOD_STATE_CAP
+from .transversals import PERIOD_STATE_CAP, REPRESENTATIVE_LIMIT
 
 TRANSVERSAL_KINDS = ("shor", "offset")
 
@@ -245,6 +245,18 @@ def _validate_semantics(cfg: ExperimentConfig) -> None:
         if cfg.big_q * cfg.modulus > PERIOD_STATE_CAP:
             raise ResourceCapError(
                 f"state size {cfg.big_q}*{cfg.modulus} exceeds {PERIOD_STATE_CAP}"
+            )
+        # offset representatives i + Q*m with m < bound are int64, so Q*bound <= 2^63
+        if cfg.experiment == "sweep-transversal":
+            key, bound = "bound", cfg.bound
+        elif cfg.transversal.kind == "offset":
+            key, bound = "transversal.bound", cfg.transversal.bound
+        else:
+            key, bound = None, 1
+        if cfg.big_q * bound > REPRESENTATIVE_LIMIT:
+            raise ConfigError(
+                f"field {key!r}: Q*bound = {cfg.big_q}*{bound} exceeds 2^63, "
+                "the int64 range of the representatives"
             )
 
 

@@ -13,7 +13,14 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_to_dict, resolve_group, resolve_hidden
-from .engine import PipelineConfig, left_register_distribution, run_pipeline, sample, step_trace
+from .engine import (
+    PipelineConfig,
+    _labelled_probs,
+    left_register_distribution,
+    run_pipeline,
+    sample,
+    step_trace,
+)
 from .errors import ConfigError
 from .oracle import build_instance, classical_brute_force_hsp
 from .recovery import (
@@ -237,6 +244,13 @@ def _run_recover(cfg: ExperimentConfig, out: Path) -> dict:
         raise ConfigError(f"field 'dist': {exc}") from exc
     fourier = fourier_transform(group)
     pipeline_cfg = PipelineConfig(cfg.second_transform, cfg.measure_granularity)
+    outcomes = set(_labelled_probs(fourier, pipeline_cfg, np.zeros(group.order))[0])
+    stray = [lab for lab in dist.labels if lab not in outcomes]
+    if stray:
+        raise ConfigError(
+            f"field 'dist': label {label_str(stray[0])} is not an outcome of {group.name} "
+            f"under measure_granularity {cfg.measure_granularity!r}"
+        )
     ranking = subgroup_consistency_rank(
         dist, group, fourier, pipeline_cfg, instance_seed=cfg.resolved_oracle_seed()
     )

@@ -3,10 +3,13 @@
 A transversal tau picks one integer representative per residue class
 modulo Q, so tau(q) mod Q = q.  The integer line is never materialized:
 only the representative table and the composed table
-f~(q) = a^tau(q) mod N exist.  The canonical transversal maps q to its
-least non-negative representative; the adversarial family adds
-per-point offsets q + Q*m_q, which keeps the section property while
-generically destroying the periodicity of f~.
+f~(q) = a^tau(q) mod N exist, both as read-only int64 arrays of length
+Q.  Since a^r = 1 mod N for the period r, f~ is the lookup A[tau mod r]
+into the power table A = (a^0, ..., a^(r-1)) mod N.  The canonical
+transversal maps q to its least non-negative representative; the
+adversarial family adds per-point offsets q + Q*m_q, which keeps the
+section property while generically destroying the periodicity of f~.
+Representatives must fit in int64, so an offset bound B needs Q*B <= 2^63.
 """
 
 from __future__ import annotations
@@ -21,27 +24,40 @@ from .engine import OutcomeDistribution, finalize_distribution
 from .errors import ResourceCapError
 
 PERIOD_STATE_CAP = 1 << 22
+REPRESENTATIVE_LIMIT = 1 << 63
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transversal:
-    """Integer representatives tau(q) of the residues q = 0..Q-1, with Q = len(table)."""
+    """Integer representatives tau(q) of the residues q = 0..Q-1, with Q = len(table).
 
-    table: tuple[int, ...]
+    `table` may be given as any integer sequence; it is stored as a
+    read-only int64 array.
+    """
+
+    table: np.ndarray
     kind: str
     seed: int | None = None
     bound: int | None = None
 
     def __post_init__(self):
-        q = len(self.table)
-        if len(set(self.table)) != q:
+        raw = np.asarray(self.table)
+        if raw.size and raw.dtype.kind not in "iu":
+            raise ValueError("transversal representatives must be integers that fit in int64")
+        table = np.array(raw, dtype=np.int64)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+        q = len(table)
+        ordered = np.sort(table)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("transversal table is not injective")
-        for i, rep in enumerate(self.table):
-            if rep < 0 or rep % q != i:
-                raise ValueError(f"representative {rep} does not reduce to {i} modulo {q}")
+        bad = np.flatnonzero((table < 0) | (table % max(q, 1) != np.arange(q)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"representative {table[i]} does not reduce to {i} modulo {q}")
 
     def __call__(self, q: int) -> int:
-        return self.table[q]
+        return int(self.table[q])
 
     @property
     def provenance(self) -> str:
@@ -54,7 +70,7 @@ def shor_transversal(q: int) -> Transversal:
     """Least non-negative representatives of Z_q inside the integers."""
     if q < 1:
         raise ValueError(f"quotient order must be positive, got {q}")
-    return Transversal(tuple(range(q)), "shor")
+    return Transversal(np.arange(q), "shor")
 
 
 def offset_transversal(q: int, bound: int, seed: int) -> Transversal:
@@ -63,10 +79,13 @@ def offset_transversal(q: int, bound: int, seed: int) -> Transversal:
         raise ValueError(f"quotient order must be positive, got {q}")
     if bound < 1:
         raise ValueError(f"offset bound must be at least 1, got {bound}")
+    if q * bound > REPRESENTATIVE_LIMIT:
+        raise ValueError(
+            f"offset bound {bound} with Q = {q} exceeds Q*bound <= 2^63 (int64 representatives)"
+        )
     rng = np.random.default_rng(seed)
     offsets = rng.integers(0, bound, size=q)
-    table = tuple(i + q * int(m) for i, m in enumerate(offsets))
-    return Transversal(table, "offset", seed=int(seed), bound=int(bound))
+    return Transversal(np.arange(q) + q * offsets, "offset", seed=int(seed), bound=int(bound))
 
 
 @dataclass(frozen=True)
@@ -100,13 +119,24 @@ class PeriodicInstance:
             r += 1
         return r
 
+    def powers(self) -> np.ndarray:
+        """A[k] = a^k mod N for k = 0..r-1, by doubling; products stay below N^2."""
+        r, n = self.period, self.modulus
+        table = np.ones(r, dtype=np.int64)
+        filled = 1
+        while filled < r:
+            step = min(filled, r - filled)
+            table[filled : filled + step] = table[:step] * pow(self.base, filled, n) % n
+            filled += step
+        return table
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class ApproximateFunction:
-    """Composed table f~(q) = f(tau(q))."""
+    """Composed table f~(q) = f(tau(q)), a read-only int64 array."""
 
     transversal: Transversal
-    values: tuple[int, ...]
+    values: np.ndarray
 
 
 def approximate_function(instance: PeriodicInstance, tau: Transversal) -> ApproximateFunction:
@@ -114,7 +144,8 @@ def approximate_function(instance: PeriodicInstance, tau: Transversal) -> Approx
         raise ValueError(
             f"transversal has quotient order {len(tau.table)}, instance expects {instance.q}"
         )
-    values = tuple(pow(instance.base, rep, instance.modulus) for rep in tau.table)
+    values = instance.powers()[tau.table % instance.period]
+    values.flags.writeable = False
     return ApproximateFunction(tau, values)
 
 
@@ -132,7 +163,7 @@ def shor_pipeline(
     q, n = instance.q, instance.modulus
     if q * n > PERIOD_STATE_CAP:
         raise ResourceCapError(f"state size {q}*{n} exceeds the cap {PERIOD_STATE_CAP}")
-    values = np.array(approximate_function(instance, tau).values, dtype=np.int64)
+    values = approximate_function(instance, tau).values
     transform = np.fft.fft if second_transform == "forward" else np.fft.ifft
     probs = np.zeros(q)
     for value in np.unique(values):
@@ -145,20 +176,22 @@ def peak_mass(dist: OutcomeDistribution, r: int, q: int) -> float:
     """Total probability within half-integer windows of the multiples j*Q/r.
 
     An integer outcome y qualifies when min_j |y - j*Q/r| <= 1/2, evaluated
-    in exact integer arithmetic as 2*|r*y - j*Q| <= r.
+    in exact integer arithmetic as 2*|r*y - j*Q| <= r, for all labels at
+    once.  j0 = rint(r*y/Q) rounds half to even like Python's round, and the
+    selected probabilities are summed in label order.
     """
     if r < 1:
         raise ValueError(f"period must be positive, got {r}")
     if q < 1:
         raise ValueError(f"Q must be positive, got {q}")
-    total = 0.0
-    for label, p in zip(dist.labels, dist.probs):
-        y = int(label)
-        j0 = round(r * y / q)
-        best = min(abs(r * y - j * q) for j in (j0 - 1, j0, j0 + 1))
-        if 2 * best <= r:
-            total += float(p)
-    return total
+    labels = np.asarray(dist.labels, dtype=np.int64)
+    if labels.size and r * max(int(np.abs(labels).max()), q) >= 1 << 52:
+        raise ValueError(f"r*y and Q must stay below 2^52 for exact windows (r={r}, Q={q})")
+    ry = r * labels
+    j0 = np.rint(ry / q).astype(np.int64)
+    best = np.min([np.abs(ry - (j0 + dj) * q) for dj in (-1, 0, 1)], axis=0)
+    selected = np.where(2 * best <= r, np.asarray(dist.probs, dtype=np.float64), 0.0)
+    return float(np.cumsum(selected)[-1]) if selected.size else 0.0
 
 
 def transversal_quality_sweep(

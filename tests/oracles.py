@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's computational paths:
 dense Kronecker-product unitaries instead of blocked register updates,
 direct cmath summation instead of FFTs, closed-form character sums,
-Fraction-based convergents, and subset enumeration for subgroups.
+Fraction-based convergents, subset enumeration for subgroups, and
+per-point Python loops for the period-finding tables and peak mass.
 """
 
 from __future__ import annotations
@@ -56,6 +57,23 @@ def direct_fourier_probs(f_values, big_q: int, forward: bool = True) -> list[flo
             total += abs(amp) ** 2
         probs.append(total)
     return probs
+
+
+def composed_table(base: int, modulus: int, reps) -> tuple[int, ...]:
+    """f~(q) = base^tau(q) mod modulus, one Python pow per representative."""
+    return tuple(pow(base, int(rep), modulus) for rep in reps)
+
+
+def peak_mass_by_windows(labels, probs, r: int, q: int) -> float:
+    """Mass on labels y with min_j 2*|r*y - j*Q| <= r, label by label in Python ints."""
+    total = 0.0
+    for label, p in zip(labels, probs):
+        y = int(label)
+        j0 = round(r * y / q)
+        best = min(abs(r * y - j * q) for j in (j0 - 1, j0, j0 + 1))
+        if 2 * best <= r:
+            total += float(p)
+    return total
 
 
 def mixed_radix_coords(moduli, a: int) -> tuple[int, ...]:

@@ -87,6 +87,20 @@ def test_parse_rejects_base_at_or_above_modulus():
         )
 
 
+def test_parse_refuses_offset_bound_past_int64():
+    # offset representatives reach Q*bound - 1, so Q*bound must stay <= 2^63
+    sweep = '{"experiment":"sweep-transversal","N":21,"a":2,"Q":512,"bound":%d,"seeds":3}'
+    shor = '{"experiment":"shor","N":21,"a":2,"Q":512,"transversal":{"kind":"%s","bound":%d}}'
+    assert parse_config(sweep % (1 << 54)).bound == 1 << 54
+    assert parse_config(shor % ("offset", 1 << 54)).transversal.bound == 1 << 54
+    assert parse_config(shor % ("shor", 10**20)).transversal.bound == 10**20
+    for bound in ((1 << 54) + 1, 10**20):
+        with pytest.raises(ConfigError, match="'bound'"):
+            parse_config(sweep % bound)
+        with pytest.raises(ConfigError, match="'transversal.bound'"):
+            parse_config(shor % ("offset", bound))
+
+
 def test_parse_enforces_resource_caps():
     with pytest.raises(ResourceCapError):
         parse_config('{"experiment":"shor","N":4097,"a":3,"Q":2048}')
@@ -223,6 +237,17 @@ def test_cli_simulate_and_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_refuses_offset_bound_past_int64(tmp_path, capsys):
+    huge = "100000000000000000000"
+    out = str(tmp_path / "run")
+    assert main(["shor", "--N", "21", "--a", "2", "--Q", "512", "--transversal", "offset",
+                 "--bound", huge, "--out-dir", out]) == 2
+    assert "field 'transversal.bound'" in capsys.readouterr().err
+    assert main(["sweep-transversal", "--N", "21", "--a", "2", "--Q", "512", "--bound", huge,
+                 "--seeds", "2", "--out-dir", out]) == 2
+    assert "field 'bound'" in capsys.readouterr().err
+
+
 def test_cli_maps_integrity_errors_to_exit_4(monkeypatch, capsys):
     from hspsim import cli
     from hspsim.errors import IntegrityError
@@ -285,7 +310,8 @@ def test_cli_recover_bad_dist_exits_2(tmp_path, capsys):
     bad.write_text("wrong,header\n1,2\n")
     assert main(["recover", "--dist", str(bad), "--group", "Z4"]) == 2
     capsys.readouterr()
-    for rows in ("0,nan\n1,1", "0,2\n1,-1", "0,0.5\n0,0.5", "0,2\n1,1.5", "0,0.5\n1,0.4"):
+    for rows in ("0,nan\n1,1", "0,2\n1,-1", "0,0.5\n0,0.5", "0,2\n1,1.5", "0,0.5\n1,0.4",
+                 "0,0.5\n5,0.5", "0:1:2,1"):
         bad.write_text("outcome_label,probability\n" + rows + "\n")
         assert main(["recover", "--dist", str(bad), "--group", "Z2"]) == 2
         assert "'dist'" in capsys.readouterr().err

@@ -14,24 +14,43 @@ from hspsim.transversals import (
     transversal_quality_sweep,
 )
 
-from oracles import direct_fourier_probs, multiplicative_order
+from oracles import (
+    composed_table,
+    direct_fourier_probs,
+    multiplicative_order,
+    peak_mass_by_windows,
+)
+
+# Frozen: shor transversal, N=21, a=2, Q=65536 (the benchmark's sweep instance).
+PEAK_MASS_N21_A2_Q65536 = 0.7892786611208602
 
 
 def test_shor_transversal_is_identity_section():
     tau = shor_transversal(4)
-    assert tau.table == (0, 1, 2, 3)
+    assert np.array_equal(tau.table, (0, 1, 2, 3))
     assert all(tau(q) % 4 == q for q in range(4))
+
+
+def test_tables_are_readonly_int64():
+    inst = PeriodicInstance(21, 2, 16)
+    tables = [Transversal((0, 1, 2, 3), "custom").table]
+    for tau in (shor_transversal(16), offset_transversal(16, 21, seed=0)):
+        tables += [tau.table, approximate_function(inst, tau).values]
+    for table in tables:
+        assert table.dtype == np.int64
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 def test_composition_with_modular_exponentiation():
     inst = PeriodicInstance(15, 7, 16)
     values = approximate_function(inst, shor_transversal(16)).values
-    assert values == (1, 7, 4, 13) * 4
+    assert np.array_equal(values, (1, 7, 4, 13) * 4)
 
 
 def test_offset_transversal_with_bound_one_is_canonical():
     for seed in range(5):
-        assert offset_transversal(16, 1, seed).table == shor_transversal(16).table
+        assert np.array_equal(offset_transversal(16, 1, seed).table, shor_transversal(16).table)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -47,7 +66,7 @@ def test_offsets_are_invisible_when_period_divides_q():
     reference = approximate_function(inst, shor_transversal(16)).values
     for seed in range(5):
         tau = offset_transversal(16, 4, seed=seed)
-        assert approximate_function(inst, tau).values == reference
+        assert np.array_equal(approximate_function(inst, tau).values, reference)
 
 
 def test_offset_transversal_breaks_periodicity():
@@ -58,6 +77,14 @@ def test_offset_transversal_breaks_periodicity():
     assert any(values[q] != values[q + r] for q in range(16 - r))
 
 
+def test_offset_bound_refused_past_int64():
+    # representatives reach Q*bound - 1, which must fit in int64
+    assert offset_transversal(16, 1 << 59, seed=0).table.max() < 1 << 63
+    for q, bound in ((16, (1 << 59) + 1), (1, (1 << 63) + 1), (512, 10**20)):
+        with pytest.raises(ValueError, match="2\\^63"):
+            offset_transversal(q, bound, seed=0)
+
+
 def test_transversal_validation_rejects_bad_tables():
     with pytest.raises(ValueError, match="injective"):
         Transversal((0, 1, 2, 2), "custom")
@@ -65,6 +92,15 @@ def test_transversal_validation_rejects_bad_tables():
         Transversal((0, 1, 2, 5), "custom")
     with pytest.raises(ValueError):
         offset_transversal(16, 0, seed=0)
+
+
+def test_transversal_validation_names_the_first_bad_index():
+    with pytest.raises(ValueError, match="-3 does not reduce to 1 modulo 4"):
+        Transversal((0, -3, 2, -1), "custom")
+    with pytest.raises(ValueError, match="9 does not reduce to 2 modulo 4"):
+        Transversal([0, 1, 9, 7], "custom")
+    with pytest.raises(ValueError):
+        Transversal((0, 1.5, 2, 3), "custom")
 
 
 def test_periodic_instance_validation_and_period():
@@ -173,3 +209,40 @@ def test_quality_sweep_prefers_canonical_transversal():
     assert len(rows) == 10
     wins = sum(1 for _, pm_shor, pm_offset in rows if pm_shor > pm_offset)
     assert wins >= 8
+
+
+def _oracle_transversals(big_q):
+    return [shor_transversal(big_q)] + [
+        offset_transversal(big_q, bound, seed=1) for bound in (21, 1 << 40)
+    ]
+
+
+@pytest.mark.parametrize("big_q", [16, 512, 65536, 999])
+@pytest.mark.parametrize("modulus,base", [(15, 7), (21, 2)])
+def test_tables_and_peak_mass_match_scalar_oracles(big_q, modulus, base):
+    # r = 4 divides every power-of-two Q here, r = 6 none; on the odd Q = 999
+    # some labels sit exactly on a window edge, 2*|r*y - j*Q| = r
+    inst = PeriodicInstance(modulus, base, big_q, allow_any_q=True)
+    r = inst.period
+    uniform = np.full(big_q, 1 / big_q)
+    labels = tuple(range(big_q))
+    for tau in _oracle_transversals(big_q):
+        values = approximate_function(inst, tau).values
+        assert np.array_equal(values, composed_table(base, modulus, tau.table))
+        dist = shor_pipeline(inst, tau)
+        assert peak_mass(dist, r, big_q) == peak_mass_by_windows(labels, dist.probs, r, big_q)
+    dist = OutcomeDistribution(labels, uniform)
+    assert peak_mass(dist, r, big_q) == peak_mass_by_windows(labels, uniform, r, big_q)
+    step = max(1, big_q // 64)
+    for y in sorted({*range(0, big_q, step), *range(big_q // r - 2, big_q // r + 3), big_q - 1}):
+        point = np.zeros(big_q)
+        point[y] = 1.0
+        dist = OutcomeDistribution(labels, point)
+        # the oracle skips the zero entries, which add nothing to its sum
+        assert peak_mass(dist, r, big_q) == peak_mass_by_windows((y,), (1.0,), r, big_q)
+
+
+def test_peak_mass_frozen_at_q65536():
+    inst = PeriodicInstance(21, 2, 65536)
+    dist = shor_pipeline(inst, shor_transversal(65536))
+    assert abs(peak_mass(dist, inst.period, 65536) - PEAK_MASS_N21_A2_Q65536) < 1e-10
