@@ -30,6 +30,7 @@ from .recovery import (
     subgroup_consistency_rank,
 )
 from .reporting import (
+    _write_csv,
     fmt17,
     label_str,
     read_distribution_csv,
@@ -213,10 +214,11 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     instance = PeriodicInstance(cfg.modulus, cfg.base, cfg.big_q, cfg.allow_any_q)
     seeds = [cfg.seed + i for i in range(cfg.seeds)]
     rows = transversal_quality_sweep(instance, cfg.bound, seeds)
-    lines = ["seed,peak_mass_shor,peak_mass_offset"]
-    for seed, pm_shor, pm_offset in rows:
-        lines.append(f"{seed},{fmt17(pm_shor)},{fmt17(pm_offset)}")
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(
+        out / "sweep.csv",
+        "seed,peak_mass_shor,peak_mass_offset",
+        (f"{seed},{fmt17(pm_shor)},{fmt17(pm_offset)}" for seed, pm_shor, pm_offset in rows),
+    )
     offsets = sorted(pm for _, _, pm in rows)
     mid = len(offsets) // 2
     median = offsets[mid] if len(offsets) % 2 else 0.5 * (offsets[mid - 1] + offsets[mid])

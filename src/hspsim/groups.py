@@ -11,15 +11,15 @@ immutable after construction and safe for shared read-only use.
 Each kind multiplies and inverts by one index formula that applies to
 Python ints and to numpy int64 arrays alike.  Closure, membership,
 normality and cosets work on generators and index arrays with that
-formula, so they need O(|G|) memory at any order.  The |G| x |G|
-multiplication table (order <= 4096) is built only on request; the
-package requests it only for subgroup enumeration (order <= 64).
+formula, so they need O(|G|) memory at any order.  Subgroups are
+enumerated by classification (D_N) and by character duality (abelian
+kinds), so no package path builds the |G| x |G| multiplication table.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -94,6 +94,7 @@ class FiniteGroup:
 
     @cached_property
     def op_table(self) -> np.ndarray:
+        """The |G| x |G| multiplication table, kept as a test oracle; no package path reads it."""
         if self.order > MAX_TABLE_ORDER:
             raise ResourceCapError(
                 f"op table for {self.name} needs order <= {MAX_TABLE_ORDER}, got {self.order}"
@@ -114,6 +115,8 @@ class CyclicGroup(FiniteGroup):
         if n < 1:
             raise ValueError(f"cyclic group order must be positive, got {n}")
         self.n = int(n)
+        self.moduli = (self.n,)
+        self._radix = (np.array(self.moduli, dtype=np.int64), np.ones(1, dtype=np.int64))
         self.order = self.n
         self.name = f"Z{self.n}"
 
@@ -253,14 +256,13 @@ class Subgroup:
         return cls(group, elems, gens, _is_normal(group, span, gens))
 
     @classmethod
-    def from_elements(cls, group: FiniteGroup, elements, generators=None) -> "Subgroup":
+    def from_elements(cls, group: FiniteGroup, elements) -> "Subgroup":
         elems = tuple(sorted({group.check_index(a) for a in elements}))
         if not elems or elems[0] != group.identity:
             raise ValueError("subgroup must contain the identity")
         inside = _mask(group, elems)
         span_gens = _greedy_generators(group, inside)
-        gens = tuple(generators) if generators is not None else elems
-        return cls(group, elems, gens, _is_normal(group, inside, span_gens))
+        return cls(group, elems, elems, _is_normal(group, inside, span_gens))
 
 
 def _mask(group: FiniteGroup, elements) -> np.ndarray:
@@ -354,12 +356,33 @@ def left_cosets(group: FiniteGroup, subgroup: Subgroup) -> list[tuple[int, ...]]
     return cosets
 
 
+def character_pairing(group: FiniteGroup, xs, ys) -> tuple[np.ndarray, int]:
+    """t[i, j] = sum_c x_c y_c (L / m_c) mod L for x = xs[i], y = ys[j], and L.
+
+    L is the lcm of the moduli m_c of an abelian kind, and the character
+    chi_y is exp(2 pi i t / L) at x, so chi_y(x) = 1 exactly when t = 0.
+    """
+    if not isinstance(group, (CyclicGroup, ProductGroup)):
+        raise ValueError(f"character pairing needs an abelian built-in group, got {group.name}")
+    m, w = group._radix
+    big = math.lcm(*group.moduli)
+    xc = np.asarray(xs, dtype=np.int64)[:, None] // w % m
+    yc = np.asarray(ys, dtype=np.int64)[:, None] // w % m * (big // m)
+    # x_c < m_c and y_c L / m_c < L, so t < L sum_c m_c <= |G| (|G| + c):
+    # no int64 overflow for any group whose coordinates fit in memory
+    t = xc @ yc.T
+    t %= big
+    return t, big
+
+
 def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
     """Complete subgroup list, sorted by (order, element tuple).
 
-    Enumerates by closing single generators and then iteratively joining
-    with cyclic subgroups until no new subgroup appears; complete because
-    every subgroup is a join of the cyclic subgroups of its elements.
+    D_N by classification: its subgroups are <r^d> and <r^d, r^i s> for
+    d | N and 0 <= i < d (Conrad, "Dihedral groups II").  Abelian kinds
+    by duality: every subgroup K is the intersection of the character
+    kernels that contain it, so closing {G} under intersection with the
+    kernels ker(chi_y) reaches every subgroup.
     """
     n = group.order
     if n > SUBGROUP_ENUM_LIMIT:
@@ -367,45 +390,28 @@ def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
             f"subgroup enumeration is limited to order {SUBGROUP_ENUM_LIMIT}, "
             f"got {group.name} of order {n}"
         )
-    op_rows = [list(map(int, row)) for row in group.op_table]
-
-    def closure_mask(gens: tuple[int, ...]) -> int:
-        mask = 1
-        queue = deque([0])
-        while queue:
-            a = queue.popleft()
-            row = op_rows[a]
-            for g in gens:
-                c = row[g]
-                bit = 1 << c
-                if not mask & bit:
-                    mask |= bit
-                    queue.append(c)
-        return mask
-
-    cyclic: dict[int, tuple[int, ...]] = {}
-    for g in range(n):
-        m = closure_mask((g,))
-        cyclic.setdefault(m, (g,) if g else ())
-    found: dict[int, tuple[int, ...]] = dict(cyclic)
-    found.setdefault(1, ())
-    queue = deque(found.items())
-    cyclic_items = sorted(cyclic.items())
-    while queue:
-        mask, gens = queue.popleft()
-        for cmask, cgens in cyclic_items:
-            if cmask & ~mask == 0:
-                continue
-            joined_gens = gens + cgens
-            jmask = closure_mask(joined_gens)
-            if jmask not in found:
-                found[jmask] = joined_gens
-                queue.append((jmask, joined_gens))
-
-    out = []
-    for mask, gens in found.items():
-        elems = tuple(i for i in range(n) if mask >> i & 1)
-        out.append(Subgroup(group, elems, gens, _is_normal(group, _mask(group, elems), gens)))
+    if isinstance(group, DihedralGroup):
+        rot = group.n
+        out = []
+        for d in range(1, rot + 1):
+            if rot % d == 0:
+                out.append(Subgroup.from_generators(group, (d % rot,)))
+                out += [Subgroup.from_generators(group, (d % rot, rot + i)) for i in range(d)]
+    elif isinstance(group, (CyclicGroup, ProductGroup)):
+        idx = np.arange(n)
+        bits = np.packbits(character_pairing(group, idx, idx)[0] == 0, axis=0, bitorder="little")
+        kernels = {int.from_bytes(col.tobytes(), "little") for col in bits.T}
+        found = frontier = {(1 << n) - 1}
+        while frontier:
+            frontier = {a & k for a in frontier for k in kernels} - found
+            found |= frontier
+        out = []
+        for mask in found:
+            elems = tuple(i for i in range(n) if mask >> i & 1)
+            # a kernel intersection is a subgroup, normal as G is abelian
+            out.append(Subgroup(group, elems, elems, True))
+    else:
+        raise ValueError(f"no subgroup enumeration for group kind {type(group).__name__}")
     out.sort(key=lambda s: (s.order, s.elements))
     return out
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import OutcomeDistribution, PipelineConfig, run_pipeline
 from .errors import ResourceCapError
-from .groups import CyclicGroup, FiniteGroup, ProductGroup, Subgroup, all_subgroups
+from .groups import FiniteGroup, ProductGroup, Subgroup, all_subgroups, character_pairing
 from .oracle import build_instance
 from .representations import fourier_transform
 
@@ -65,31 +65,13 @@ class RankedCandidates:
     tie_classes: tuple[tuple[int, ...], ...]
 
 
-def _abelian_moduli(group: FiniteGroup) -> tuple[int, ...]:
-    if isinstance(group, CyclicGroup):
-        return (group.n,)
-    if isinstance(group, ProductGroup):
-        return group.moduli
-    raise ValueError(f"character sieve needs an abelian built-in group, got {group.name}")
-
-
-def _kernel_intersection(moduli, coords: np.ndarray, ks: np.ndarray, outcomes) -> np.ndarray:
-    """The elements of `ks` on which every sampled character chi_y is 1.
-
-    chi_y(k) = exp(2 pi i t(k, y) / L) with t(k, y) = sum_c k_c y_c (L / m_c)
-    and L = lcm of the moduli m_c, so chi_y(k) = 1 exactly when t = 0 mod L.
-    `coords` holds the coordinates of every element of G, one row each.
-    """
-    big = math.lcm(*moduli)
+def _kernel_intersection(group: FiniteGroup, ks: np.ndarray, outcomes) -> np.ndarray:
+    """The elements of `ks` on which every sampled character chi_y is 1."""
     unique = np.unique(np.asarray(outcomes, dtype=np.int64))
-    w = coords[unique] * (big // np.array(moduli, dtype=np.int64))
-    kc = coords[ks]
     keep = np.ones(len(ks), dtype=bool)
     step = max(1, _PAIRING_CHUNK // len(ks))
-    for lo in range(0, len(w), step):
-        # k_c < m_c and y_c L / m_c < L, so t < L sum_c m_c <= |G| (|G| + c):
-        # no int64 overflow for any group whose coordinate array fits in memory
-        keep &= ~(kc @ w[lo:lo + step].T % big).any(axis=1)
+    for lo in range(0, len(unique), step):
+        keep &= ~character_pairing(group, ks, unique[lo:lo + step])[0].any(axis=1)
     return ks[keep]
 
 
@@ -97,10 +79,7 @@ def character_sieve(samples: SampleSet, full_support=None) -> RecoveryResult:
     """K = intersection of ker(chi_y) over sampled y; confirmed when the
     full exact-distribution support would not shrink it further."""
     group = samples.group
-    moduli = _abelian_moduli(group)
-    everything = np.arange(group.order)
-    coords = np.stack(np.unravel_index(everything, moduli), axis=1)
-    kernel = _kernel_intersection(moduli, coords, everything, samples.outcomes)
+    kernel = _kernel_intersection(group, np.arange(group.order), samples.outcomes)
     elems = tuple(kernel.tolist())
     # an intersection of kernels is a subgroup, and in an abelian group
     # every subgroup is normal, so no closure or normality check is needed
@@ -108,7 +87,7 @@ def character_sieve(samples: SampleSet, full_support=None) -> RecoveryResult:
     confirmed = False
     if full_support is not None:
         support = [group.check_index(y) for y in full_support]
-        confirmed = len(_kernel_intersection(moduli, coords, kernel, support)) == len(kernel)
+        confirmed = len(_kernel_intersection(group, kernel, support)) == len(kernel)
     return RecoveryResult(candidate, confirmed, len(samples.outcomes))
 
 
@@ -181,7 +160,8 @@ def subgroup_consistency_rank(
     for k in all_subgroups(group):
         pred = run_pipeline(build_instance(group, k, instance_seed), fourier, cfg)
         scored.append((dist.total_variation(pred), k, pred))
-    scored.sort(key=lambda entry: (entry[0], entry[1].elements))
+    # TVs equal in exact arithmetic may differ in the last ulp; rank them by element tuple
+    scored.sort(key=lambda entry: (round(entry[0] / RANK_TIE_TOL), entry[1].elements))
     entries = tuple((k, tv) for tv, k, _ in scored)
 
     signature_groups: dict[tuple, list[int]] = {}

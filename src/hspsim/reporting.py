@@ -27,11 +27,19 @@ def parse_label(text: str):
     return int(text)
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Write the header and each row of `rows` as one line, streamed through one handle."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row + "\n" for row in rows)
+
+
 def write_distribution_csv(path: Path, dist: OutcomeDistribution) -> None:
-    lines = ["outcome_label,probability"]
-    for lab, p in zip(dist.labels, dist.probs):
-        lines.append(f"{label_str(lab)},{fmt17(p)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(
+        path,
+        "outcome_label,probability",
+        (f"{label_str(lab)},{fmt17(p)}" for lab, p in zip(dist.labels, dist.probs)),
+    )
 
 
 def read_distribution_csv(path: Path) -> OutcomeDistribution:
@@ -57,17 +65,13 @@ def read_distribution_csv(path: Path) -> OutcomeDistribution:
 
 
 def write_f_table_csv(path: Path, instance) -> None:
-    lines = ["g_index,f_index"]
-    for g, v in enumerate(instance.f_table):
-        lines.append(f"{g},{int(v)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, "g_index,f_index", (f"{g},{int(v)}" for g, v in enumerate(instance.f_table)))
 
 
 def write_samples_csv(path: Path, samples) -> None:
-    lines = ["trial_index,outcome_label"]
-    for i, lab in enumerate(samples):
-        lines.append(f"{i},{label_str(lab)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(
+        path, "trial_index,outcome_label", (f"{i},{label_str(lab)}" for i, lab in enumerate(samples))
+    )
 
 
 def write_json(path: Path, payload: dict) -> None:

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import IntegrityError
-from .groups import CyclicGroup, DihedralGroup, FiniteGroup, ProductGroup
+from .groups import CyclicGroup, DihedralGroup, FiniteGroup, ProductGroup, character_pairing
 
 CONTRAGREDIENT_UNITARITY_TOL = 1e-10
 
@@ -104,7 +104,7 @@ class FourierTransform:
         diagonal = j == k
         no_pairs = np.zeros(0, dtype=np.int64)
         if not isinstance(self.group, DihedralGroup):
-            moduli = _cyclic_factors(self.group)
+            moduli = self.group.moduli
             axes = tuple(range(len(moduli)))
             return _FftPlan(moduli, axes, scale, diagonal, label, no_pairs, no_pairs, no_pairs)
         n = self.group.n
@@ -169,10 +169,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _cyclic_factors(group: FiniteGroup) -> tuple[int, ...]:
-    return group.moduli if isinstance(group, ProductGroup) else (group.n,)
-
-
 def _dihedral_signs(n: int) -> list[tuple[int, int]]:
     """(chi(r), chi(s)) of the 1-dim irreps of D_N, in label order."""
     return [(1, 1), (1, -1)] + ([(-1, 1), (-1, -1)] if n % 2 == 0 else [])
@@ -203,15 +199,9 @@ def irreps_of(group: FiniteGroup) -> list[Irrep]:
 
 
 def _abelian_irreps(group: FiniteGroup) -> list[Irrep]:
-    """Character y at x is exp(2*pi*i*t/L), t = sum_c x_c y_c L/m_c mod L, L = lcm(m)."""
-    moduli = _cyclic_factors(group)
-    big = math.lcm(*moduli)
-    t = np.zeros((1, 1), dtype=np.int64)
-    for m in moduli:
-        digits = np.arange(m, dtype=np.int64)
-        term = np.multiply.outer(digits, digits * (big // m)) % big
-        t = (t[:, None, :, None] + term[None, :, None, :]) % big
-        t = t.reshape(t.shape[0] * m, t.shape[2] * m)
+    """Character y at x is exp(2*pi*i*t/L) for the pairing t(x, y) of `character_pairing`."""
+    idx = np.arange(group.order, dtype=np.int64)
+    t, big = character_pairing(group, idx, idx)
     table = _readonly(_roots(big)[t])
     return [Irrep(group, y, 1, table[y].reshape(-1, 1, 1)) for y in range(group.order)]
 

@@ -17,6 +17,7 @@ from hspsim.experiments import run_experiment
 from hspsim.groups import all_subgroups, group_from_spec, subgroup_from_generators
 from hspsim.oracle import build_instance
 from hspsim.recovery import SampleSet, character_sieve
+from hspsim.reporting import write_distribution_csv
 from hspsim.representations import fourier_operator
 
 from oracles import character_kernel_probs, dense_pipeline_probs
@@ -201,6 +202,25 @@ def test_run_path_builds_no_dense_fourier_matrix(tmp_path, monkeypatch):
             tracemalloc.stop()
         # the dense F of order 4096 alone takes 256 MiB
         assert peak < 16 * 2**20
+
+
+def test_distribution_csv_is_streamed(tmp_path):
+    """A 2^20-label distribution, the period cap, is written without a list of its lines."""
+    q = 1 << 20
+    dist = OutcomeDistribution(tuple(range(q)), np.full(q, 1 / q))
+    path = tmp_path / "distribution.csv"
+    tracemalloc.start()
+    try:
+        write_distribution_csv(path, dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # building all lines as one list and joining them peaks near 137 MiB
+    assert peak < 4 * 2**20
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith("outcome_label,probability\n0,9.5367431640625e-07\n")
+    assert text.endswith(f"\n{q - 1},9.5367431640625e-07\n")
+    assert text.count("\n") == q + 1
 
 
 def test_sample_point_mass_and_determinism():

@@ -8,9 +8,11 @@ from hspsim.errors import ResourceCapError
 from hspsim.groups import (
     CyclicGroup,
     DihedralGroup,
+    FiniteGroup,
     ProductGroup,
     Subgroup,
     all_subgroups,
+    character_pairing,
     group_from_spec,
     left_cosets,
     subgroup_from_generators,
@@ -19,6 +21,7 @@ from hspsim.oracle import build_instance, classical_brute_force_hsp
 from hspsim.recovery import SampleSet, simon_solve
 
 from oracles import (
+    character_trivial_on,
     closure_by_pairs,
     is_closed_by_pairs,
     is_normal_by_conjugation,
@@ -142,13 +145,25 @@ def test_cosets_partition_evenly(spec):
         assert cosets[0] == sub.elements
 
 
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def test_all_subgroups_counts():
-    assert len(all_subgroups(CyclicGroup(6))) == 4
-    assert len(all_subgroups(ProductGroup((2, 2)))) == 5
-    assert len(all_subgroups(DihedralGroup(4))) == 10
+    # Z_N has one subgroup per divisor; D_N has tau(N) rotation subgroups
+    # <r^d> and sigma(N) subgroups <r^d, r^i s>; Z2^n has as many as
+    # GF(2)^n has subspaces
+    for n in range(1, 65):
+        assert len(all_subgroups(CyclicGroup(n))) == len(_divisors(n))
+    for n in range(1, 33):
+        assert len(all_subgroups(DihedralGroup(n))) == len(_divisors(n)) + sum(_divisors(n))
+    for n, count in enumerate([2, 5, 16, 67, 374, 2825], start=1):
+        assert len(all_subgroups(group_from_spec(f"Z2^{n}"))) == count
 
 
-@pytest.mark.parametrize("spec", ["Z6", "Z8", "Z2^2", "D3", "D4"])
+@pytest.mark.parametrize(
+    "spec", ["Z6", "Z8", "Z2^2", "D3", "D4", "Z2xZ6", "Z3xZ3", "Z2^3", "D5", "D6"]
+)
 def test_all_subgroups_matches_subset_enumeration(spec):
     group = group_from_spec(spec)
     expected = sorted(
@@ -180,9 +195,39 @@ def test_all_subgroups_order_cap():
 
 
 def test_all_subgroups_at_the_order_limit():
-    assert len(all_subgroups(CyclicGroup(64))) == 7
-    assert len(all_subgroups(DihedralGroup(32))) == 6 + 63
-    assert len(all_subgroups(ProductGroup((2,) * 6))) == 2825
+    for group, count in [
+        (CyclicGroup(64), 7),
+        (DihedralGroup(32), 6 + 63),
+        (ProductGroup((2,) * 6), 2825),
+    ]:
+        assert len(all_subgroups(group)) == count
+        assert "op_table" not in vars(group)
+
+
+def test_all_subgroups_refuses_other_group_kinds():
+    class Trivial(FiniteGroup):
+        name, order = "T1", 1
+
+    with pytest.raises(ValueError, match="Trivial"):
+        all_subgroups(Trivial())
+
+
+@pytest.mark.parametrize("spec", ["Z12", "Z2xZ4", "Z3xZ9", "Z6xZ10xZ4"])
+def test_character_pairing_matches_pairwise_oracle(spec):
+    group = group_from_spec(spec)
+    idx = np.arange(group.order)
+    t, big = character_pairing(group, idx, idx)
+    assert t.shape == (group.order, group.order) and ((0 <= t) & (t < big)).all()
+    trivial = [
+        [character_trivial_on(group.moduli, y, x) for y in range(group.order)]
+        for x in range(group.order)
+    ]
+    assert np.array_equal(t == 0, np.array(trivial))
+
+
+def test_character_pairing_refuses_non_abelian_group():
+    with pytest.raises(ValueError, match="D4"):
+        character_pairing(DihedralGroup(4), [0], [0])
 
 
 def test_group_from_spec_grammar():

@@ -7,6 +7,7 @@ from hspsim.errors import ResourceCapError
 from hspsim.groups import Subgroup, all_subgroups, group_from_spec, subgroup_from_generators
 from hspsim.oracle import build_instance
 from hspsim.recovery import (
+    RANK_TIE_TOL,
     SampleSet,
     character_sieve,
     continued_fraction_period,
@@ -14,7 +15,7 @@ from hspsim.recovery import (
     simon_solve,
     subgroup_consistency_rank,
 )
-from hspsim.representations import fourier_operator
+from hspsim.representations import fourier_operator, fourier_transform
 from hspsim.transversals import PeriodicInstance, shor_pipeline, shor_transversal
 
 from oracles import character_trivial_on, kernel_intersection, reference_period_denominator
@@ -222,6 +223,17 @@ def test_consistency_rank_orders_and_reports_ties():
         base = ranking.entries[cls[0]][1]
         for pos in cls[1:]:
             assert abs(ranking.entries[pos][1] - base) < 1e-10
+
+
+def test_consistency_rank_orders_equal_tvs_by_elements():
+    """TVs equal to RANK_TIE_TOL rank by element tuple, whatever their last ulp."""
+    group = group_from_spec("Z2^5")
+    fourier = fourier_transform(group)
+    dist = run_pipeline(build_instance(group, subgroup_from_generators(group, [3]), 0), fourier)
+    ranking = subgroup_consistency_rank(dist, group, fourier)
+    keys = [(round(tv / RANK_TIE_TOL), sub.elements) for sub, tv in ranking.entries]
+    assert keys == sorted(keys)
+    assert "op_table" not in vars(group)
 
 
 def test_consistency_rank_respects_order_cap():
