@@ -38,8 +38,6 @@ def _add_adapters(p: argparse.ArgumentParser, command: str) -> set:
     """Add the inputs whose shape differs from the JSON; return the fields they supply."""
     if command in ("irreps", "fourier"):
         p.add_argument("group")
-        if command == "fourier":
-            p.add_argument("--check", action="store_true", help="print the residual report")
         return {"group"}
     if command == "simulate":
         p.add_argument("--instance", required=True, help="instance JSON path")

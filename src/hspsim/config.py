@@ -16,6 +16,7 @@ from typing import Callable
 from .engine import STATE_SIZE_CAP, MEASURE_GRANULARITIES, SECOND_TRANSFORMS
 from .errors import ConfigError, ResourceCapError
 from .groups import MAX_TABLE_ORDER, FiniteGroup, ProductGroup, Subgroup, group_from_spec
+from .recovery import RANK_ORDER_CAP
 from .representations import BasisOrdering
 from .transversals import PERIOD_STATE_CAP, REPRESENTATIVE_LIMIT
 
@@ -202,7 +203,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 # (the character table, the dense Fourier operator); simulate and simon hold
 # |G| * |G/K| amplitudes, so |G| alone must already meet the state cap.
 ORDER_CAPS = {
-    "recover": 32,
+    "recover": RANK_ORDER_CAP,
     "irreps": MAX_TABLE_ORDER,
     "fourier-check": MAX_TABLE_ORDER,
     "simulate": STATE_SIZE_CAP,

@@ -23,6 +23,8 @@ from .oracle import build_instance
 from .representations import fourier_transform
 
 RANK_TIE_TOL = 1e-12
+# subgroup_consistency_rank enumerates every subgroup and runs each pipeline
+RANK_ORDER_CAP = 32
 # element-outcome pairs evaluated at once by the character sieve
 _PAIRING_CHUNK = 1 << 20
 
@@ -149,9 +151,9 @@ def subgroup_consistency_rank(
 ) -> RankedCandidates:
     """Rank every subgroup by total-variation distance between its predicted
     exact pipeline distribution and the observed one; ties are reported."""
-    if group.order > 32:
+    if group.order > RANK_ORDER_CAP:
         raise ResourceCapError(
-            f"candidate ranking uses full subgroup enumeration, capped at order 32; "
+            f"candidate ranking uses full subgroup enumeration, capped at order {RANK_ORDER_CAP}; "
             f"{group.name} has order {group.order}"
         )
     if fourier is None:

@@ -14,7 +14,9 @@ is one DFT coefficient of the rotation or the reflection half of a
 column (Moore, Rockmore and Russell, quant-ph/0304064), so one length-N
 FFT per half gives every row.  The dense |G| x |G| matrix
 (`fourier_operator`) is built only for `fourier-check` and as a test
-oracle.
+oracle.  Since F F^dagger = I is exactly the Schur orthogonality relations
+of the scaled irrep entries, `fourier-check` reads the Schur residual off
+that one product.
 """
 
 from __future__ import annotations
@@ -57,9 +59,7 @@ class Irrep:
         return np.trace(self.matrices, axis1=1, axis2=2)
 
     def max_unitarity_residual(self) -> float:
-        eye = np.eye(self.dim)
-        prod = self.matrices @ self.matrices.conj().transpose(0, 2, 1)
-        return float(np.abs(prod - eye).max())
+        return _unitarity_residual(self.matrices)
 
 
 @dataclass(frozen=True)
@@ -155,8 +155,16 @@ class FourierOperator(FourierTransform):
     matrix: np.ndarray
 
     def max_unitarity_residual(self) -> float:
-        n = self.matrix.shape[0]
-        return float(np.abs(self.matrix @ self.matrix.conj().T - np.eye(n)).max())
+        return _unitarity_residual(self.matrix)
+
+
+def _unitarity_residual(a: np.ndarray) -> float:
+    """max |A A^dagger - I| over a matrix or a (..., d, d) stack; the
+    identity is subtracted from the product's diagonal in place."""
+    d = a.shape[-1]
+    prod = a @ a.conj().swapaxes(-1, -2)
+    prod.reshape(prod.shape[:-2] + (d * d,))[..., :: d + 1] -= 1
+    return float(np.abs(prod).max())
 
 
 def _roots(denominator: int) -> np.ndarray:
@@ -280,25 +288,21 @@ def fourier_operator(
     )
 
 
+def _residuals(group: FiniteGroup, ordering: BasisOrdering) -> dict:
+    """Completeness defect and per-irrep unitarity from one `irreps_of` build,
+    freed before F is built; the Schur residual is max |F F^dagger - I|,
+    which no row ordering changes."""
+    irreps = irreps_of(group)
+    defect = sum(ir.dim * ir.dim for ir in irreps) - group.order
+    unitarity = max(ir.max_unitarity_residual() for ir in irreps)
+    del irreps
+    return {
+        "completeness_defect": defect,
+        "max_schur_residual": fourier_operator(group, ordering).max_unitarity_residual(),
+        "max_unitarity_residual": unitarity,
+    }
+
+
 def verify_representation_suite(group: FiniteGroup) -> dict:
     """Completeness, Schur orthogonality, and unitarity residuals for irreps_of."""
-    irreps = irreps_of(group)
-    n = group.order
-    total = sum(ir.dim * ir.dim for ir in irreps)
-    flat = np.empty((total, n), dtype=np.complex128)
-    scales = np.empty(total)
-    pos = 0
-    for ir in irreps:
-        for j in range(ir.dim):
-            for k in range(ir.dim):
-                flat[pos] = ir.matrices[:, j, k]
-                scales[pos] = ir.dim / n
-                pos += 1
-    gram = (scales[:, None] * flat) @ flat.conj().T
-    max_schur = float(np.abs(gram - np.eye(total)).max())
-    max_unitarity = max(ir.max_unitarity_residual() for ir in irreps)
-    return {
-        "completeness_defect": total - n,
-        "max_schur_residual": max_schur,
-        "max_unitarity_residual": max_unitarity,
-    }
+    return _residuals(group, BasisOrdering.DIM_THEN_LABEL)

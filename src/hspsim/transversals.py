@@ -176,9 +176,9 @@ def peak_mass(dist: OutcomeDistribution, r: int, q: int) -> float:
     """Total probability within half-integer windows of the multiples j*Q/r.
 
     An integer outcome y qualifies when min_j |y - j*Q/r| <= 1/2, evaluated
-    in exact integer arithmetic as 2*|r*y - j*Q| <= r, for all labels at
-    once.  j0 = rint(r*y/Q) rounds half to even like Python's round, and the
-    selected probabilities are summed in label order.
+    in exact integer arithmetic as 2*min(d, Q - d) <= r for d = r*y mod Q,
+    for all labels at once.  The selected probabilities are summed in label
+    order.
     """
     if r < 1:
         raise ValueError(f"period must be positive, got {r}")
@@ -187,10 +187,10 @@ def peak_mass(dist: OutcomeDistribution, r: int, q: int) -> float:
     labels = np.asarray(dist.labels, dtype=np.int64)
     if labels.size and r * max(int(np.abs(labels).max()), q) >= 1 << 52:
         raise ValueError(f"r*y and Q must stay below 2^52 for exact windows (r={r}, Q={q})")
-    ry = r * labels
-    j0 = np.rint(ry / q).astype(np.int64)
-    best = np.min([np.abs(ry - (j0 + dj) * q) for dj in (-1, 0, 1)], axis=0)
-    selected = np.where(2 * best <= r, np.asarray(dist.probs, dtype=np.float64), 0.0)
+    d = r * labels
+    d %= q
+    np.minimum(d, q - d, out=d)
+    selected = np.where(2 * d <= r, np.asarray(dist.probs, dtype=np.float64), 0.0)
     return float(np.cumsum(selected)[-1]) if selected.size else 0.0
 
 

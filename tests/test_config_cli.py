@@ -276,7 +276,7 @@ def test_cli_simon_flags(tmp_path, capsys):
 
 
 def test_cli_fourier_check_prints_residuals(tmp_path, capsys):
-    code = main(["fourier", "D4", "--check", "--out-dir", str(tmp_path), "--format", "csv"])
+    code = main(["fourier", "D4", "--out-dir", str(tmp_path), "--format", "csv"])
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     fields = dict(line.split(",", 1) for line in lines)

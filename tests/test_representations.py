@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hspsim.config import config_from_dict
+from hspsim.experiments import run_experiment
 from hspsim.groups import CyclicGroup, DihedralGroup, FiniteGroup, ProductGroup, group_from_spec
 from hspsim.representations import (
     BasisOrdering,
@@ -209,6 +213,26 @@ def test_verify_representation_suite_values():
         assert report["completeness_defect"] == 0
         assert report["max_schur_residual"] < tol
         assert report["max_unitarity_residual"] < tol
+
+
+@pytest.mark.parametrize("spec", ["D256", "Z2^9"])
+def test_fourier_check_forms_one_gram(spec, tmp_path):
+    """fourier-check reads Schur orthogonality off F F^dagger, the one |G| x |G| product."""
+    group = group_from_spec(spec)
+    cfg = config_from_dict({"experiment": "fourier-check", "group": spec})
+    tracemalloc.start()
+    try:
+        report = run_experiment(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # F, a conjugate copy for the product, and the product itself; a second
+    # Gram over label-ordered irrep entries peaks at 5 matrices
+    assert peak < 4 * 16 * group.order**2
+    suite = verify_representation_suite(group)
+    assert report["max_schur_residual"] == suite["max_schur_residual"] < 1e-12
+    assert report["max_unitarity_residual"] < 1e-12
+    assert report["completeness_defect"] == 0
 
 
 def test_irreps_unsupported_kind():

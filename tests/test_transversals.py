@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -246,3 +248,19 @@ def test_peak_mass_frozen_at_q65536():
     inst = PeriodicInstance(21, 2, 65536)
     dist = shor_pipeline(inst, shor_transversal(65536))
     assert abs(peak_mass(dist, inst.period, 65536) - PEAK_MASS_N21_A2_Q65536) < 1e-10
+
+
+def test_peak_mass_memory_at_period_cap():
+    """2^20 labels, the period cap: one int64 working array beside the labels."""
+    q = 1 << 20
+    dist = OutcomeDistribution(tuple(range(q)), np.full(q, 1 / q))
+    tracemalloc.start()
+    try:
+        mass = peak_mass(dist, 6, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # windows by rint(r*y/Q) and a stacked three-way minimum peak at 80 MiB
+    assert peak < 48 * 2**20
+    # one label nearest each j*Q/6, j = 0..5
+    assert mass == 6 / q
