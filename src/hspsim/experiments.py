@@ -15,7 +15,6 @@ from . import __version__
 from .config import ExperimentConfig, config_to_dict, resolve_group, resolve_hidden
 from .engine import (
     PipelineConfig,
-    _labelled_probs,
     left_register_distribution,
     run_pipeline,
     sample,
@@ -83,16 +82,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path = ".") -> dict:
 
 def _run_irreps(cfg: ExperimentConfig, out: Path) -> dict:
     group = resolve_group(cfg)
-    table = []
-    for ir in irreps_of(group):
-        chars = ir.character()
-        table.append(
-            {
-                "label": ir.label,
-                "dim": ir.dim,
-                "characters": [[float(c.real), float(c.imag)] for c in chars],
-            }
-        )
+    table = [
+        {
+            "label": ir.label,
+            "dim": ir.dim,
+            "characters": [[float(c.real), float(c.imag)] for c in ir.character()],
+        }
+        for ir in irreps_of(group)
+    ]
     payload = {
         "group": group.name,
         "elements": [group.label(g) for g in range(group.order)],
@@ -105,15 +102,10 @@ def _run_irreps(cfg: ExperimentConfig, out: Path) -> dict:
 def _run_fourier_check(cfg: ExperimentConfig, out: Path) -> dict:
     group = resolve_group(cfg)
     suite = _residuals(group, BasisOrdering(cfg.ordering))
-    schur = suite["max_schur_residual"]
-    return {
-        "group": group.name,
-        "ordering": cfg.ordering,
-        "completeness_defect": suite["completeness_defect"],
-        "max_schur_residual": schur,
-        # F F^dagger - I is also the residual of F's own unitarity
-        "max_unitarity_residual": max(suite["max_unitarity_residual"], schur),
-    }
+    # F F^dagger - I is also the residual of F's own unitarity
+    unitarity = max(suite["max_unitarity_residual"], suite["max_schur_residual"])
+    return {**suite, "group": group.name, "ordering": cfg.ordering,
+            "max_unitarity_residual": unitarity}
 
 
 def _pipeline_pieces(cfg: ExperimentConfig):
@@ -212,9 +204,6 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
         "seed,peak_mass_shor,peak_mass_offset",
         (f"{seed},{fmt17(pm_shor)},{fmt17(pm_offset)}" for seed, pm_shor, pm_offset in rows),
     )
-    offsets = sorted(pm for _, _, pm in rows)
-    mid = len(offsets) // 2
-    median = offsets[mid] if len(offsets) % 2 else 0.5 * (offsets[mid - 1] + offsets[mid])
     return {
         "N": cfg.modulus,
         "a": cfg.base,
@@ -223,7 +212,7 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
         "r_true": instance.period,
         "csv_path": "sweep.csv",
         "peak_mass_shor": rows[0][1],
-        "median_peak_mass_offset": median,
+        "median_peak_mass_offset": float(np.median([pm for _, _, pm in rows])),
         "wins_shor": sum(1 for _, pm_shor, pm_offset in rows if pm_shor > pm_offset),
         "seeds": cfg.seeds,
     }
@@ -231,24 +220,17 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
 
 def _run_recover(cfg: ExperimentConfig, out: Path) -> dict:
     group = resolve_group(cfg)
+    pipeline_cfg = PipelineConfig(cfg.second_transform, cfg.measure_granularity)
+    # a malformed CSV and a label the pipeline cannot produce both raise ValueError
     try:
         dist = read_distribution_csv(cfg.dist)
+        ranking = subgroup_consistency_rank(
+            dist, group, cfg=pipeline_cfg, instance_seed=cfg.resolved_oracle_seed()
+        )
     except OSError as exc:
         raise ConfigError(f"field 'dist': cannot read {cfg.dist!r}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"field 'dist': {exc}") from exc
-    fourier = fourier_transform(group)
-    pipeline_cfg = PipelineConfig(cfg.second_transform, cfg.measure_granularity)
-    outcomes = set(_labelled_probs(fourier, pipeline_cfg, np.zeros(group.order))[0])
-    stray = [lab for lab in dist.labels if lab not in outcomes]
-    if stray:
-        raise ConfigError(
-            f"field 'dist': label {label_str(stray[0])} is not an outcome of {group.name} "
-            f"under measure_granularity {cfg.measure_granularity!r}"
-        )
-    ranking = subgroup_consistency_rank(
-        dist, group, fourier, pipeline_cfg, instance_seed=cfg.resolved_oracle_seed()
-    )
     return {
         "group": group.name,
         "candidates": [

@@ -108,6 +108,13 @@ class FiniteGroup:
         return f"{type(self).__name__}({self.name!r})"
 
 
+def _int64_order(name: str, order: int) -> int:
+    """The order, refused at 2^63 and above: element indices are int64."""
+    if order >= 1 << 63:
+        raise ResourceCapError(f"{name} has order at least 2^63, past the int64 element indices")
+    return order
+
+
 class CyclicGroup(FiniteGroup):
     """Z_N under addition modulo N."""
 
@@ -115,10 +122,10 @@ class CyclicGroup(FiniteGroup):
         if n < 1:
             raise ValueError(f"cyclic group order must be positive, got {n}")
         self.n = int(n)
+        self.name = f"Z{self.n}"
+        self.order = _int64_order(self.name, self.n)
         self.moduli = (self.n,)
         self._radix = (np.array(self.moduli, dtype=np.int64), np.ones(1, dtype=np.int64))
-        self.order = self.n
-        self.name = f"Z{self.n}"
 
     def _op(self, a, b):
         return (a + b) % self.n
@@ -141,13 +148,13 @@ class ProductGroup(FiniteGroup):
         if not moduli or any(m < 1 for m in moduli):
             raise ValueError(f"product moduli must be positive, got {moduli}")
         self.moduli = moduli
+        self.name = _product_name(moduli)
+        self.order = _int64_order(self.name, math.prod(moduli))
         # place value of each coordinate; the last factor varies fastest
         weights = [1] * len(moduli)
         for i in range(len(moduli) - 2, -1, -1):
             weights[i] = weights[i + 1] * moduli[i + 1]
         self._radix = (np.array(moduli, dtype=np.int64), np.array(weights, dtype=np.int64))
-        self.order = weights[0] * moduli[0]
-        self.name = _product_name(moduli)
 
     # Coordinate i of index a is a // w_i % m_i; the higher digits of
     # a // w_i are multiples of m_i, so they drop out mod m_i.
@@ -191,8 +198,8 @@ class DihedralGroup(FiniteGroup):
         if n < 1:
             raise ValueError(f"dihedral parameter must be positive, got {n}")
         self.n = int(n)
-        self.order = 2 * self.n
         self.name = f"D{self.n}"
+        self.order = _int64_order(self.name, 2 * self.n)
 
     def rotation_reflection(self, a: int) -> tuple[int, int]:
         self.check_index(a)

@@ -150,7 +150,8 @@ def subgroup_consistency_rank(
     instance_seed: int = 0,
 ) -> RankedCandidates:
     """Rank every subgroup by total-variation distance between its predicted
-    exact pipeline distribution and the observed one; ties are reported."""
+    exact pipeline distribution and the observed one; ties are reported.
+    A label the pipeline cannot produce raises ValueError."""
     if group.order > RANK_ORDER_CAP:
         raise ResourceCapError(
             f"candidate ranking uses full subgroup enumeration, capped at order {RANK_ORDER_CAP}; "
@@ -162,6 +163,12 @@ def subgroup_consistency_rank(
     for k in all_subgroups(group):
         pred = run_pipeline(build_instance(group, k, instance_seed), fourier, cfg)
         scored.append((dist.total_variation(pred), k, pred))
+    # every prediction carries the same labels, the pipeline's outcomes
+    outcomes = set(pred.labels)
+    stray = [lab for lab in dist.labels if lab not in outcomes]
+    if stray:
+        raise ValueError(f"label {stray[0]!r} is not an outcome of {group.name} "
+                         f"under measure_granularity {cfg.measure_granularity!r}")
     # TVs equal in exact arithmetic may differ in the last ulp; rank them by element tuple
     scored.sort(key=lambda entry: (round(entry[0] / RANK_TIE_TOL), entry[1].elements))
     entries = tuple((k, tv) for tv, k, _ in scored)

@@ -1,22 +1,17 @@
 """Irreducible representations and the block Fourier transform.
 
-Cyclic and product groups get their 1-dimensional characters; dihedral
-groups get the closed-form family (two or four characters plus 2-dim
-rotation blocks rho_k(r) = diag(w^k, w^-k), rho_k(s) = antidiag(1, 1)).
-The Fourier transform F stacks the entrywise-conjugated irrep entries
-row by row with per-block scaling sqrt(d/|G|), the unique scaling that
-makes the stacked matrix unitary.  Phases are computed from exact
-reduced angles 2*pi*(t mod M)/M so residuals stay near machine precision.
+Cyclic and product groups have 1-dimensional characters; dihedral groups
+have two or four characters plus 2-dim rotation blocks
+rho_k(r) = diag(w^k, w^-k), rho_k(s) = antidiag(1, 1).  F stacks the
+entrywise-conjugated irrep entries row by row, scaled by sqrt(d/|G|).
 
-F is applied by FFT and never stored (`fourier_transform`): abelian
-groups transform over their cyclic factors; for D_N every block entry
-is one DFT coefficient of the rotation or the reflection half of a
-column (Moore, Rockmore and Russell, quant-ph/0304064), so one length-N
-FFT per half gives every row.  The dense |G| x |G| matrix
-(`fourier_operator`) is built only for `fourier-check` and as a test
-oracle.  Since F F^dagger = I is exactly the Schur orthogonality relations
-of the scaled irrep entries, `fourier-check` reads the Schur residual off
-that one product.
+The FFT plan of `FourierTransform` is the one statement of which irrep
+entry sits in which row (Moore, Rockmore and Russell, quant-ph/0304064:
+each D_N block entry is one DFT coefficient of the rotation or the
+reflection half of a column).  The run path applies F by FFT.  The
+irreps and the dense F (`fourier-check`, tests) are read off the plan:
+its gather over rows of the conjugated DFT kernel is the entry table
+T[(i, j, k), g] = pi_i(g)[j, k], and F = diag(scale) conj(T).
 """
 
 from __future__ import annotations
@@ -32,6 +27,11 @@ from .errors import IntegrityError
 from .groups import CyclicGroup, DihedralGroup, FiniteGroup, ProductGroup, character_pairing
 
 CONTRAGREDIENT_UNITARITY_TOL = 1e-10
+# rows per block of the entry table: freeing whole-table temporaries raised
+# the allocator's mmap threshold and `irreps` D1024 peak RSS by about 10 MB
+_ENTRY_ROWS = 128
+# rows per block of the Gram F F^dagger: 2 * 16 * 512 * |G| bytes beside F
+_GRAM_ROWS = 512
 
 
 class BasisOrdering(str, enum.Enum):
@@ -59,7 +59,10 @@ class Irrep:
         return np.trace(self.matrices, axis1=1, axis2=2)
 
     def max_unitarity_residual(self) -> float:
-        return _unitarity_residual(self.matrices)
+        """max over g of |pi(g) pi(g)^dagger - I|, in one einsum (not one matmul per g)."""
+        prod = np.einsum("gjk,glk->gjl", self.matrices, self.matrices.conj())
+        prod -= np.eye(self.dim)
+        return float(np.abs(prod).max())
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,30 @@ class FourierTransform:
         out = np.fft.ifftn(spec.reshape(p.shape + (-1,)), axes=p.axes, norm="forward")
         return out.reshape(rows.shape)
 
+    def _kernel_rows(self, spec: np.ndarray) -> np.ndarray:
+        """Rows `spec` of W, the conjugated kernel of the unnormalised FFT in
+        `apply`: spectrum entry y of a column x is sum_g conj(W[y, g]) x[g]."""
+        idx = np.arange(self.group.order, dtype=np.int64)
+        if not isinstance(self.group, DihedralGroup):
+            t, big = character_pairing(self.group, spec, idx)
+            return _roots(big)[t]
+        # the FFT runs along the rotation axis: W[(b, f), (b', t)] = w^(f t) if b = b', else 0
+        n = self.group.n
+        half, freq = np.divmod(spec, n)
+        rows = np.zeros((len(spec), 2, n), dtype=np.complex128)
+        rows[np.arange(len(spec)), half] = _roots(n)[np.multiply.outer(freq, idx[:n]) % n]
+        return rows.reshape(len(spec), -1)
+
+    def _entries(self) -> np.ndarray:
+        """The entry table T[r, g] = pi_i(g)[j, k] for row r = (i, j, k): the
+        gather of `apply` over kernel rows, so that F = diag(scale) conj(T)."""
+        p = self._plan
+        table = np.empty((len(p.src), self.group.order), dtype=np.complex128)
+        for lo in range(0, len(p.src), _ENTRY_ROWS):
+            table[lo:lo + _ENTRY_ROWS] = self._kernel_rows(p.src[lo:lo + _ENTRY_ROWS])
+        table[p.pair_rows] += p.pair_sign[:, None] * self._kernel_rows(p.pair_src)
+        return table
+
 
 @dataclass(frozen=True)
 class FourierOperator(FourierTransform):
@@ -155,16 +182,14 @@ class FourierOperator(FourierTransform):
     matrix: np.ndarray
 
     def max_unitarity_residual(self) -> float:
-        return _unitarity_residual(self.matrix)
-
-
-def _unitarity_residual(a: np.ndarray) -> float:
-    """max |A A^dagger - I| over a matrix or a (..., d, d) stack; the
-    identity is subtracted from the product's diagonal in place."""
-    d = a.shape[-1]
-    prod = a @ a.conj().swapaxes(-1, -2)
-    prod.reshape(prod.shape[:-2] + (d * d,))[..., :: d + 1] -= 1
-    return float(np.abs(prod).max())
+        """max |F F^dagger - I| by blocks of rows: conj(F[rows]) F^T is the
+        conjugate of those rows of F F^dagger, so F is never copied whole."""
+        f, worst = self.matrix, 0.0
+        for lo in range(0, len(f), _GRAM_ROWS):
+            prod = f[lo:lo + _GRAM_ROWS].conj() @ f.T
+            prod[:, lo:lo + _GRAM_ROWS] -= np.eye(len(prod))
+            worst = max(worst, float(np.abs(prod).max()))
+        return worst
 
 
 def _roots(denominator: int) -> np.ndarray:
@@ -199,42 +224,20 @@ def _inventory(group: FiniteGroup) -> list[tuple[int, int]]:
 
 
 def irreps_of(group: FiniteGroup) -> list[Irrep]:
-    """Complete set of inequivalent unitary irreps for a built-in group kind."""
-    _inventory(group)  # refuses other group kinds
-    if isinstance(group, DihedralGroup):
-        return _dihedral_irreps(group)
-    return _abelian_irreps(group)
+    """Complete set of inequivalent unitary irreps for a built-in group kind,
+    read off the FFT plan's entry table in label order."""
+    fourier = fourier_transform(group, BasisOrdering.LABEL)
+    return _irreps(fourier, _readonly(fourier._entries()))
 
 
-def _abelian_irreps(group: FiniteGroup) -> list[Irrep]:
-    """Character y at x is exp(2*pi*i*t/L) for the pairing t(x, y) of `character_pairing`."""
-    idx = np.arange(group.order, dtype=np.int64)
-    t, big = character_pairing(group, idx, idx)
-    table = _readonly(_roots(big)[t])
-    return [Irrep(group, y, 1, table[y].reshape(-1, 1, 1)) for y in range(group.order)]
-
-
-def _dihedral_irreps(group: DihedralGroup) -> list[Irrep]:
-    n = group.n
-    idx = np.arange(group.order, dtype=np.int64)
-    rot, ref = idx % n, idx // n
-    signs = np.array(_dihedral_signs(n), dtype=np.float64)
-    vals = (signs[:, :1] ** rot) * (signs[:, 1:] ** ref)
-    out = [
-        Irrep(group, label, 1, _readonly(v.astype(np.complex128).reshape(-1, 1, 1)))
-        for label, v in enumerate(vals)
-    ]
-
-    # rho_k(r^t) = diag(w^kt, w^-kt) on the first half, rho_k(r^t s) its antidiagonal twin
-    ks = np.arange(1, (group.order - len(signs)) // 4 + 1, dtype=np.int64)
-    t = np.multiply.outer(ks, np.arange(n, dtype=np.int64)) % n
-    roots = _roots(n)
-    diag_pos, diag_neg = roots[t], roots[-t % n]
-    mats = np.zeros((len(ks), group.order, 2, 2), dtype=np.complex128)
-    mats[:, :n, 0, 0] = mats[:, n:, 0, 1] = diag_pos
-    mats[:, :n, 1, 1] = mats[:, n:, 1, 0] = diag_neg
-    _readonly(mats)
-    out += [Irrep(group, len(signs) + i, 2, m) for i, m in enumerate(mats)]
+def _irreps(fourier: FourierTransform, table: np.ndarray) -> list[Irrep]:
+    """Each irrep's matrices as a (|G|, d, d) view of its d*d consecutive,
+    row-major rows of the entry table."""
+    out, pos = [], 0
+    for label, dim in sorted(_inventory(fourier.group), key=_ORDER_KEYS[fourier.ordering]):
+        block = table[pos:pos + dim * dim].reshape(dim, dim, -1).transpose(2, 0, 1)
+        out.append(Irrep(fourier.group, label, dim, block))
+        pos += dim * dim
     return out
 
 
@@ -248,14 +251,12 @@ def contragredient(irrep: Irrep) -> Irrep:
     return Irrep(group, irrep.label, irrep.dim, _readonly(mats))
 
 
-def _ordered(inventory: list[tuple[int, int]], ordering: BasisOrdering) -> list[tuple[int, int]]:
-    if ordering is BasisOrdering.DIM_THEN_LABEL:
-        return sorted(inventory, key=lambda ld: (ld[1], ld[0]))
-    if ordering is BasisOrdering.LABEL:
-        return sorted(inventory)
-    if ordering is BasisOrdering.DIM_DESC_THEN_LABEL:
-        return sorted(inventory, key=lambda ld: (-ld[1], ld[0]))
-    raise ValueError(f"unknown basis ordering {ordering!r}")
+# (label, dim) sort key of each row ordering; blocks stay row-major in (j, k)
+_ORDER_KEYS = {
+    BasisOrdering.DIM_THEN_LABEL: lambda ld: (ld[1], ld[0]),
+    BasisOrdering.LABEL: lambda ld: ld,
+    BasisOrdering.DIM_DESC_THEN_LABEL: lambda ld: (-ld[1], ld[0]),
+}
 
 
 def fourier_transform(
@@ -264,7 +265,7 @@ def fourier_transform(
     """Fourier transform applied by FFT; row (i, j, k) at column g is
     sqrt(d_i/|G|) * conj(pi_i(g))[j, k]."""
     ordering = BasisOrdering(ordering)
-    inventory = _ordered(_inventory(group), ordering)
+    inventory = sorted(_inventory(group), key=_ORDER_KEYS[ordering])
     n = group.order
     row_index = tuple(
         (label, j, k) for label, dim in inventory for j in range(dim) for k in range(dim)
@@ -276,29 +277,30 @@ def fourier_transform(
 def fourier_operator(
     group: FiniteGroup, ordering: BasisOrdering = BasisOrdering.DIM_THEN_LABEL
 ) -> FourierOperator:
-    """`fourier_transform` plus its dense |G| x |G| matrix, built from `irreps_of`."""
+    """`fourier_transform` plus its dense |G| x |G| matrix, read off the FFT plan."""
     fourier = fourier_transform(group, ordering)
-    irreps = {ir.label: ir for ir in irreps_of(group)}
-    scales = dict(fourier.normalization)
-    rows = np.empty((group.order, group.order), dtype=np.complex128)
-    for pos, (label, j, k) in enumerate(fourier.row_index):
-        rows[pos] = scales[label] * np.conj(irreps[label].matrices[:, j, k])
+    return _operator(fourier, fourier._entries())
+
+
+def _operator(fourier: FourierTransform, table: np.ndarray) -> FourierOperator:
+    """The operator whose matrix F = diag(scale) conj(T) is made in place from T."""
+    np.conjugate(table, out=table)
+    table *= fourier._plan.scale[:, None]
     return FourierOperator(
-        group, fourier.row_index, fourier.normalization, fourier.ordering, _readonly(rows)
+        fourier.group, fourier.row_index, fourier.normalization, fourier.ordering, _readonly(table)
     )
 
 
 def _residuals(group: FiniteGroup, ordering: BasisOrdering) -> dict:
-    """Completeness defect and per-irrep unitarity from one `irreps_of` build,
-    freed before F is built; the Schur residual is max |F F^dagger - I|,
-    which no row ordering changes."""
-    irreps = irreps_of(group)
-    defect = sum(ir.dim * ir.dim for ir in irreps) - group.order
+    """Completeness defect and per-irrep unitarity from one entry table, which then
+    becomes F in place: F F^dagger = I is exactly Schur orthogonality."""
+    fourier = fourier_transform(group, ordering)
+    table = fourier._entries()
+    irreps = _irreps(fourier, table)
     unitarity = max(ir.max_unitarity_residual() for ir in irreps)
-    del irreps
     return {
-        "completeness_defect": defect,
-        "max_schur_residual": fourier_operator(group, ordering).max_unitarity_residual(),
+        "completeness_defect": sum(ir.dim * ir.dim for ir in irreps) - group.order,
+        "max_schur_residual": _operator(fourier, table).max_unitarity_residual(),
         "max_unitarity_residual": unitarity,
     }
 

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import OutcomeDistribution, finalize_distribution
+from .engine import SECOND_TRANSFORMS, OutcomeDistribution, finalize_distribution
 from .errors import ResourceCapError
 
 PERIOD_STATE_CAP = 1 << 22
@@ -158,8 +158,8 @@ def shor_pipeline(
     register Z_N; computed per distinct f~ value with an orthonormal FFT,
     which is the Z_Q Fourier operator applied column by column.
     """
-    if second_transform not in ("forward", "inverse"):
-        raise ValueError("second_transform must be 'forward' or 'inverse'")
+    if second_transform not in SECOND_TRANSFORMS:
+        raise ValueError(f"second_transform must be one of {SECOND_TRANSFORMS}")
     q, n = instance.q, instance.modulus
     if q * n > PERIOD_STATE_CAP:
         raise ResourceCapError(f"state size {q}*{n} exceeds the cap {PERIOD_STATE_CAP}")

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's computational paths:
 dense Kronecker-product unitaries instead of blocked register updates,
 direct cmath summation instead of FFTs, closed-form character sums,
-Fraction-based convergents, subset enumeration for subgroups, and
-per-point Python loops for the period-finding tables and peak mass.
+irreps written element by element, Fraction-based convergents, subset
+enumeration for subgroups, and per-point Python loops for the
+period-finding tables and peak mass.
 """
 
 from __future__ import annotations
@@ -93,6 +94,46 @@ def character_trivial_on(moduli, y: int, k: int) -> bool:
         for yi, ki, m in zip(mixed_radix_coords(moduli, y), mixed_radix_coords(moduli, k), moduli)
     )
     return t % big == 0
+
+
+def abelian_irreps(moduli) -> list[tuple[int, int, list]]:
+    """(label y, 1, [[[chi_y(x)]] for each x]) with chi_y(x) = exp(2 pi i sum_c x_c y_c / m_c),
+    element by element from the coordinate pairing."""
+    order = math.prod(moduli)
+    big = math.lcm(*moduli)
+    out = []
+    for y in range(order):
+        ys = mixed_radix_coords(moduli, y)
+        mats = []
+        for x in range(order):
+            xs = mixed_radix_coords(moduli, x)
+            t = sum(xi * yi * (big // m) for xi, yi, m in zip(xs, ys, moduli)) % big
+            mats.append([[cmath.exp(2j * cmath.pi * t / big)]])
+        out.append((y, 1, mats))
+    return out
+
+
+def dihedral_irreps(n: int) -> list[tuple[int, int, list]]:
+    """(label, dim, [pi(g) for each g]) for D_N, element index t + N b for r^t s^b.
+
+    The sign characters chi(r^t s^b) = e_r^t e_s^b come first, then rho_k for
+    k = 1 .. (N-1)//2 with rho_k(r^t) = diag(w^kt, w^-kt) and
+    rho_k(r^t s) = [[0, w^kt], [w^-kt, 0]], w = exp(2 pi i / N).
+    """
+    signs = [(1, 1), (1, -1)] + ([(-1, 1), (-1, -1)] if n % 2 == 0 else [])
+    elements = [(t, b) for b in (0, 1) for t in range(n)]
+    out = [
+        (label, 1, [[[complex(e_r**t * e_s**b)]] for t, b in elements])
+        for label, (e_r, e_s) in enumerate(signs)
+    ]
+    for k in range(1, (n - 1) // 2 + 1):
+        mats = []
+        for t, b in elements:
+            up = cmath.exp(2j * cmath.pi * (k * t % n) / n)
+            down = cmath.exp(-2j * cmath.pi * (k * t % n) / n)
+            mats.append([[up, 0], [0, down]] if b == 0 else [[0, up], [down, 0]])
+        out.append((len(signs) + k - 1, 2, mats))
+    return out
 
 
 def kernel_intersection(moduli, outcomes) -> tuple[int, ...]:

@@ -303,6 +303,20 @@ def test_cli_recover_round_trip(tmp_path, capsys):
         assert report["candidates"][0]["total_variation"] < 1e-10
 
 
+def test_cli_refuses_group_orders_beyond_int64(tmp_path, capsys):
+    dist = tmp_path / "x.csv"
+    dist.write_text("outcome_label,probability\n0,1\n")
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps({"group": "Z99999999999999999999", "hidden_generators": []}))
+    for argv, name in [
+        (["irreps", "Z2^70"], "Z2^70"),
+        (["recover", "--group", "Z2^64", "--dist", str(dist)], "Z2^64"),
+        (["simulate", "--instance", str(instance)], "Z99999999999999999999"),
+    ]:
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 3
+        assert name in capsys.readouterr().err
+
+
 def test_cli_recover_bad_dist_exits_2(tmp_path, capsys):
     assert main(["recover", "--dist", str(tmp_path / "nope.csv"), "--group", "Z4"]) == 2
     assert "'dist'" in capsys.readouterr().err

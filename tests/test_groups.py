@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,23 @@ def test_all_subgroups_at_the_order_limit():
     ]:
         assert len(all_subgroups(group)) == count
         assert "op_table" not in vars(group)
+
+
+def test_group_orders_stay_below_int64_range():
+    """Element indices are int64: an order at or above 2^63 is refused by name."""
+    for make, name in [
+        (lambda: CyclicGroup(2**63), "Z9223372036854775808"),
+        (lambda: ProductGroup((2,) * 63), "Z2^63"),
+        (lambda: ProductGroup((2,) * 70), "Z2^70"),
+        # an order past Python's int-to-str digit limit is refused by name too
+        (lambda: ProductGroup((2,) * 40000), "Z2^40000"),
+        (lambda: DihedralGroup(2**62), "D4611686018427387904"),
+    ]:
+        with pytest.raises(ResourceCapError, match=re.escape(name)):
+            make()
+    assert CyclicGroup(2**63 - 1).order == 2**63 - 1
+    assert ProductGroup((2,) * 62).order == 2**62
+    assert DihedralGroup(2**62 - 1).order == 2**63 - 2
 
 
 def test_all_subgroups_refuses_other_group_kinds():

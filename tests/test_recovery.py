@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from hspsim import groups
-from hspsim.engine import PipelineConfig, run_pipeline, sample
+from hspsim.engine import OutcomeDistribution, PipelineConfig, run_pipeline, sample
 from hspsim.errors import ResourceCapError
 from hspsim.groups import Subgroup, all_subgroups, group_from_spec, subgroup_from_generators
 from hspsim.oracle import build_instance
@@ -234,6 +236,22 @@ def test_consistency_rank_orders_equal_tvs_by_elements():
     keys = [(round(tv / RANK_TIE_TOL), sub.elements) for sub, tv in ranking.entries]
     assert keys == sorted(keys)
     assert "op_table" not in vars(group)
+
+
+@pytest.mark.parametrize(
+    "spec, granularity, labels, stray",
+    [
+        ("Z4", "full_triple", (0, 7), "7"),
+        ("D4", "full_triple", ((0, 0, 0), 4), "4"),
+        ("D4", "irrep_label_only", (0, (4, 0, 1)), "(4, 0, 1)"),
+    ],
+)
+def test_consistency_rank_refuses_stray_labels(spec, granularity, labels, stray):
+    """A label the pipeline cannot produce is refused, not ranked as if observed."""
+    dist = OutcomeDistribution(labels, np.array([0.5, 0.5]))
+    cfg = PipelineConfig("forward", granularity)
+    with pytest.raises(ValueError, match=re.escape(f"label {stray} is not an outcome")):
+        subgroup_consistency_rank(dist, group_from_spec(spec), cfg=cfg)
 
 
 def test_consistency_rank_respects_order_cap():

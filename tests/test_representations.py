@@ -16,6 +16,8 @@ from hspsim.representations import (
     verify_representation_suite,
 )
 
+from oracles import abelian_irreps, dihedral_irreps
+
 SAMPLE_GROUPS = [
     "Z1", "Z4", "Z12", "Z31", "Z2^3", "Z2xZ4", "Z3xZ9",
     "D1", "D2", "D3", "D4", "D6", "D8", "D16",
@@ -207,6 +209,36 @@ def test_fft_transform_matches_dense_matrix(spec, ordering):
     assert np.array_equal(fourier.apply_inverse(x), fop.apply_inverse(x))
 
 
+@pytest.mark.parametrize("ordering", list(BasisOrdering))
+@pytest.mark.parametrize("spec", EQUIVALENCE_GROUPS)
+def test_fourier_rows_match_closed_form_irreps(spec, ordering):
+    """irreps_of, the dense F and the FFT transform all read the plan; each
+    agrees with the textbook irreps written element by element."""
+    group = group_from_spec(spec)
+    if isinstance(group, DihedralGroup):
+        closed = dihedral_irreps(group.n)
+    else:
+        closed = abelian_irreps(group.moduli)
+    oracle = {label: np.array(mats, dtype=np.complex128) for label, _, mats in closed}
+    irreps = irreps_of(group)
+    assert [(ir.label, ir.dim) for ir in irreps] == [(label, dim) for label, dim, _ in closed]
+    for ir in irreps:
+        assert np.abs(ir.matrices - oracle[ir.label]).max() < 1e-12
+
+    fop = fourier_operator(group, ordering)
+    dims = {label: dim for label, dim, _ in closed}
+    dense = np.array(
+        [np.sqrt(dims[i] / group.order) * np.conj(oracle[i][:, j, k]) for i, j, k in fop.row_index]
+    )
+    assert np.abs(fop.matrix - dense).max() < 1e-12
+    fourier = fourier_transform(group, ordering)
+    rng = np.random.default_rng(group.order + 1)
+    x = rng.normal(size=(group.order, 3)) + 1j * rng.normal(size=(group.order, 3))
+    assert np.abs(fourier.apply(x) - dense @ x).max() < 1e-12
+    assert np.abs(fourier.apply_inverse(x) - dense.conj().T @ x).max() < 1e-12
+    assert np.abs(fourier.identity_column() - dense[:, 0]).max() < 1e-12
+
+
 def test_verify_representation_suite_values():
     for spec, tol in (("Z8", 1e-13), ("D6", 1e-12), ("D3", 1e-12)):
         report = verify_representation_suite(group_from_spec(spec))
@@ -233,6 +265,22 @@ def test_fourier_check_forms_one_gram(spec, tmp_path):
     assert report["max_schur_residual"] == suite["max_schur_residual"] < 1e-12
     assert report["max_unitarity_residual"] < 1e-12
     assert report["completeness_defect"] == 0
+
+
+@pytest.mark.parametrize("spec", ["D1024", "Z2^11"])
+def test_fourier_check_never_copies_f_whole(spec, tmp_path):
+    """The entry table becomes F in place and the Gram is taken by row blocks,
+    so fourier-check holds F plus blocks, under two |G| x |G| arrays."""
+    group = group_from_spec(spec)
+    cfg = config_from_dict({"experiment": "fourier-check", "group": spec})
+    tracemalloc.start()
+    try:
+        report = run_experiment(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 16 * group.order**2
+    assert report["max_schur_residual"] < 1e-12
 
 
 def test_irreps_unsupported_kind():
