@@ -24,7 +24,7 @@ from .groups import (
     left_cosets,
     subgroup_from_generators,
 )
-from .oracle import HspInstance, OracleUnitary, apply_oracle, build_instance, classical_brute_force_hsp
+from .oracle import HspInstance, build_instance, classical_brute_force_hsp
 from .recovery import (
     PeriodEstimate,
     RankedCandidates,

@@ -1,7 +1,7 @@
 """Exact two-register state-vector execution of the measurement pipeline.
 
 The run initializes |0>|identity>, Fourier-transforms the left register,
-applies the blackbox permutation, transforms the left register again
+applies the blackbox, transforms the left register again
 (forward by default, inverse by configuration), and returns the exact
 Born distribution of the left register, marginalized (never collapsed)
 over the right register.  Exact distributions are first class; sampling
@@ -9,8 +9,10 @@ is a seeded layer on top.  State sizes are capped at |G|*|H| <= 65536.
 
 The transforms are applied by FFT (`FourierTransform.apply` and
 `apply_inverse`); the first one is written directly, since F|e> is
-column 0 of F.  No |G| x |G| matrix is built, so memory stays linear
-in the state size.
+column 0 of F.  The blackbox meets only |psi1>|e>, so it is one scatter
+of psi1 onto the level sets of f: psi2[g, h] = psi1[g, 0] if h = f(g),
+else 0.  No |G| x |G| matrix is built, so memory stays linear in the
+state size.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrityError, ResourceCapError
-from .oracle import HspInstance, OracleUnitary
+from .oracle import HspInstance
 from .representations import FourierTransform
 
 STATE_SIZE_CAP = 65536
@@ -125,7 +127,7 @@ def _evolve(
     psi1 = np.zeros((n_g, n_h), dtype=np.complex128)
     psi1[:, 0] = fourier.identity_column()
     _check_norm(psi1, "the first Fourier transform")
-    psi2 = OracleUnitary(instance).permute(psi1)
+    psi2 = np.where(instance.f_table[:, None] == np.arange(n_h), psi1[:, :1], 0)
     _check_norm(psi2, "the blackbox application")
     second = fourier.apply if cfg.second_transform == "forward" else fourier.apply_inverse
     psi3 = second(psi2)

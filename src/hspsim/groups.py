@@ -229,11 +229,10 @@ class DihedralGroup(FiniteGroup):
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup given by its sorted element indices inside a parent group."""
+    """A subgroup: its sorted element indices in a parent group, which alone decide equality."""
 
     group: FiniteGroup = field(compare=False)
     elements: tuple[int, ...]
-    generators: tuple[int, ...]
     normal: bool
 
     @property
@@ -259,8 +258,7 @@ class Subgroup:
         gens = tuple(group.check_index(g) for g in generators)
         span = _mask(group, (group.identity,))
         _grow(group, span, gens)
-        elems = tuple(np.flatnonzero(span).tolist())
-        return cls(group, elems, gens, _is_normal(group, span, gens))
+        return cls(group, tuple(np.flatnonzero(span).tolist()), _is_normal(group, span, gens))
 
     @classmethod
     def from_elements(cls, group: FiniteGroup, elements) -> "Subgroup":
@@ -268,8 +266,7 @@ class Subgroup:
         if not elems or elems[0] != group.identity:
             raise ValueError("subgroup must contain the identity")
         inside = _mask(group, elems)
-        span_gens = _greedy_generators(group, inside)
-        return cls(group, elems, elems, _is_normal(group, inside, span_gens))
+        return cls(group, elems, _is_normal(group, inside, _greedy_generators(group, inside)))
 
 
 def _mask(group: FiniteGroup, elements) -> np.ndarray:
@@ -278,34 +275,25 @@ def _mask(group: FiniteGroup, elements) -> np.ndarray:
     return member
 
 
-def _grow(group: FiniteGroup, span: np.ndarray, gens, inside=None):
+def _grow(group: FiniteGroup, span: np.ndarray, gens) -> None:
     """Close the mask `span`, which holds a subgroup, in place to <span, gens>.
 
     Breadth-first right multiplication, one array op per layer.  The
     generators are joined by their repeated squares, so g^k is reached
-    in O(log k) layers.  With a mask `inside`, stops at the first product
-    that leaves it and returns its two factors, both inside; else None.
+    in O(log k) layers.
     """
     x = np.asarray(gens, dtype=np.int64)
     powers = [x]
     for _ in range(group.order.bit_length() - 1):
         if not x.any():
             break
-        y = group._op(x, x)
-        if inside is not None and not inside[y].all():
-            i = int(np.argmin(inside[y]))
-            return int(x[i]), int(x[i])
-        powers.append(x := y)
+        powers.append(x := group._op(x, x))
     x = np.concatenate(powers)
     frontier = np.flatnonzero(span)
     while frontier.size:
         prods = group._op(frontier[:, None], x)
-        if inside is not None and not inside[prods].all():
-            i, j = np.argwhere(~inside[prods])[0]
-            return int(frontier[i]), int(x[j])
         frontier = np.unique(prods[~span[prods]])
         span[frontier] = True
-    return None
 
 
 def _greedy_generators(group: FiniteGroup, inside: np.ndarray) -> tuple[int, ...]:
@@ -321,12 +309,12 @@ def _greedy_generators(group: FiniteGroup, inside: np.ndarray) -> tuple[int, ...
         if not rest.size:
             return tuple(gens)
         gens.append(int(rest[0]))
-        witness = _grow(group, span, gens, inside)
-        if witness is not None:
-            a, b = witness
+        _grow(group, span, gens)
+        outside = np.flatnonzero(span & ~inside)
+        if outside.size:
             raise ValueError(
-                f"element set not closed under the group operation at "
-                f"({group.label(a)}, {group.label(b)})"
+                f"element set not closed under the group operation: "
+                f"it generates {group.label(int(outside[0]))}"
             )
 
 
@@ -416,7 +404,7 @@ def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
         for mask in found:
             elems = tuple(i for i in range(n) if mask >> i & 1)
             # a kernel intersection is a subgroup, normal as G is abelian
-            out.append(Subgroup(group, elems, elems, True))
+            out.append(Subgroup(group, elems, True))
     else:
         raise ValueError(f"no subgroup enumeration for group kind {type(group).__name__}")
     out.sort(key=lambda s: (s.order, s.elements))
@@ -450,17 +438,18 @@ def group_from_spec(spec: str) -> FiniteGroup:
     m = _DIHEDRAL_RE.fullmatch(s)
     if m:
         return DihedralGroup(int(m.group(1)))
-    factors: list[int] = []
-    explicit_product = "x" in s or "X" in s or "^" in s
+    parts = []
     for part in re.split(r"[xX]", s):
         m = _CYCLIC_FACTOR_RE.fullmatch(part)
         if not m:
             raise ValueError(f"unrecognized group spec {spec!r}")
-        base = int(m.group(1))
-        power = int(m.group(2)) if m.group(2) else 1
+        base, power = int(m.group(1)), int(m.group(2) or 1)
         if base < 1 or power < 1:
             raise ValueError(f"group spec {spec!r} has a non-positive factor")
-        factors.extend([base] * power)
-    if not explicit_product and len(factors) == 1:
-        return CyclicGroup(factors[0])
-    return ProductGroup(tuple(factors))
+        parts.append((base, power))
+    # 63 factors of modulus >= 2 already reach 2^63, so refuse before expanding
+    if sum(power for _, power in parts) > 63:
+        raise ResourceCapError(f"group spec {spec!r} has more than 63 cyclic factors")
+    if len(parts) == 1 and "^" not in s:
+        return CyclicGroup(parts[0][0])
+    return ProductGroup(tuple(base for base, power in parts for _ in range(power)))

@@ -5,21 +5,18 @@ that factors through the coset space: f is constant on each left coset
 of K and injective across cosets.  The codomain defaults to Z_M with
 M = |G|/|K|; its group structure never influences the left-register
 statistics.  The blackbox acts on the G x H basis by
-|g>|h> -> |g>|f(g) h^-1>, a pure permutation of amplitudes.
+|g>|h> -> |g>|f(g) h^-1>; the engine applies it to |psi1>|e> only, as
+one scatter of psi1 onto the level sets of `f_table`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import IntegrityError
 from .groups import CyclicGroup, FiniteGroup, Subgroup, left_cosets
-
-if TYPE_CHECKING:
-    from .engine import QuantumState
 
 
 @dataclass(frozen=True)
@@ -53,37 +50,6 @@ def build_instance(
             f_table[g] = injection[idx]
     f_table.flags.writeable = False
     return HspInstance(group, hidden, CyclicGroup(big_m), injection, f_table, int(seed))
-
-
-class OracleUnitary:
-    """Basis permutation |g>|h> -> |g>|f(g) h^-1> on the G x H register pair."""
-
-    def __init__(self, instance: HspInstance):
-        self.instance = instance
-        h_group = instance.codomain
-        hs = np.arange(h_group.order, dtype=np.int64)
-        inv_h = (-hs) % h_group.order
-        # target right index per (g, h): f(g) * h^-1 in the codomain
-        self.target = (instance.f_table[:, None] + inv_h[None, :]) % h_group.order
-        self.target.flags.writeable = False
-
-    def permute(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Apply the permutation to a (|G|, |H|) amplitude array."""
-        n_g, n_h = self.target.shape
-        if amplitudes.shape != (n_g, n_h):
-            raise ValueError(
-                f"state shape {amplitudes.shape} does not match registers {(n_g, n_h)}"
-            )
-        out = np.empty_like(amplitudes)
-        out[np.arange(n_g)[:, None], self.target] = amplitudes
-        return out
-
-
-def apply_oracle(oracle: OracleUnitary, state: "QuantumState") -> "QuantumState":
-    """Blackbox application; preserves the l2 norm bit-exactly."""
-    n_g, n_h = state.dims
-    permuted = oracle.permute(state.amplitudes.reshape(n_g, n_h))
-    return type(state)(state.dims, permuted.reshape(-1))
 
 
 def classical_brute_force_hsp(instance: HspInstance) -> Subgroup:

@@ -85,7 +85,7 @@ def character_sieve(samples: SampleSet, full_support=None) -> RecoveryResult:
     elems = tuple(kernel.tolist())
     # an intersection of kernels is a subgroup, and in an abelian group
     # every subgroup is normal, so no closure or normality check is needed
-    candidate = Subgroup(group, elems, elems, True)
+    candidate = Subgroup(group, elems, True)
     confirmed = False
     if full_support is not None:
         support = [group.check_index(y) for y in full_support]

@@ -23,8 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IntegrityError
-from .groups import CyclicGroup, DihedralGroup, FiniteGroup, ProductGroup, character_pairing
+from .errors import IntegrityError, ResourceCapError
+from .groups import (MAX_TABLE_ORDER, CyclicGroup, DihedralGroup, FiniteGroup, ProductGroup,
+                     character_pairing)
 
 CONTRAGREDIENT_UNITARITY_TOL = 1e-10
 # rows per block of the entry table: freeing whole-table temporaries raised
@@ -167,6 +168,9 @@ class FourierTransform:
     def _entries(self) -> np.ndarray:
         """The entry table T[r, g] = pi_i(g)[j, k] for row r = (i, j, k): the
         gather of `apply` over kernel rows, so that F = diag(scale) conj(T)."""
+        if self.group.order > MAX_TABLE_ORDER:
+            raise ResourceCapError(
+                f"dense table of {self.group.name} needs order <= {MAX_TABLE_ORDER}")
         p = self._plan
         table = np.empty((len(p.src), self.group.order), dtype=np.complex128)
         for lo in range(0, len(p.src), _ENTRY_ROWS):
@@ -298,10 +302,12 @@ def _residuals(group: FiniteGroup, ordering: BasisOrdering) -> dict:
     table = fourier._entries()
     irreps = _irreps(fourier, table)
     unitarity = max(ir.max_unitarity_residual() for ir in irreps)
+    schur = _operator(fourier, table).max_unitarity_residual()
     return {
         "completeness_defect": sum(ir.dim * ir.dim for ir in irreps) - group.order,
-        "max_schur_residual": _operator(fourier, table).max_unitarity_residual(),
-        "max_unitarity_residual": unitarity,
+        "max_schur_residual": schur,
+        # F F^dagger - I is also the residual of F's own unitarity
+        "max_unitarity_residual": max(unitarity, schur),
     }
 
 

@@ -41,6 +41,16 @@ def dense_pipeline_probs(
     return probs.sum(axis=1)
 
 
+def blackbox_by_loops(f_values, n_h: int, amplitudes: np.ndarray) -> np.ndarray:
+    """|g>|h> -> |g>|f(g) h^-1> on a (|G|, |H|) array, one basis state at a
+    time, with the codomain Z_{n_h} written additively."""
+    out = np.zeros_like(amplitudes)
+    for g in range(len(f_values)):
+        for h in range(n_h):
+            out[g, (f_values[g] - h) % n_h] = amplitudes[g, h]
+    return out
+
+
 def direct_fourier_probs(f_values, big_q: int, forward: bool = True) -> list[float]:
     """O(Q^2) direct summation of the left-register distribution over Z_Q."""
     sign = -1.0 if forward else 1.0

@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -315,6 +316,17 @@ def test_cli_refuses_group_orders_beyond_int64(tmp_path, capsys):
     ]:
         assert main(argv + ["--out-dir", str(tmp_path)]) == 3
         assert name in capsys.readouterr().err
+
+
+def test_cli_refuses_oversized_power_specs_at_once(tmp_path, capsys):
+    """The factor count is summed before any list is built: no 28 s product, no overflow."""
+    for spec in ("Z2^1000000", "Z2^99999999999999999999"):
+        start = time.perf_counter()
+        code = main(["irreps", spec, "--out-dir", str(tmp_path)])
+        elapsed = time.perf_counter() - start
+        assert code == 3
+        assert spec in capsys.readouterr().err
+        assert elapsed < 0.1
 
 
 def test_cli_recover_bad_dist_exits_2(tmp_path, capsys):

@@ -18,9 +18,9 @@ from hspsim.groups import all_subgroups, group_from_spec, subgroup_from_generato
 from hspsim.oracle import build_instance
 from hspsim.recovery import SampleSet, character_sieve
 from hspsim.reporting import write_distribution_csv
-from hspsim.representations import fourier_operator
+from hspsim.representations import fourier_operator, fourier_transform
 
-from oracles import character_kernel_probs, dense_pipeline_probs
+from oracles import blackbox_by_loops, character_kernel_probs, dense_pipeline_probs
 
 ABELIAN_SWEEP = [
     "Z2", "Z4", "Z6", "Z8", "Z12", "Z16", "Z24", "Z32",
@@ -134,6 +134,35 @@ def test_norms_along_the_pipeline():
     matrix = states[1].as_matrix()
     assert np.array_equal(matrix[:, 0], fop.matrix[:, 0])
     assert np.abs(matrix[:, 1:]).max() == 0.0
+
+
+# (group, hidden generators, K normal, codomain order or None for the coset count)
+BLACKBOX_CASES = [
+    ("D3", [1], True, None),
+    ("D3", [3], False, None),
+    ("D4", [2], True, None),
+    ("D4", [4], False, None),
+    ("D4", [4], False, 11),
+    ("Z6", [2], True, None),
+    ("Z6", [3], True, 7),
+    ("Z2^3", [3, 5], True, None),
+]
+
+
+@pytest.mark.parametrize("spec, gens, normal, codomain_order", BLACKBOX_CASES)
+def test_blackbox_step_is_the_basis_permutation(spec, gens, normal, codomain_order):
+    """psi2 is |g>|h> -> |g>|f(g) h^-1> applied to psi1, bit for bit."""
+    group = group_from_spec(spec)
+    hidden = subgroup_from_generators(group, gens)
+    assert hidden.normal == normal
+    inst = build_instance(group, hidden, seed=4, codomain_order=codomain_order)
+    assert inst.codomain.order == (codomain_order or hidden.num_cosets)
+    psi1, psi2 = (s.as_matrix() for s in step_trace(inst, fourier_transform(group))[1:3])
+    expected = blackbox_by_loops(inst.f_table.tolist(), inst.codomain.order, psi1)
+    assert psi2.dtype == expected.dtype and psi2.shape == expected.shape
+    assert np.array_equal(psi2, expected)
+    # a permutation moves the amplitudes and changes none of them
+    assert np.array_equal(np.sort(np.abs(psi2.ravel())), np.sort(np.abs(psi1.ravel())))
 
 
 def test_first_step_is_uniform_for_abelian_groups():

@@ -222,6 +222,16 @@ def test_group_orders_stay_below_int64_range():
     assert DihedralGroup(2**62 - 1).order == 2**63 - 2
 
 
+def test_group_from_spec_counts_factors_before_expanding():
+    """More than 63 cyclic factors are refused by spec before the factor list is built;
+    63 factors of modulus >= 2 already reach 2^63, so only Z1 padding is newly refused."""
+    assert group_from_spec("Z1^63").order == 1
+    assert group_from_spec("Z2^62xZ1").order == 2**62
+    for spec in ("Z1^64", "Z1^32xZ1^32", "Z2^1000000", "Z2^99999999999999999999"):
+        with pytest.raises(ResourceCapError, match=re.escape(spec)):
+            group_from_spec(spec)
+
+
 def test_all_subgroups_refuses_other_group_kinds():
     class Trivial(FiniteGroup):
         name, order = "T1", 1
@@ -278,11 +288,12 @@ ORACLE_GROUPS = list(
 def test_subgroup_checks_match_brute_force_oracles(spec):
     group = group_from_spec(spec)
     for sub in all_subgroups(group):
-        elements = closure_by_pairs(group.op, sub.generators)
+        gens = sub.spanning_generators()
+        elements = closure_by_pairs(group.op, gens)
         normal = is_normal_by_conjugation(group.op, group.inv, range(group.order), elements)
         assert sub.elements == elements
         assert sub.normal == normal
-        generated = Subgroup.from_generators(group, sub.generators)
+        generated = Subgroup.from_generators(group, gens)
         assert (generated.elements, generated.normal) == (elements, normal)
         assert Subgroup.from_elements(group, elements).normal == normal
 
@@ -316,6 +327,38 @@ def test_from_elements_accepts_exactly_the_closed_sets(spec):
         else:
             with pytest.raises(ValueError, match="not closed"):
                 Subgroup.from_elements(group, candidate)
+
+
+@pytest.mark.parametrize("spec", ["Z4", "Z2^3", "D4", "D6"])
+def test_equal_subgroups_compare_equal(spec):
+    """A subgroup is its element set: every construction of it is equal, with one hash."""
+    group = group_from_spec(spec)
+    subs = all_subgroups(group)
+    for sub in subs:
+        again = [
+            Subgroup.from_elements(group, reversed(sub.elements)),
+            Subgroup.from_generators(group, sub.spanning_generators()),
+            Subgroup.from_generators(group, sub.elements),
+        ]
+        assert all(other == sub and hash(other) == hash(sub) for other in again)
+    assert len(set(subs)) == len(subs)
+
+
+def test_subgroup_equality_ignores_the_generators():
+    z4 = group_from_spec("Z4")
+    subs = [
+        Subgroup.from_generators(z4, [1]),
+        Subgroup.from_generators(z4, [3]),
+        Subgroup.from_elements(z4, range(4)),
+    ]
+    assert subs[0] == subs[1] == subs[2]
+    assert len({hash(s) for s in subs}) == 1 and len(set(subs)) == 1
+    assert Subgroup.from_generators(z4, [2]) != subs[0]
+    # the refusal names an element that the set generates outside itself
+    with pytest.raises(ValueError, match="not closed.* generates 2$"):
+        Subgroup.from_elements(z4, [0, 1])
+    with pytest.raises(ValueError, match="not closed.* generates r2$"):
+        Subgroup.from_elements(group_from_spec("D4"), [0, 1, 4])
 
 
 def test_subgroup_checks_above_the_table_order():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hspsim.config import config_from_dict
+from hspsim.errors import ResourceCapError
 from hspsim.experiments import run_experiment
 from hspsim.groups import CyclicGroup, DihedralGroup, FiniteGroup, ProductGroup, group_from_spec
 from hspsim.representations import (
@@ -245,6 +246,8 @@ def test_verify_representation_suite_values():
         assert report["completeness_defect"] == 0
         assert report["max_schur_residual"] < tol
         assert report["max_unitarity_residual"] < tol
+        # F F^dagger - I is also a unitarity residual, so it is part of the maximum
+        assert report["max_unitarity_residual"] >= report["max_schur_residual"]
 
 
 @pytest.mark.parametrize("spec", ["D256", "Z2^9"])
@@ -263,7 +266,7 @@ def test_fourier_check_forms_one_gram(spec, tmp_path):
     assert peak < 4 * 16 * group.order**2
     suite = verify_representation_suite(group)
     assert report["max_schur_residual"] == suite["max_schur_residual"] < 1e-12
-    assert report["max_unitarity_residual"] < 1e-12
+    assert report["max_unitarity_residual"] == suite["max_unitarity_residual"] < 1e-12
     assert report["completeness_defect"] == 0
 
 
@@ -281,6 +284,24 @@ def test_fourier_check_never_copies_f_whole(spec, tmp_path):
         tracemalloc.stop()
     assert peak < 2 * 16 * group.order**2
     assert report["max_schur_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("spec, bound", [("D4096", 1 << 20), ("Z8192", 4 << 20)])
+def test_dense_table_refused_before_allocation(spec, bound):
+    """Library calls refuse the 16 |G|^2-byte entry table past MAX_TABLE_ORDER
+    (1 GiB at order 8192) before asking for it.  The abelian bound is larger:
+    the transform's row index of |G| Python tuples, about 1.9 MB at Z8192, is
+    built before the table is requested."""
+    group = group_from_spec(spec)
+    for build in (irreps_of, fourier_operator, verify_representation_suite):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match=f"{spec} needs order <= 4096"):
+                build(group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, build.__name__
 
 
 def test_irreps_unsupported_kind():
