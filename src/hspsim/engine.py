@@ -64,9 +64,9 @@ class QuantumState:
 class OutcomeDistribution:
     """Exact left-register Born probabilities keyed by outcome label.
 
-    Labels are plain irrep labels when every Fourier row is a character
-    row (abelian case) or when measuring the irrep label only; otherwise
-    they are (irrep label, row, column) triples.
+    Labels are plain irrep labels when the group is abelian (every Fourier
+    row is a character row) or when measuring the irrep label only;
+    otherwise they are (irrep label, row, column) triples.
     """
 
     labels: tuple
@@ -100,7 +100,7 @@ def finalize_distribution(labels: tuple, probs: np.ndarray) -> OutcomeDistributi
 
 def _check_dims(instance: HspInstance, fourier: FourierTransform) -> tuple[int, int]:
     n_g, n_h = instance.group.order, instance.codomain.order
-    if len(fourier.row_index) != n_g or fourier.group.name != instance.group.name:
+    if fourier.group.name != instance.group.name:
         raise ValueError(
             f"Fourier operator for {fourier.group.name} does not match "
             f"instance group {instance.group.name} of order {n_g}"
@@ -138,14 +138,13 @@ def _evolve(
 def _labelled_probs(
     fourier: FourierTransform, cfg: PipelineConfig, probs: np.ndarray
 ) -> tuple[tuple, np.ndarray]:
+    layout = fourier._layout
     if cfg.measure_granularity == "irrep_label_only":
-        labels = tuple(dict.fromkeys(i for i, _, _ in fourier.row_index))
-        agg = {lab: 0.0 for lab in labels}
-        for (i, _, _), p in zip(fourier.row_index, probs):
-            agg[i] += float(p)
-        return labels, np.array([agg[lab] for lab in labels])
-    if fourier.abelian_rows:
-        return tuple(i for i, _, _ in fourier.row_index), probs
+        # bincount adds each block's rows in row order, from 0.0
+        agg = np.bincount(layout.block, weights=probs, minlength=len(layout.labels))
+        return tuple(layout.labels.tolist()), agg
+    if fourier.group.is_abelian:
+        return tuple(layout.rows[0].tolist()), probs
     return fourier.row_index, probs
 
 

@@ -76,9 +76,6 @@ class FiniteGroup:
         self.check_index(a)
         return GroupElement(a, self.label(a))
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def check_index(self, a: int) -> int:
         if not isinstance(a, (int, np.integer)) or not 0 <= a < self.order:
             raise ValueError(
@@ -242,9 +239,6 @@ class Subgroup:
     @property
     def num_cosets(self) -> int:
         return self.group.order // self.order
-
-    def __contains__(self, a: int) -> bool:
-        return a in set(self.elements)
 
     def element_labels(self) -> tuple[str, ...]:
         return tuple(self.group.label(a) for a in self.elements)

@@ -5,19 +5,20 @@ have two or four characters plus 2-dim rotation blocks
 rho_k(r) = diag(w^k, w^-k), rho_k(s) = antidiag(1, 1).  F stacks the
 entrywise-conjugated irrep entries row by row, scaled by sqrt(d/|G|).
 
-The FFT plan of `FourierTransform` is the one statement of which irrep
-entry sits in which row (Moore, Rockmore and Russell, quant-ph/0304064:
-each D_N block entry is one DFT coefficient of the rotation or the
-reflection half of a column).  The run path applies F by FFT.  The
-irreps and the dense F (`fourier-check`, tests) are read off the plan:
-its gather over rows of the conjugated DFT kernel is the entry table
+A `FourierTransform` is a group and a row ordering; its layout, numpy
+arrays built on first use, is the one statement of which irrep entry
+(i, j, k) sits in which row at scale sqrt(d_i/|G|).  The FFT plan reads
+it (Moore, Rockmore and Russell, quant-ph/0304064: each D_N block entry
+is one DFT coefficient of the rotation or the reflection half of a
+column), so the run path makes no Python object per row.  The irreps
+and the dense F (`fourier-check`, tests) are read off the plan: its
+gather over rows of the conjugated DFT kernel is the entry table
 T[(i, j, k), g] = pi_i(g)[j, k], and F = diag(scale) conj(T).
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -71,18 +72,27 @@ class _FftPlan:
     """F = diag(scale) * gather * FFT over `axes` of the index reshaped to `shape`.
 
     Row r reads spectrum entry src[r]; the dihedral sign rows pair_rows
-    also add pair_sign times entry pair_src.  `diagonal` marks the rows
-    (i, j, j).
+    also add pair_sign times entry pair_src.
     """
 
     shape: tuple[int, ...]
     axes: tuple[int, ...]
-    scale: np.ndarray
-    diagonal: np.ndarray
     src: np.ndarray
     pair_rows: np.ndarray
     pair_src: np.ndarray
     pair_sign: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Row layout of F: the irrep blocks (labels, dims) in row order, and per row
+    its block, its entry (label, j, k) as a column of `rows`, and sqrt(d/|G|)."""
+
+    labels: np.ndarray
+    dims: np.ndarray
+    block: np.ndarray
+    rows: np.ndarray
+    scale: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -91,26 +101,32 @@ class FourierTransform:
     column), applied by FFT without storing F."""
 
     group: FiniteGroup
-    row_index: tuple[tuple[int, int, int], ...]
-    normalization: tuple[tuple[int, float], ...]
     ordering: BasisOrdering
 
-    @property
-    def abelian_rows(self) -> bool:
-        return all(j == 0 and k == 0 for _, j, k in self.row_index)
+    @cached_property
+    def _layout(self) -> _Layout:
+        labels, dims = _inventory(self.group)
+        order = np.lexsort(_ORDER_KEYS[self.ordering](labels, dims))
+        labels, dims = labels[order], dims[order]
+        size = dims * dims
+        block = np.repeat(np.arange(len(size)), size)
+        dim = dims[block]
+        j, k = np.divmod(np.arange(len(block)) - (np.cumsum(size) - size)[block], dim)
+        rows = np.stack([labels[block], j, k])
+        return _Layout(labels, dims, block, rows, np.sqrt(dim / self.group.order))
+
+    @cached_property
+    def row_index(self) -> tuple[tuple[int, int, int], ...]:
+        """(label, j, k) of each row as Python ints, built only when read."""
+        return tuple(zip(*self._layout.rows.tolist()))
 
     @cached_property
     def _plan(self) -> _FftPlan:
-        rows = np.array(self.row_index, dtype=np.int64).reshape(-1, 3)
-        label, j, k = rows.T
-        scales = dict(self.normalization)
-        scale = np.array([scales[lab] for lab in label.tolist()])
-        diagonal = j == k
+        label, j, k = self._layout.rows
         no_pairs = np.zeros(0, dtype=np.int64)
         if not isinstance(self.group, DihedralGroup):
             moduli = self.group.moduli
-            axes = tuple(range(len(moduli)))
-            return _FftPlan(moduli, axes, scale, diagonal, label, no_pairs, no_pairs, no_pairs)
+            return _FftPlan(moduli, tuple(range(len(moduli))), label, no_pairs, no_pairs, no_pairs)
         n = self.group.n
         signs = np.array(_dihedral_signs(n), dtype=np.int64)
         two = label >= len(signs)
@@ -119,17 +135,17 @@ class FourierTransform:
         # rho_k(r^t) is diagonal and rho_k(r^t s) antidiagonal: the (j, j)
         # entries read the rotation half, the (j, 1-j) entries the reflection half
         src = np.empty(len(label), dtype=np.int64)
-        src[two] = np.where(diagonal[two], 0, n) + freq
+        src[two] = np.where(j[two] == k[two], 0, n) + freq
         pair_rows = np.flatnonzero(~two)
         eps = signs[label[pair_rows]]
         t = np.where(eps[:, 0] == 1, 0, n // 2)
         src[pair_rows] = t
-        return _FftPlan((2, n), (1,), scale, diagonal, src, pair_rows, n + t, eps[:, 1])
+        return _FftPlan((2, n), (1,), src, pair_rows, n + t, eps[:, 1])
 
     def identity_column(self) -> np.ndarray:
         """Column 0 of F, i.e. F|e>: sqrt(d_i/|G|) on the rows (i, j, j), 0 elsewhere."""
-        p = self._plan
-        return np.where(p.diagonal, p.scale, 0.0).astype(np.complex128)
+        _, j, k = self._layout.rows
+        return np.where(j == k, self._layout.scale, 0.0).astype(np.complex128)
 
     def apply(self, columns: np.ndarray) -> np.ndarray:
         """F @ columns for a (|G|, m) array: unnormalised FFT, gather, row scale."""
@@ -138,13 +154,13 @@ class FourierTransform:
         spec = spec.reshape(columns.shape)
         out = spec[p.src]
         out[p.pair_rows] += p.pair_sign[:, None] * spec[p.pair_src]
-        return p.scale[:, None] * out
+        return self._layout.scale[:, None] * out
 
     def apply_inverse(self, rows: np.ndarray) -> np.ndarray:
         """F^dagger @ rows for a (|G|, m) array: row scale, scatter-add,
         unnormalised inverse FFT."""
         p = self._plan
-        scaled = p.scale[:, None] * rows
+        scaled = self._layout.scale[:, None] * rows
         spec = np.zeros_like(scaled)
         np.add.at(spec, p.src, scaled)
         np.add.at(spec, p.pair_src, p.pair_sign[:, None] * scaled[p.pair_rows])
@@ -211,20 +227,18 @@ def _dihedral_signs(n: int) -> list[tuple[int, int]]:
     return [(1, 1), (1, -1)] + ([(-1, 1), (-1, -1)] if n % 2 == 0 else [])
 
 
-def _inventory(group: FiniteGroup) -> list[tuple[int, int]]:
-    """(label, dim) of every irrep of a built-in group kind, in label order."""
+def _inventory(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, dims) of the irreps of a built-in group kind, in label order."""
     if isinstance(group, (CyclicGroup, ProductGroup)):
-        inventory = [(y, 1) for y in range(group.order)]
+        dims = np.ones(group.order, dtype=np.int64)
     elif isinstance(group, DihedralGroup):
         signs = len(_dihedral_signs(group.n))
-        two_dim = (group.order - signs) // 4
-        inventory = [(i, 1) for i in range(signs)]
-        inventory += [(signs + k, 2) for k in range(two_dim)]
+        dims = np.repeat(np.array([1, 2], dtype=np.int64), [signs, (group.order - signs) // 4])
     else:
         raise ValueError(f"no closed-form irreps for group kind {type(group).__name__}")
-    if sum(dim * dim for _, dim in inventory) != group.order:
+    if int((dims * dims).sum()) != group.order:
         raise IntegrityError(f"irrep dimensions for {group.name} do not sum to |G|")
-    return inventory
+    return np.arange(len(dims), dtype=np.int64), dims
 
 
 def irreps_of(group: FiniteGroup) -> list[Irrep]:
@@ -237,8 +251,8 @@ def irreps_of(group: FiniteGroup) -> list[Irrep]:
 def _irreps(fourier: FourierTransform, table: np.ndarray) -> list[Irrep]:
     """Each irrep's matrices as a (|G|, d, d) view of its d*d consecutive,
     row-major rows of the entry table."""
-    out, pos = [], 0
-    for label, dim in sorted(_inventory(fourier.group), key=_ORDER_KEYS[fourier.ordering]):
+    out, pos, layout = [], 0, fourier._layout
+    for label, dim in zip(layout.labels.tolist(), layout.dims.tolist()):
         block = table[pos:pos + dim * dim].reshape(dim, dim, -1).transpose(2, 0, 1)
         out.append(Irrep(fourier.group, label, dim, block))
         pos += dim * dim
@@ -255,11 +269,12 @@ def contragredient(irrep: Irrep) -> Irrep:
     return Irrep(group, irrep.label, irrep.dim, _readonly(mats))
 
 
-# (label, dim) sort key of each row ordering; blocks stay row-major in (j, k)
+# np.lexsort keys (last key primary) of the blocks for each row ordering;
+# blocks stay row-major in (j, k)
 _ORDER_KEYS = {
-    BasisOrdering.DIM_THEN_LABEL: lambda ld: (ld[1], ld[0]),
-    BasisOrdering.LABEL: lambda ld: ld,
-    BasisOrdering.DIM_DESC_THEN_LABEL: lambda ld: (-ld[1], ld[0]),
+    BasisOrdering.DIM_THEN_LABEL: lambda labels, dims: (labels, dims),
+    BasisOrdering.LABEL: lambda labels, dims: (labels,),
+    BasisOrdering.DIM_DESC_THEN_LABEL: lambda labels, dims: (labels, -dims),
 }
 
 
@@ -268,14 +283,7 @@ def fourier_transform(
 ) -> FourierTransform:
     """Fourier transform applied by FFT; row (i, j, k) at column g is
     sqrt(d_i/|G|) * conj(pi_i(g))[j, k]."""
-    ordering = BasisOrdering(ordering)
-    inventory = sorted(_inventory(group), key=_ORDER_KEYS[ordering])
-    n = group.order
-    row_index = tuple(
-        (label, j, k) for label, dim in inventory for j in range(dim) for k in range(dim)
-    )
-    normalization = tuple((label, math.sqrt(dim / n)) for label, dim in inventory)
-    return FourierTransform(group, row_index, normalization, ordering)
+    return FourierTransform(group, BasisOrdering(ordering))
 
 
 def fourier_operator(
@@ -289,10 +297,8 @@ def fourier_operator(
 def _operator(fourier: FourierTransform, table: np.ndarray) -> FourierOperator:
     """The operator whose matrix F = diag(scale) conj(T) is made in place from T."""
     np.conjugate(table, out=table)
-    table *= fourier._plan.scale[:, None]
-    return FourierOperator(
-        fourier.group, fourier.row_index, fourier.normalization, fourier.ordering, _readonly(table)
-    )
+    table *= fourier._layout.scale[:, None]
+    return FourierOperator(fourier.group, fourier.ordering, _readonly(table))
 
 
 def _residuals(group: FiniteGroup, ordering: BasisOrdering) -> dict:

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hspsim.config import config_from_dict
 from hspsim.engine import (
     OutcomeDistribution,
     PipelineConfig,
+    finalize_distribution,
     run_pipeline,
     sample,
     step_trace,
@@ -18,7 +20,7 @@ from hspsim.groups import all_subgroups, group_from_spec, subgroup_from_generato
 from hspsim.oracle import build_instance
 from hspsim.recovery import SampleSet, character_sieve
 from hspsim.reporting import write_distribution_csv
-from hspsim.representations import fourier_operator, fourier_transform
+from hspsim.representations import BasisOrdering, fourier_operator, fourier_transform
 
 from oracles import blackbox_by_loops, character_kernel_probs, dense_pipeline_probs
 
@@ -174,18 +176,52 @@ def test_first_step_is_uniform_for_abelian_groups():
 
 
 def test_irrep_label_granularity_aggregates_blocks():
-    group = group_from_spec("D4")
-    hidden = subgroup_from_generators(group, [2])
-    inst = build_instance(group, hidden, seed=0)
-    fop = fourier_operator(group)
-    full = run_pipeline(inst, fop, PipelineConfig("forward", "full_triple"))
-    coarse = run_pipeline(inst, fop, PipelineConfig("forward", "irrep_label_only"))
-    assert coarse.labels == (0, 1, 2, 3, 4)
-    expected = {}
-    for (i, _, _), p in zip(fop.row_index, full.probs):
-        expected[i] = expected.get(i, 0.0) + float(p)
-    for label, p in zip(coarse.labels, coarse.probs):
-        assert abs(p - expected[label]) < 1e-12
+    """irrep_label_only sums each block's row probabilities in row order,
+    bit for bit as a loop over row_index does."""
+    cfg = PipelineConfig("forward", "irrep_label_only")
+    for spec, ordering in itertools.product(["D3", "D4", "D5", "D8", "D16"], BasisOrdering):
+        group = group_from_spec(spec)
+        fourier = fourier_transform(group, ordering)
+        for hidden in all_subgroups(group):
+            inst = build_instance(group, hidden, seed=0)
+            coarse = run_pipeline(inst, fourier, cfg)
+            probs = (np.abs(step_trace(inst, fourier, cfg)[3].as_matrix()) ** 2).sum(axis=1)
+            labels = tuple(dict.fromkeys(i for i, _, _ in fourier.row_index))
+            agg = {lab: 0.0 for lab in labels}
+            for (i, _, _), p in zip(fourier.row_index, probs):
+                agg[i] += float(p)
+            expected = finalize_distribution(labels, np.array([agg[lab] for lab in labels]))
+            assert coarse.labels == expected.labels, (spec, ordering)
+            assert coarse.probs.dtype == expected.probs.dtype
+            assert np.array_equal(coarse.probs, expected.probs), (spec, ordering, hidden)
+
+
+@pytest.mark.parametrize("spec", ["Z65536", "D32768"])
+def test_fourier_rows_are_arrays_at_the_state_cap(spec):
+    """The transform and F|e> read the row layout as int64 arrays: no Python
+    object per row at the largest admitted group."""
+    group = group_from_spec(spec)
+    tracemalloc.start()
+    try:
+        fourier = fourier_transform(group)
+        fourier.identity_column()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert "row_index" not in vars(fourier)
+
+
+@pytest.mark.parametrize("spec, gens, granularity", [
+    ("Z12", [4], "full_triple"),
+    ("D16", [2], "irrep_label_only"),
+])
+def test_run_path_builds_no_row_index(spec, gens, granularity):
+    group = group_from_spec(spec)
+    inst = build_instance(group, subgroup_from_generators(group, gens), seed=0)
+    fourier = fourier_transform(group)
+    run_pipeline(inst, fourier, PipelineConfig("forward", granularity))
+    assert "row_index" not in vars(fourier)
 
 
 def test_pipeline_rejects_mismatched_fourier_operator():
