@@ -135,17 +135,24 @@ def _evolve(
     return [psi0, psi1, psi2, psi3]
 
 
+def outcome_labels(fourier: FourierTransform, cfg: PipelineConfig) -> tuple:
+    """The outcome labels of a pipeline run, in order, without running it."""
+    layout = fourier._layout
+    if cfg.measure_granularity == "irrep_label_only":
+        return tuple(layout.labels.tolist())
+    if fourier.group.is_abelian:
+        return tuple(layout.rows[0].tolist())
+    return fourier.row_index
+
+
 def _labelled_probs(
     fourier: FourierTransform, cfg: PipelineConfig, probs: np.ndarray
 ) -> tuple[tuple, np.ndarray]:
-    layout = fourier._layout
     if cfg.measure_granularity == "irrep_label_only":
         # bincount adds each block's rows in row order, from 0.0
-        agg = np.bincount(layout.block, weights=probs, minlength=len(layout.labels))
-        return tuple(layout.labels.tolist()), agg
-    if fourier.group.is_abelian:
-        return tuple(layout.rows[0].tolist()), probs
-    return fourier.row_index, probs
+        layout = fourier._layout
+        probs = np.bincount(layout.block, weights=probs, minlength=len(layout.labels))
+    return outcome_labels(fourier, cfg), probs
 
 
 def run_pipeline(

@@ -7,6 +7,12 @@ continued-fraction convergents in exact integer arithmetic.  A result
 is confirmed only by an independent check: the full exact support not
 shrinking the candidate, or the modular identity a^r = 1; never by
 sample count alone.
+
+Candidate ranking compares the observed distribution with each
+subgroup's predicted one.  For abelian kinds the prediction is the
+annihilator law (outcomes uniform on K^perp; Hallgren, Russell and
+Ta-Shma), read for all candidates at once off one character pairing, so
+it builds no instance or state; dihedral candidates run the pipeline.
 """
 
 from __future__ import annotations
@@ -16,14 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import OutcomeDistribution, PipelineConfig, run_pipeline
+from .engine import OutcomeDistribution, PipelineConfig, outcome_labels, run_pipeline
 from .errors import ResourceCapError
-from .groups import FiniteGroup, ProductGroup, Subgroup, all_subgroups, character_pairing
+from .groups import (CyclicGroup, FiniteGroup, ProductGroup, Subgroup, all_subgroups,
+                     character_pairing)
 from .oracle import build_instance
 from .representations import fourier_transform
 
 RANK_TIE_TOL = 1e-12
-# subgroup_consistency_rank enumerates every subgroup and runs each pipeline
+# subgroup_consistency_rank enumerates every subgroup and predicts each one's
+# law: in closed form for abelian kinds, by one pipeline run each for D_N
 RANK_ORDER_CAP = 32
 # element-outcome pairs evaluated at once by the character sieve
 _PAIRING_CHUNK = 1 << 20
@@ -142,6 +150,22 @@ def period_from_samples(outcomes, big_q: int, n: int, base: int) -> PeriodEstima
     return PeriodEstimate(r, confirmed, len(outcomes))
 
 
+def annihilator_law(group: FiniteGroup, candidates, labels) -> np.ndarray:
+    """P[c, y] = |K_c|/|G| when chi_y is 1 on all of K_c, else 0.
+
+    The exact outcome law of hidden subgroup K_c in an abelian kind, in
+    the order of the character labels `labels`: F|e> is the uniform
+    superposition, so either transform gives the uniform law on the
+    annihilator of K_c, for every instance and seed.
+    """
+    member = np.zeros((len(candidates), group.order), dtype=np.int64)
+    for c, k in enumerate(candidates):
+        member[c, list(k.elements)] = 1
+    moved = character_pairing(group, np.arange(group.order), labels)[0] != 0
+    outside = member @ moved.astype(np.int64)
+    return np.where(outside == 0, member.sum(axis=1)[:, None] / group.order, 0.0)
+
+
 def subgroup_consistency_rank(
     dist: OutcomeDistribution,
     group: FiniteGroup,
@@ -151,7 +175,13 @@ def subgroup_consistency_rank(
 ) -> RankedCandidates:
     """Rank every subgroup by total-variation distance between its predicted
     exact pipeline distribution and the observed one; ties are reported.
-    A label the pipeline cannot produce raises ValueError."""
+    A label the pipeline cannot produce raises ValueError before any
+    candidate is predicted.
+
+    The predictions are the rows of one matrix over the pipeline's outcome
+    labels: the annihilator law for abelian kinds, one pipeline run per
+    candidate for D_N.
+    """
     if group.order > RANK_ORDER_CAP:
         raise ResourceCapError(
             f"candidate ranking uses full subgroup enumeration, capped at order {RANK_ORDER_CAP}; "
@@ -159,24 +189,32 @@ def subgroup_consistency_rank(
         )
     if fourier is None:
         fourier = fourier_transform(group)
-    scored = []
-    for k in all_subgroups(group):
-        pred = run_pipeline(build_instance(group, k, instance_seed), fourier, cfg)
-        scored.append((dist.total_variation(pred), k, pred))
-    # every prediction carries the same labels, the pipeline's outcomes
-    outcomes = set(pred.labels)
-    stray = [lab for lab in dist.labels if lab not in outcomes]
-    if stray:
-        raise ValueError(f"label {stray[0]!r} is not an outcome of {group.name} "
-                         f"under measure_granularity {cfg.measure_granularity!r}")
+    labels = outcome_labels(fourier, cfg)
+    position = {lab: i for i, lab in enumerate(labels)}
+    observed = np.zeros(len(labels))
+    for lab, p in dist.as_mapping().items():
+        if lab not in position:
+            raise ValueError(f"label {lab!r} is not an outcome of {group.name} "
+                             f"under measure_granularity {cfg.measure_granularity!r}")
+        observed[position[lab]] = p
+    candidates = all_subgroups(group)
+    if isinstance(group, (CyclicGroup, ProductGroup)):
+        predicted = annihilator_law(group, candidates, labels)
+    else:
+        predicted = np.stack([
+            run_pipeline(build_instance(group, k, instance_seed), fourier, cfg).probs
+            for k in candidates
+        ])
+    tvs = (0.5 * np.abs(predicted - observed).sum(axis=1)).tolist()
     # TVs equal in exact arithmetic may differ in the last ulp; rank them by element tuple
-    scored.sort(key=lambda entry: (round(entry[0] / RANK_TIE_TOL), entry[1].elements))
-    entries = tuple((k, tv) for tv, k, _ in scored)
+    order = sorted(range(len(candidates)),
+                   key=lambda c: (round(tvs[c] / RANK_TIE_TOL), candidates[c].elements))
+    entries = tuple((candidates[c], tvs[c]) for c in order)
 
-    signature_groups: dict[tuple, list[int]] = {}
-    for pos, (_, _, pred) in enumerate(scored):
-        key = tuple(int(round(p / RANK_TIE_TOL)) for p in pred.probs)
-        signature_groups.setdefault(key, []).append(pos)
+    signature_groups: dict[bytes, list[int]] = {}
+    signatures = np.rint(predicted[order] / RANK_TIE_TOL).astype(np.int64)
+    for pos, key in enumerate(signatures):
+        signature_groups.setdefault(key.tobytes(), []).append(pos)
     ties = tuple(
         tuple(positions) for positions in signature_groups.values() if len(positions) > 1
     )

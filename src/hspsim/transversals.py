@@ -155,8 +155,11 @@ def shor_pipeline(
     """Exact left-register distribution over Z_Q for the composed table f~.
 
     Identical to running the two-register pipeline on domain Z_Q with right
-    register Z_N; computed per distinct f~ value with an orthonormal FFT,
-    which is the Z_Q Fourier operator applied column by column.
+    register Z_N: the sum over the distinct f~ values v of |DFT(f~ == v)|^2 / Q^2.
+    The level-set indicators are real, so each is one real FFT over the
+    Q//2+1 half spectrum, mirrored by |X[Q-y]| = |X[y]|.  The inverse
+    transform of a real vector has the same moduli, so both second
+    transforms give this one distribution.
     """
     if second_transform not in SECOND_TRANSFORMS:
         raise ValueError(f"second_transform must be one of {SECOND_TRANSFORMS}")
@@ -164,11 +167,11 @@ def shor_pipeline(
     if q * n > PERIOD_STATE_CAP:
         raise ResourceCapError(f"state size {q}*{n} exceeds the cap {PERIOD_STATE_CAP}")
     values = approximate_function(instance, tau).values
-    transform = np.fft.fft if second_transform == "forward" else np.fft.ifft
-    probs = np.zeros(q)
+    half = np.zeros(q // 2 + 1)
     for value in np.unique(values):
-        column = (values == value).astype(np.complex128) / math.sqrt(q)
-        probs += np.abs(transform(column, norm="ortho")) ** 2
+        half += np.abs(np.fft.rfft(values == value)) ** 2
+    half /= q * q
+    probs = np.concatenate([half, half[1:(q + 1) // 2][::-1]])
     return finalize_distribution(tuple(range(q)), probs)
 
 

@@ -169,6 +169,29 @@ def character_kernel_probs(moduli, hidden_elements) -> dict[int, float]:
     return probs
 
 
+def rank_by_pipeline(observed: dict, candidates, predict, tol: float = 1e-12):
+    """Rank candidate element tuples by total variation, one prediction at a time.
+
+    `predict(elements)` gives a candidate's law as a dict keyed by outcome
+    label, in one label order for every candidate.  Returns the entries
+    [(elements, tv)] sorted by (round(tv / tol), elements) and the tie
+    classes: runs of entry positions whose rounded predictions agree, in
+    order of first position.
+    """
+    scored = []
+    for elements in candidates:
+        pred = predict(elements)
+        keys = set(pred) | set(observed)
+        tv = 0.5 * sum(abs(pred.get(k, 0.0) - observed.get(k, 0.0)) for k in keys)
+        scored.append((tv, tuple(elements), pred))
+    scored.sort(key=lambda entry: (round(entry[0] / tol), entry[1]))
+    classes: dict[tuple, list[int]] = {}
+    for pos, (_, _, pred) in enumerate(scored):
+        classes.setdefault(tuple(round(p / tol) for p in pred.values()), []).append(pos)
+    ties = tuple(tuple(c) for c in classes.values() if len(c) > 1)
+    return [(elements, tv) for tv, elements, _ in scored], ties
+
+
 def convergents_of(y: int, big_q: int) -> list[Fraction]:
     """All continued-fraction convergents of y/Q via exact Fraction arithmetic."""
     coefficients = []

@@ -3,24 +3,65 @@ import re
 import numpy as np
 import pytest
 
-from hspsim import groups
-from hspsim.engine import OutcomeDistribution, PipelineConfig, run_pipeline, sample
+from hspsim import groups, recovery
+from hspsim.config import config_from_dict
+from hspsim.engine import (
+    MEASURE_GRANULARITIES,
+    SECOND_TRANSFORMS,
+    OutcomeDistribution,
+    PipelineConfig,
+    outcome_labels,
+    run_pipeline,
+    sample,
+)
 from hspsim.errors import ResourceCapError
-from hspsim.groups import Subgroup, all_subgroups, group_from_spec, subgroup_from_generators
+from hspsim.experiments import run_experiment
+from hspsim.groups import (
+    DihedralGroup,
+    Subgroup,
+    all_subgroups,
+    group_from_spec,
+    subgroup_from_generators,
+)
 from hspsim.oracle import build_instance
 from hspsim.recovery import (
     RANK_TIE_TOL,
     SampleSet,
+    annihilator_law,
     character_sieve,
     continued_fraction_period,
     period_from_samples,
     simon_solve,
     subgroup_consistency_rank,
 )
+from hspsim.reporting import write_distribution_csv
 from hspsim.representations import fourier_operator, fourier_transform
 from hspsim.transversals import PeriodicInstance, shor_pipeline, shor_transversal
 
-from oracles import character_trivial_on, kernel_intersection, reference_period_denominator
+from oracles import (
+    character_kernel_probs,
+    character_trivial_on,
+    kernel_intersection,
+    rank_by_pipeline,
+    reference_period_denominator,
+)
+
+# every abelian group of order <= 32 in the spellings group_from_spec writes
+ABELIAN_SPECS = [f"Z{n}" for n in range(1, 33)] + [
+    "Z2^2", "Z2^3", "Z2^4", "Z2^5", "Z2xZ4", "Z2xZ8", "Z4xZ4", "Z2xZ16",
+    "Z2^2xZ4", "Z2^3xZ4", "Z2xZ4^2", "Z3xZ9",
+]
+PIPELINE_CONFIGS = [PipelineConfig(t, m) for t in SECOND_TRANSFORMS for m in MEASURE_GRANULARITIES]
+
+
+def _refuse_pipeline(monkeypatch):
+    """Make any instance build or pipeline run on the ranking path fail."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ranking built an instance or ran a pipeline")
+
+    monkeypatch.setattr(recovery, "build_instance", refuse)
+    monkeypatch.setattr(recovery, "run_pipeline", refuse)
 
 
 def test_simon_solve_single_sample():
@@ -246,8 +287,10 @@ def test_consistency_rank_orders_equal_tvs_by_elements():
         ("D4", "irrep_label_only", (0, (4, 0, 1)), "(4, 0, 1)"),
     ],
 )
-def test_consistency_rank_refuses_stray_labels(spec, granularity, labels, stray):
-    """A label the pipeline cannot produce is refused, not ranked as if observed."""
+def test_consistency_rank_refuses_stray_labels(spec, granularity, labels, stray, monkeypatch):
+    """A label the pipeline cannot produce is refused, not ranked as if observed,
+    before any candidate is predicted."""
+    _refuse_pipeline(monkeypatch)
     dist = OutcomeDistribution(labels, np.array([0.5, 0.5]))
     cfg = PipelineConfig("forward", granularity)
     with pytest.raises(ValueError, match=re.escape(f"label {stray} is not an outcome")):
@@ -273,3 +316,66 @@ def test_consistency_rank_with_coarse_measurement():
     ranking = subgroup_consistency_rank(dist, group, fop, cfg)
     by_elements = {sub.elements: tv for sub, tv in ranking.entries}
     assert by_elements[hidden.elements] < 1e-10
+
+
+@pytest.mark.parametrize("spec", ABELIAN_SPECS)
+def test_annihilator_law_matches_character_kernel_oracle(spec):
+    """Every prediction row is the closed form p(y) = |K|/|G| on the annihilator of K."""
+    group = group_from_spec(spec)
+    candidates = all_subgroups(group)
+    expected = [character_kernel_probs(group.moduli, k.elements) for k in candidates]
+    fourier = fourier_transform(group)
+    for cfg in PIPELINE_CONFIGS:
+        labels = outcome_labels(fourier, cfg)
+        law = annihilator_law(group, candidates, labels)
+        for row, probs in zip(law, expected):
+            assert np.abs(row - [probs[y] for y in labels]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec", ABELIAN_SPECS + ["D3", "D4", "D5", "D8", "D16"])
+def test_consistency_rank_matches_per_candidate_oracle(spec):
+    """The matrix ranking against the loop that runs one pipeline per candidate and
+    sums dict TVs: same order and tie classes, TVs to 1e-12, for a seeded pipeline
+    output and a seeded random law on a random subset of the labels."""
+    group = group_from_spec(spec)
+    fourier = fourier_transform(group)
+    candidates = all_subgroups(group)
+    rng = np.random.default_rng(group.order)
+    for cfg in PIPELINE_CONFIGS:
+        preds = {
+            k.elements: run_pipeline(build_instance(group, k, 0), fourier, cfg).as_mapping()
+            for k in candidates
+        }
+        labels = outcome_labels(fourier, cfg)
+        hidden = candidates[int(rng.integers(len(candidates)))].elements
+        kept = sorted(rng.choice(len(labels), int(rng.integers(1, len(labels) + 1)), replace=False))
+        weights = rng.random(len(kept))
+        observed = [preds[hidden], {labels[i]: w / weights.sum() for i, w in zip(kept, weights)}]
+        for law in observed:
+            expected, expected_ties = rank_by_pipeline(law, list(preds), preds.__getitem__)
+            dist = OutcomeDistribution(tuple(law), np.array(list(law.values())))
+            ranking = subgroup_consistency_rank(dist, group, fourier, cfg)
+            assert [k.elements for k, _ in ranking.entries] == [e for e, _ in expected]
+            tvs = np.array([tv for _, tv in ranking.entries])
+            assert np.abs(tvs - [tv for _, tv in expected]).max() <= 1e-12
+            assert ranking.tie_classes == expected_ties
+            if not isinstance(group, DihedralGroup):
+                # distinct subgroups have distinct annihilators
+                assert ranking.tie_classes == ()
+
+
+def test_recover_ranks_abelian_candidates_without_pipeline(tmp_path, monkeypatch):
+    group = group_from_spec("Z2^5")
+    hidden = subgroup_from_generators(group, [3, 12])
+    dist = run_pipeline(build_instance(group, hidden, seed=0), fourier_transform(group))
+    write_distribution_csv(tmp_path / "distribution.csv", dist)
+    _refuse_pipeline(monkeypatch)
+    cfg = config_from_dict(
+        {"experiment": "recover", "group": "Z2^5", "dist": str(tmp_path / "distribution.csv")}
+    )
+    report = run_experiment(cfg, tmp_path / "recover")
+    assert len(report["candidates"]) == len(all_subgroups(group))
+    truth = [c for c in report["candidates"] if c["elements"] == list(hidden.element_labels())]
+    assert len(truth) == 1
+    assert truth[0]["total_variation"] <= 1e-12
+    assert report["tie_classes"] == []

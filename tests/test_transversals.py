@@ -126,10 +126,13 @@ def test_exact_case_support_and_probabilities():
 
 
 @pytest.mark.parametrize(
-    "modulus,base,big_q", [(15, 7, 16), (15, 4, 16), (17, 4, 16), (21, 2, 64)]
+    "modulus,base,big_q",
+    [(15, 7, 16), (15, 4, 16), (17, 4, 16), (21, 2, 64)]
+    + [(21, 2, q) for q in (1, 2, 3, 8, 15, 512, 1000)],
 )
 def test_pipeline_matches_direct_summation(modulus, base, big_q):
-    inst = PeriodicInstance(modulus, base, big_q)
+    """The mirrored real-FFT half spectrum, odd and even Q, against O(Q^2) summation."""
+    inst = PeriodicInstance(modulus, base, big_q, allow_any_q=bool(big_q & (big_q - 1)))
     for tau in (shor_transversal(big_q), offset_transversal(big_q, modulus, seed=3)):
         values = approximate_function(inst, tau).values
         for forward in (True, False):
