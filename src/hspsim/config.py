@@ -199,8 +199,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-# recover enumerates and ranks every subgroup (a D_N candidate runs one
-# pipeline, an abelian one is read off the annihilator law); irreps and
+# recover enumerates and ranks every subgroup (D_N candidates by one stacked
+# pipeline run, abelian ones off the annihilator law); irreps and
 # fourier-check build |G| x |G| arrays
 # (the character table, the dense Fourier operator); simulate and simon hold
 # |G| * |G/K| amplitudes, so |G| alone must already meet the state cap.

@@ -5,14 +5,18 @@ applies the blackbox, transforms the left register again
 (forward by default, inverse by configuration), and returns the exact
 Born distribution of the left register, marginalized (never collapsed)
 over the right register.  Exact distributions are first class; sampling
-is a seeded layer on top.  State sizes are capped at |G|*|H| <= 65536.
+is a seeded layer on top.  State sizes are capped at |G|*|H| <= 65536,
+for stacked runs at |G| times their summed |H|.
 
 The transforms are applied by FFT (`FourierTransform.apply` and
 `apply_inverse`); the first one is written directly, since F|e> is
 column 0 of F.  The blackbox meets only |psi1>|e>, so it is one scatter
 of psi1 onto the level sets of f: psi2[g, h] = psi1[g, 0] if h = f(g),
 else 0.  No |G| x |G| matrix is built, so memory stays linear in the
-state size.
+state size.  Runs that differ only in f share psi1, so several of them
+evolve side by side as column blocks of one state, through one
+transform, each block checked for unit norm after every step; one run
+is the case of one block.
 """
 
 from __future__ import annotations
@@ -98,41 +102,54 @@ def finalize_distribution(labels: tuple, probs: np.ndarray) -> OutcomeDistributi
     return OutcomeDistribution(labels, probs)
 
 
-def _check_dims(instance: HspInstance, fourier: FourierTransform) -> tuple[int, int]:
-    n_g, n_h = instance.group.order, instance.codomain.order
+def _check_group(instance: HspInstance, fourier: FourierTransform) -> None:
     if fourier.group.name != instance.group.name:
         raise ValueError(
             f"Fourier operator for {fourier.group.name} does not match "
-            f"instance group {instance.group.name} of order {n_g}"
+            f"instance group {instance.group.name} of order {instance.group.order}"
         )
-    if n_g * n_h > STATE_SIZE_CAP:
-        raise ResourceCapError(
-            f"state size {n_g}*{n_h} exceeds the cap {STATE_SIZE_CAP}"
-        )
-    return n_g, n_h
 
 
-def _check_norm(matrix: np.ndarray, step: str) -> None:
-    norm = float(np.linalg.norm(matrix))
-    if abs(norm - 1.0) > NORM_TOL:
-        raise IntegrityError(f"state norm drifted to {norm!r} after {step}")
+def _check_norm(matrix: np.ndarray, starts: np.ndarray, step: str) -> None:
+    """Each run's block of columns, from its entry of `starts` on, must keep unit norm.
+
+    One vdot per block: a single run's block is the whole state, which it
+    reads in place, with no squared copy of the state."""
+    norms = np.sqrt([np.vdot(block, block).real for block in np.split(matrix, starts[1:], axis=1)])
+    drifted = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
+    if drifted.size:
+        raise IntegrityError(f"state norm drifted to {float(norms[drifted[0]])!r} after {step}")
 
 
 def _evolve(
-    instance: HspInstance, fourier: FourierTransform, cfg: PipelineConfig
-) -> list[np.ndarray]:
-    n_g, n_h = _check_dims(instance, fourier)
-    psi0 = np.zeros((n_g, n_h), dtype=np.complex128)
-    psi0[0, 0] = 1.0
-    psi1 = np.zeros((n_g, n_h), dtype=np.complex128)
-    psi1[:, 0] = fourier.identity_column()
-    _check_norm(psi1, "the first Fourier transform")
-    psi2 = np.where(instance.f_table[:, None] == np.arange(n_h), psi1[:, :1], 0)
-    _check_norm(psi2, "the blackbox application")
+    fourier: FourierTransform, cfg: PipelineConfig, level_sets: np.ndarray, widths
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """psi0..psi3 of one pipeline run per row of `level_sets`, side by side.
+
+    Run b owns widths[b] consecutive columns of each (|G|, sum(widths))
+    state, from starts[b] on, and its f takes g to column level_sets[b, g]
+    of them, so one transform serves every run.  Returns the states and
+    `starts`.
+    """
+    n_g = fourier.group.order
+    widths = np.asarray(widths, dtype=np.int64)
+    total = int(widths.sum())
+    if n_g * total > STATE_SIZE_CAP:
+        raise ResourceCapError(f"state size {n_g}*{total} exceeds the cap {STATE_SIZE_CAP}")
+    starts = np.cumsum(widths) - widths
+    psi0 = np.zeros((n_g, total), dtype=np.complex128)
+    psi0[0, starts] = 1.0
+    column = fourier.identity_column()
+    psi1 = np.zeros_like(psi0)
+    psi1[:, starts] = column[:, None]
+    _check_norm(psi1, starts, "the first Fourier transform")
+    psi2 = np.zeros_like(psi0)
+    psi2[np.arange(n_g), starts[:, None] + level_sets] = column
+    _check_norm(psi2, starts, "the blackbox application")
     second = fourier.apply if cfg.second_transform == "forward" else fourier.apply_inverse
     psi3 = second(psi2)
-    _check_norm(psi3, "the second Fourier transform")
-    return [psi0, psi1, psi2, psi3]
+    _check_norm(psi3, starts, "the second Fourier transform")
+    return [psi0, psi1, psi2, psi3], starts
 
 
 def outcome_labels(fourier: FourierTransform, cfg: PipelineConfig) -> tuple:
@@ -161,7 +178,20 @@ def run_pipeline(
     cfg: PipelineConfig = PipelineConfig(),
 ) -> OutcomeDistribution:
     """Exact left-register outcome distribution p(x) = sum_h |<x,h|psi3>|^2."""
-    return left_register_distribution(_evolve(instance, fourier, cfg)[3], fourier, cfg)
+    _check_group(instance, fourier)
+    return level_set_laws(fourier, cfg, instance.f_table[None], [instance.codomain.order])[0]
+
+
+def level_set_laws(
+    fourier: FourierTransform, cfg: PipelineConfig, level_sets: np.ndarray, widths
+) -> list[OutcomeDistribution]:
+    """The outcome distribution of one pipeline run per row of `level_sets`, all
+    evolved together; run b's f takes g to level_sets[b, g] < widths[b]."""
+    states, starts = _evolve(fourier, cfg, level_sets, widths)
+    blocks = np.split(states[3], starts[1:], axis=1)
+    # psi0..psi2 are freed before the marginals, so they are not live beside them
+    del states
+    return [left_register_distribution(block, fourier, cfg) for block in blocks]
 
 
 def left_register_distribution(
@@ -179,11 +209,10 @@ def step_trace(
     cfg: PipelineConfig = PipelineConfig(),
 ) -> list[QuantumState]:
     """Snapshots psi0..psi3 of the pipeline, for inspection and testing."""
+    _check_group(instance, fourier)
     n_h = instance.codomain.order
-    return [
-        QuantumState((instance.group.order, n_h), m.reshape(-1))
-        for m in _evolve(instance, fourier, cfg)
-    ]
+    states, _ = _evolve(fourier, cfg, instance.f_table[None], [n_h])
+    return [QuantumState((instance.group.order, n_h), m.reshape(-1)) for m in states]
 
 
 def sample(dist: OutcomeDistribution, n: int, seed: int) -> list:

@@ -21,6 +21,7 @@ from .engine import (
     step_trace,
 )
 from .errors import ConfigError
+from .groups import lattice_generators
 from .oracle import build_instance, classical_brute_force_hsp
 from .recovery import (
     SampleSet,
@@ -92,7 +93,7 @@ def _run_irreps(cfg: ExperimentConfig, out: Path) -> dict:
     ]
     payload = {
         "group": group.name,
-        "elements": [group.label(g) for g in range(group.order)],
+        "elements": group.labels(np.arange(group.order)),
         "irreps": table,
     }
     write_json(out / "irreps.json", payload)
@@ -125,7 +126,7 @@ def _run_simulate(cfg: ExperimentConfig, out: Path) -> dict:
     write_f_table_csv(out / "f_table.csv", instance)
     return {
         "group": group.name,
-        "hidden_elements": [group.label(g) for g in hidden.elements],
+        "hidden_elements": group.labels(hidden.elements),
         "hidden_is_normal": hidden.normal,
         "distribution": [[label_str(l), float(p)] for l, p in zip(dist.labels, dist.probs)],
         "samples": [label_str(l) for l in samples],
@@ -154,7 +155,7 @@ def _run_simon(cfg: ExperimentConfig, out: Path) -> dict:
     return {
         "group": group.name,
         "recovered_generators": [list(group.coords(g)) for g in gens],
-        "recovered_elements": [group.label(g) for g in recovered.elements],
+        "recovered_elements": group.labels(recovered.elements),
         "confirmed": result.confirmed,
         "trials_used": result.samples_used,
         "matches_brute_force": recovered.elements == truth.elements,
@@ -228,16 +229,18 @@ def _run_recover(cfg: ExperimentConfig, out: Path) -> dict:
         raise ConfigError(f"field 'dist': cannot read {cfg.dist!r}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"field 'dist': {exc}") from exc
+    names = group.labels(np.arange(group.order))
+    generators = lattice_generators([sub for sub, _ in ranking.entries])
     return {
         "group": group.name,
         "candidates": [
             {
-                "elements": [group.label(g) for g in sub.elements],
-                "generators": [group.label(g) for g in sub.spanning_generators()],
+                "elements": [names[g] for g in sub.elements],
+                "generators": [names[g] for g in gens],
                 "normal": sub.normal,
                 "total_variation": tv,
             }
-            for sub, tv in ranking.entries
+            for (sub, tv), gens in zip(ranking.entries, generators)
         ],
         "tie_classes": [list(t) for t in ranking.tie_classes],
     }

@@ -29,6 +29,8 @@ from .errors import ResourceCapError
 
 MAX_TABLE_ORDER = 4096
 SUBGROUP_ENUM_LIMIT = 64
+# product-group labels formatted per `%` operation
+_LABEL_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,10 @@ class FiniteGroup:
         return int(self._inv(self.check_index(a)))
 
     def label(self, a: int) -> str:
+        raise NotImplementedError
+
+    def labels(self, elements) -> list[str]:
+        """`label` of each index in `elements`, in one array pass."""
         raise NotImplementedError
 
     def generators(self) -> tuple[int, ...]:
@@ -105,6 +111,15 @@ class FiniteGroup:
         return f"{type(self).__name__}({self.name!r})"
 
 
+def _indices(group: FiniteGroup, elements) -> np.ndarray:
+    """`elements` as an int64 array, each checked to be an element index of `group`."""
+    idx = np.asarray(elements, dtype=np.int64).reshape(-1)
+    if idx.size and not 0 <= idx.min() <= idx.max() < group.order:
+        bad = idx[(idx < 0) | (idx >= group.order)][0]
+        group.check_index(int(bad))
+    return idx
+
+
 def _int64_order(name: str, order: int) -> int:
     """The order, refused at 2^63 and above: element indices are int64."""
     if order >= 1 << 63:
@@ -135,6 +150,9 @@ class CyclicGroup(FiniteGroup):
 
     def label(self, a: int) -> str:
         return str(self.check_index(a))
+
+    def labels(self, elements) -> list[str]:
+        return [str(a) for a in _indices(self, elements).tolist()]
 
 
 class ProductGroup(FiniteGroup):
@@ -187,6 +205,16 @@ class ProductGroup(FiniteGroup):
     def label(self, a: int) -> str:
         return "(" + ",".join(str(x) for x in self.coords(a)) + ")"
 
+    def labels(self, elements) -> list[str]:
+        """One `%` operation per chunk of rows over their coordinates."""
+        m, w = self._radix
+        row = "(" + ",".join(["%d"] * len(m)) + ")\n"
+        idx, out = _indices(self, elements), []
+        for lo in range(0, len(idx), _LABEL_ROWS):
+            coords = (idx[lo:lo + _LABEL_ROWS, None] // w % m).ravel().tolist()
+            out += (row * (len(coords) // len(m)) % tuple(coords)).split("\n")[:-1]
+        return out
+
 
 class DihedralGroup(FiniteGroup):
     """D_N of order 2N; index a encodes r^(a mod N) s^(a div N)."""
@@ -223,6 +251,11 @@ class DihedralGroup(FiniteGroup):
             parts.append("s")
         return "".join(parts) or "e"
 
+    def labels(self, elements) -> list[str]:
+        ref, rot = np.divmod(_indices(self, elements), self.n)
+        return [(f"r{t}" if t > 1 else "r" * t) + "s" * b or "e"
+                for t, b in zip(rot.tolist(), ref.tolist())]
+
 
 @dataclass(frozen=True)
 class Subgroup:
@@ -241,7 +274,7 @@ class Subgroup:
         return self.group.order // self.order
 
     def element_labels(self) -> tuple[str, ...]:
-        return tuple(self.group.label(a) for a in self.elements)
+        return tuple(self.group.labels(self.elements))
 
     def spanning_generators(self) -> tuple[int, ...]:
         """A short generator list: repeatedly the least element not yet spanned."""
@@ -368,7 +401,8 @@ def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
     """Complete subgroup list, sorted by (order, element tuple).
 
     D_N by classification: its subgroups are <r^d> and <r^d, r^i s> for
-    d | N and 0 <= i < d (Conrad, "Dihedral groups II").  Abelian kinds
+    d | N and 0 <= i < d (Conrad, "Dihedral groups II"), written out by
+    index with no closure search.  Abelian kinds
     by duality: every subgroup K is the intersection of the character
     kernels that contain it, so closing {G} under intersection with the
     kernels ker(chi_y) reaches every subgroup.
@@ -384,8 +418,11 @@ def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
         out = []
         for d in range(1, rot + 1):
             if rot % d == 0:
-                out.append(Subgroup.from_generators(group, (d % rot,)))
-                out += [Subgroup.from_generators(group, (d % rot, rot + i)) for i in range(d)]
+                turns = tuple(range(0, rot, d))
+                out.append(Subgroup(group, turns, True))
+                # conjugation by r takes r^i s to r^(i+2) s, so <r^d, r^i s> is normal iff d <= 2
+                out += [Subgroup(group, turns + tuple(rot + i + t for t in turns), d <= 2)
+                        for i in range(d)]
     elif isinstance(group, (CyclicGroup, ProductGroup)):
         idx = np.arange(n)
         bits = np.packbits(character_pairing(group, idx, idx)[0] == 0, axis=0, bitorder="little")
@@ -403,6 +440,50 @@ def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
         raise ValueError(f"no subgroup enumeration for group kind {type(group).__name__}")
     out.sort(key=lambda s: (s.order, s.elements))
     return out
+
+
+def membership(group: FiniteGroup, subgroups) -> np.ndarray:
+    """The (len(subgroups), |G|) boolean matrix of which element lies in which subgroup."""
+    member = np.zeros((len(subgroups), group.order), dtype=bool)
+    rows = np.repeat(np.arange(len(subgroups)), [k.order for k in subgroups])
+    member[rows, np.concatenate([k.elements for k in subgroups])] = True
+    return member
+
+
+def lattice_generators(subgroups) -> list[tuple[int, ...]]:
+    """`spanning_generators()` of each of `subgroups`, which must be every
+    subgroup of one group (in any order), with no closure search.
+
+    The greedy rule adds the least element g of K outside the span, and
+    <span, g> is the smallest subgroup that contains the span and g.  So
+    each step, taken for every K at once, reads the C x C containment
+    relation between the subgroups, formed on their membership bitmasks;
+    the span at least doubles per step, so there are at most
+    log2|G| + 1 steps.
+    """
+    group = subgroups[0].group
+    inside = membership(group, subgroups)
+    packed = np.packbits(inside, axis=1, bitorder="little")
+    words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+    # contains[a, b]: K_b lies in K_a, as no bit of K_b is outside K_a
+    contains = np.ones((len(subgroups), len(subgroups)), dtype=bool)
+    for word in words.T:
+        contains &= (word & ~word[:, None]) == 0
+    orders = inside.sum(axis=1)
+    span = np.full(len(subgroups), int(np.argmin(orders)))
+    gens: list[list[int]] = [[] for _ in subgroups]
+    active = np.arange(len(subgroups))
+    while True:
+        rest = inside[active] & ~inside[span[active]]
+        more = rest.any(axis=1)
+        active, rest = active[more], rest[more]
+        if not active.size:
+            return [tuple(g) for g in gens]
+        least = rest.argmax(axis=1)
+        for c, g in zip(active.tolist(), least.tolist()):
+            gens[c].append(g)
+        fits = contains[:, span[active]].T & inside[:, least].T
+        span[active] = np.where(fits, orders, group.order + 1).argmin(axis=1)
 
 
 def _product_name(moduli: tuple[int, ...]) -> str:

@@ -12,7 +12,10 @@ Candidate ranking compares the observed distribution with each
 subgroup's predicted one.  For abelian kinds the prediction is the
 annihilator law (outcomes uniform on K^perp; Hallgren, Russell and
 Ta-Shma), read for all candidates at once off one character pairing, so
-it builds no instance or state; dihedral candidates run the pipeline.
+it builds no instance or state.  Dihedral candidates run the pipeline
+together: the law of K depends only on its left cosets, so each
+candidate's coset ids serve as its f, and one evolution of the stacked
+candidates gives every row.
 """
 
 from __future__ import annotations
@@ -22,16 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import OutcomeDistribution, PipelineConfig, outcome_labels, run_pipeline
+from .engine import OutcomeDistribution, PipelineConfig, level_set_laws, outcome_labels
 from .errors import ResourceCapError
 from .groups import (CyclicGroup, FiniteGroup, ProductGroup, Subgroup, all_subgroups,
-                     character_pairing)
-from .oracle import build_instance
-from .representations import fourier_transform
+                     character_pairing, membership)
+from .representations import FourierTransform, fourier_transform
 
 RANK_TIE_TOL = 1e-12
 # subgroup_consistency_rank enumerates every subgroup and predicts each one's
-# law: in closed form for abelian kinds, by one pipeline run each for D_N
+# law: in closed form for abelian kinds, by one stacked evolution of all
+# candidates for D_N
 RANK_ORDER_CAP = 32
 # element-outcome pairs evaluated at once by the character sieve
 _PAIRING_CHUNK = 1 << 20
@@ -158,12 +161,29 @@ def annihilator_law(group: FiniteGroup, candidates, labels) -> np.ndarray:
     superposition, so either transform gives the uniform law on the
     annihilator of K_c, for every instance and seed.
     """
-    member = np.zeros((len(candidates), group.order), dtype=np.int64)
-    for c, k in enumerate(candidates):
-        member[c, list(k.elements)] = 1
+    member = membership(group, candidates).astype(np.int64)
     moved = character_pairing(group, np.arange(group.order), labels)[0] != 0
     outside = member @ moved.astype(np.int64)
     return np.where(outside == 0, member.sum(axis=1)[:, None] / group.order, 0.0)
+
+
+def coset_law(fourier: FourierTransform, cfg: PipelineConfig, candidates) -> np.ndarray:
+    """P[c] = the pipeline's outcome law for hidden subgroup K_c, in the order of
+    `outcome_labels`, all candidates evolved together.
+
+    f is constant on the left cosets gK_c and injective across them, and
+    which value each coset takes only permutes columns of H, which the
+    measurement sums over; so the ids of the cosets, numbered by their
+    least element, serve as f for every instance and seed.
+    """
+    group = fourier.group
+    g = np.arange(group.order, dtype=np.int64)[:, None]
+    ids = np.stack([
+        np.unique(group._op(g, np.array(k.elements)).min(axis=1), return_inverse=True)[1]
+        for k in candidates
+    ])
+    laws = level_set_laws(fourier, cfg, ids, [k.num_cosets for k in candidates])
+    return np.stack([law.probs for law in laws])
 
 
 def subgroup_consistency_rank(
@@ -179,8 +199,9 @@ def subgroup_consistency_rank(
     candidate is predicted.
 
     The predictions are the rows of one matrix over the pipeline's outcome
-    labels: the annihilator law for abelian kinds, one pipeline run per
-    candidate for D_N.
+    labels: the annihilator law for abelian kinds, the coset law of one
+    stacked evolution for D_N.  Neither depends on the instance, so
+    `instance_seed` changes no prediction.
     """
     if group.order > RANK_ORDER_CAP:
         raise ResourceCapError(
@@ -189,6 +210,8 @@ def subgroup_consistency_rank(
         )
     if fourier is None:
         fourier = fourier_transform(group)
+    elif fourier.group.name != group.name:
+        raise ValueError(f"Fourier transform for {fourier.group.name} does not match {group.name}")
     labels = outcome_labels(fourier, cfg)
     position = {lab: i for i, lab in enumerate(labels)}
     observed = np.zeros(len(labels))
@@ -201,10 +224,7 @@ def subgroup_consistency_rank(
     if isinstance(group, (CyclicGroup, ProductGroup)):
         predicted = annihilator_law(group, candidates, labels)
     else:
-        predicted = np.stack([
-            run_pipeline(build_instance(group, k, instance_seed), fourier, cfg).probs
-            for k in candidates
-        ])
+        predicted = coset_law(fourier, cfg, candidates)
     tvs = (0.5 * np.abs(predicted - observed).sum(axis=1)).tolist()
     # TVs equal in exact arithmetic may differ in the last ulp; rank them by element tuple
     order = sorted(range(len(candidates)),

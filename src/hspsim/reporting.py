@@ -9,6 +9,9 @@ import numpy as np
 
 from .engine import PROB_SUM_TOL, OutcomeDistribution
 
+# distribution CSV rows formatted per `%` operation
+_CSV_ROWS = 1024
+
 
 def fmt17(x: float) -> str:
     """Format with 17 significant digits."""
@@ -35,11 +38,20 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def write_distribution_csv(path: Path, dist: OutcomeDistribution) -> None:
-    _write_csv(
-        path,
-        "outcome_label,probability",
-        (f"{label_str(lab)},{fmt17(p)}" for lab, p in zip(dist.labels, dist.probs)),
-    )
+    """The rows `label_str(label),fmt17(p)`, formatted by one `%` operation per
+    chunk of rows (label triples as "%d:%d:%d") and streamed chunk by chunk."""
+    labels = dist.labels
+    width = len(labels[0]) if labels and isinstance(labels[0], tuple) else 1
+    row = ":".join(["%d"] * width) + ",%.17g\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("outcome_label,probability\n")
+        for lo in range(0, len(labels), _CSV_ROWS):
+            chunk = labels[lo:lo + _CSV_ROWS]
+            flat = [None] * ((width + 1) * len(chunk))
+            for i, column in enumerate(zip(*chunk) if width > 1 else (chunk,)):
+                flat[i::width + 1] = column
+            flat[width::width + 1] = dist.probs[lo:lo + _CSV_ROWS].tolist()
+            fh.write(row * len(chunk) % tuple(flat))
 
 
 def read_distribution_csv(path: Path) -> OutcomeDistribution:

@@ -19,7 +19,7 @@ from hspsim.experiments import run_experiment
 from hspsim.groups import all_subgroups, group_from_spec, subgroup_from_generators
 from hspsim.oracle import build_instance
 from hspsim.recovery import SampleSet, character_sieve
-from hspsim.reporting import write_distribution_csv
+from hspsim.reporting import fmt17, label_str, write_distribution_csv
 from hspsim.representations import BasisOrdering, fourier_operator, fourier_transform
 
 from oracles import blackbox_by_loops, character_kernel_probs, dense_pipeline_probs
@@ -286,6 +286,26 @@ def test_distribution_csv_is_streamed(tmp_path):
     assert text.startswith("outcome_label,probability\n0,9.5367431640625e-07\n")
     assert text.endswith(f"\n{q - 1},9.5367431640625e-07\n")
     assert text.count("\n") == q + 1
+
+
+def test_distribution_csv_matches_row_by_row_format(tmp_path):
+    """The chunked `%` formatting writes the bytes of label_str and fmt17 row by
+    row: integer and triple labels, zeros, several chunks, and no rows."""
+    rng = np.random.default_rng(5)
+    probs = rng.random(10_000)
+    probs[::3] = 0.0
+    d16 = group_from_spec("D16")
+    inst = build_instance(d16, subgroup_from_generators(d16, [3]), seed=0)
+    dists = [
+        OutcomeDistribution(tuple(range(len(probs))), probs / probs.sum()),
+        run_pipeline(inst, fourier_transform(d16)),
+        OutcomeDistribution((), np.zeros(0)),
+    ]
+    for i, dist in enumerate(dists):
+        path = tmp_path / f"{i}.csv"
+        write_distribution_csv(path, dist)
+        rows = "".join(f"{label_str(lab)},{fmt17(p)}\n" for lab, p in zip(dist.labels, dist.probs))
+        assert path.read_text(encoding="utf-8") == "outcome_label,probability\n" + rows
 
 
 def test_sample_point_mass_and_determinism():

@@ -414,3 +414,17 @@ def test_run_path_builds_no_op_table():
         assert len(left_cosets(group, hidden)) == hidden.num_cosets
         assert classical_brute_force_hsp(instance).elements == hidden.elements
         assert "op_table" not in vars(group)
+
+
+@pytest.mark.parametrize("spec", ["Z1", "Z12", "Z2^5", "Z3xZ9", "Z6xZ10xZ4", "D1", "D2", "D16"])
+def test_label_table_matches_label(spec):
+    """`labels` renders in one array pass what `label` renders element by element."""
+    group = group_from_spec(spec)
+    expected = [group.label(a) for a in range(group.order)]
+    assert group.labels(np.arange(group.order)) == expected
+    picks = [group.order - 1, 0, group.order // 2]
+    assert group.labels(picks) == [expected[a] for a in picks]
+    assert group.labels(()) == []
+    for bad in (-1, group.order):
+        with pytest.raises(ValueError, match="out of range"):
+            group.labels([0, bad])

@@ -1,9 +1,10 @@
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from hspsim import groups, recovery
+from hspsim import engine, groups, oracle
 from hspsim.config import config_from_dict
 from hspsim.engine import (
     MEASURE_GRANULARITIES,
@@ -14,7 +15,7 @@ from hspsim.engine import (
     run_pipeline,
     sample,
 )
-from hspsim.errors import ResourceCapError
+from hspsim.errors import IntegrityError, ResourceCapError
 from hspsim.experiments import run_experiment
 from hspsim.groups import (
     DihedralGroup,
@@ -35,7 +36,7 @@ from hspsim.recovery import (
     subgroup_consistency_rank,
 )
 from hspsim.reporting import write_distribution_csv
-from hspsim.representations import fourier_operator, fourier_transform
+from hspsim.representations import FourierTransform, fourier_operator, fourier_transform
 from hspsim.transversals import PeriodicInstance, shor_pipeline, shor_transversal
 
 from oracles import (
@@ -55,13 +56,18 @@ PIPELINE_CONFIGS = [PipelineConfig(t, m) for t in SECOND_TRANSFORMS for m in MEA
 
 
 def _refuse_pipeline(monkeypatch):
-    """Make any instance build or pipeline run on the ranking path fail."""
+    """Make any instance build, pipeline run or closure search fail, wherever
+    an hspsim module binds it."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("ranking built an instance or ran a pipeline")
+        raise AssertionError("ranking built an instance, ran a pipeline or closed a span")
 
-    monkeypatch.setattr(recovery, "build_instance", refuse)
-    monkeypatch.setattr(recovery, "run_pipeline", refuse)
+    originals = (oracle.build_instance, engine.run_pipeline, groups._grow)
+    for name, module in list(sys.modules.items()):
+        if name == "hspsim" or name.startswith("hspsim."):
+            for key, value in list(vars(module).items()):
+                if any(value is original for original in originals):
+                    monkeypatch.setattr(module, key, refuse)
 
 
 def test_simon_solve_single_sample():
@@ -297,6 +303,14 @@ def test_consistency_rank_refuses_stray_labels(spec, granularity, labels, stray,
         subgroup_consistency_rank(dist, group_from_spec(spec), cfg=cfg)
 
 
+@pytest.mark.parametrize("spec, other", [("D4", "D3"), ("Z4", "Z2^2")])
+def test_consistency_rank_refuses_transform_of_another_group(spec, other):
+    group = group_from_spec(spec)
+    dist = run_pipeline(build_instance(group, all_subgroups(group)[1], 0), fourier_transform(group))
+    with pytest.raises(ValueError, match=re.escape(f"for {other} does not match {spec}")):
+        subgroup_consistency_rank(dist, group, fourier_transform(group_from_spec(other)))
+
+
 def test_consistency_rank_respects_order_cap():
     group = group_from_spec("Z64")
     dist = run_pipeline(
@@ -379,3 +393,71 @@ def test_recover_ranks_abelian_candidates_without_pipeline(tmp_path, monkeypatch
     assert len(truth) == 1
     assert truth[0]["total_variation"] <= 1e-12
     assert report["tie_classes"] == []
+
+
+def _recover_report(tmp_path, group, dist, granularity="full_triple"):
+    write_distribution_csv(tmp_path / "distribution.csv", dist)
+    cfg = config_from_dict({"experiment": "recover", "group": group.name,
+                            "dist": str(tmp_path / "distribution.csv"),
+                            "measure_granularity": granularity})
+    return run_experiment(cfg, tmp_path / "recover")
+
+
+@pytest.mark.parametrize("spec", ABELIAN_SPECS + [f"D{n}" for n in range(1, 17)])
+def test_recover_reports_spanning_generators(spec, tmp_path):
+    """Each reported candidate's generators, read off the subgroup lattice, are the
+    greedy `spanning_generators()` of its subgroup, for every subgroup."""
+    group = group_from_spec(spec)
+    candidates = all_subgroups(group)
+    hidden = candidates[len(candidates) // 2]
+    dist = run_pipeline(build_instance(group, hidden, seed=1), fourier_transform(group))
+    report = _recover_report(tmp_path, group, dist)
+    expected = {
+        k.element_labels(): [group.label(g) for g in k.spanning_generators()] for k in candidates
+    }
+    assert len(report["candidates"]) == len(expected)
+    for entry in report["candidates"]:
+        assert entry["generators"] == expected[tuple(entry["elements"])]
+
+
+@pytest.mark.parametrize("granularity", MEASURE_GRANULARITIES)
+def test_recover_ranks_dihedral_candidates_without_pipeline(granularity, tmp_path, monkeypatch):
+    """D16 through run_experiment with no instance, pipeline run or closure search:
+    the true K at TV 0 and the tie classes of the per-candidate pipeline loop."""
+    group = group_from_spec("D16")
+    fourier = fourier_transform(group)
+    cfg = PipelineConfig("forward", granularity)
+    hidden = subgroup_from_generators(group, [4, 17])
+    dist = run_pipeline(build_instance(group, hidden, seed=5), fourier, cfg)
+    candidates = all_subgroups(group)
+    preds = {k.elements: run_pipeline(build_instance(group, k, 0), fourier, cfg).as_mapping()
+             for k in candidates}
+    expected, expected_ties = rank_by_pipeline(dist.as_mapping(), list(preds), preds.__getitem__)
+    _refuse_pipeline(monkeypatch)
+    report = _recover_report(tmp_path, group, dist, granularity)
+    truth = [c for c in report["candidates"] if c["elements"] == list(hidden.element_labels())]
+    assert len(truth) == 1 and truth[0]["total_variation"] <= 1e-12
+    assert [tuple(group.labels(e)) for e, _ in expected] == [
+        tuple(c["elements"]) for c in report["candidates"]]
+    assert report["tie_classes"] == [list(t) for t in expected_ties]
+
+
+class _DriftingTransform(FourierTransform):
+    """Moves 1e-9 of norm^2 from the first column to the last after the second
+    transform: the first and the last block drift, the whole stack does not."""
+
+    def apply(self, columns):
+        out = super().apply(columns)
+        first, last = (float(np.sum(np.abs(out[:, c]) ** 2)) for c in (0, -1))
+        out[:, 0] *= np.sqrt(1 + 1e-9 / first)
+        out[:, -1] *= np.sqrt(1 - 1e-9 / last)
+        return out
+
+
+def test_norm_drift_in_one_candidate_block_is_refused():
+    group = group_from_spec("D16")
+    fourier = fourier_transform(group)
+    dist = run_pipeline(build_instance(group, subgroup_from_generators(group, [2]), 0), fourier)
+    subgroup_consistency_rank(dist, group, fourier)
+    with pytest.raises(IntegrityError, match="after the second Fourier transform"):
+        subgroup_consistency_rank(dist, group, _DriftingTransform(group, fourier.ordering))

@@ -9,6 +9,7 @@ from hspsim.experiments import run_experiment
 from hspsim.groups import CyclicGroup, DihedralGroup, FiniteGroup, ProductGroup, group_from_spec
 from hspsim.representations import (
     BasisOrdering,
+    _completeness_defect,
     Irrep,
     contragredient,
     fourier_operator,
@@ -239,10 +240,28 @@ def test_fourier_rows_match_closed_form_irreps(spec, ordering):
     assert np.abs(fourier.identity_column() - dense[:, 0]).max() < 1e-12
 
 
+@pytest.mark.parametrize("spec", SAMPLE_GROUPS)
+def test_completeness_defect_reads_the_regular_character(spec):
+    """sum_i d_i chi_i(g) = |G| delta(g, e) to 1e-12; with one block dropped, or
+    with a 1-dim block replaced by another, which keeps sum_i d_i^2 = |G|, the
+    defect is far from 0."""
+    fourier = fourier_transform(group_from_spec(spec), BasisOrdering.LABEL)
+    table, block = fourier._entries(), fourier._layout.block
+    assert _completeness_defect(fourier, table) < 1e-12
+    dropped = table.copy()
+    dropped[block == block[-1]] = 0
+    assert _completeness_defect(fourier, dropped) >= 1.0 - 1e-12
+    if len(block) > 1:
+        # label order puts the trivial character first and a 1-dim irrep second
+        twice = table.copy()
+        twice[block == 1] = table[block == 0]
+        assert _completeness_defect(fourier, twice) > 0.1
+
+
 def test_verify_representation_suite_values():
     for spec, tol in (("Z8", 1e-13), ("D6", 1e-12), ("D3", 1e-12)):
         report = verify_representation_suite(group_from_spec(spec))
-        assert report["completeness_defect"] == 0
+        assert report["completeness_defect"] < tol
         assert report["max_schur_residual"] < tol
         assert report["max_unitarity_residual"] < tol
         # F F^dagger - I is also a unitarity residual, so it is part of the maximum
@@ -266,7 +285,7 @@ def test_fourier_check_forms_one_gram(spec, tmp_path):
     suite = verify_representation_suite(group)
     assert report["max_schur_residual"] == suite["max_schur_residual"] < 1e-12
     assert report["max_unitarity_residual"] == suite["max_unitarity_residual"] < 1e-12
-    assert report["completeness_defect"] == 0
+    assert report["completeness_defect"] < 1e-12
 
 
 @pytest.mark.parametrize("spec", ["D1024", "Z2^11"])
