@@ -222,9 +222,8 @@ def _run_recover(cfg: ExperimentConfig, out: Path) -> dict:
     # a malformed CSV and a label the pipeline cannot produce both raise ValueError
     try:
         dist = read_distribution_csv(cfg.dist)
-        ranking = subgroup_consistency_rank(
-            dist, group, cfg=pipeline_cfg, instance_seed=cfg.resolved_oracle_seed()
-        )
+        # the law of K does not depend on the instance, so `oracle_seed` is accepted and unused
+        ranking = subgroup_consistency_rank(dist, group, cfg=pipeline_cfg)
     except OSError as exc:
         raise ConfigError(f"field 'dist': cannot read {cfg.dist!r}: {exc}") from exc
     except ValueError as exc:

@@ -45,7 +45,7 @@ class FiniteGroup:
     """Base class; elements are the indices 0..order-1, identity is 0.
 
     Subclasses give the unchecked formulas `_op` and `_inv`, which take
-    Python ints or broadcastable int64 arrays, plus `label` and a
+    Python ints or broadcastable int64 arrays, plus `labels` and a
     generating set `generators`.
     """
 
@@ -65,10 +65,10 @@ class FiniteGroup:
         return int(self._inv(self.check_index(a)))
 
     def label(self, a: int) -> str:
-        raise NotImplementedError
+        return self.labels((self.check_index(a),))[0]
 
     def labels(self, elements) -> list[str]:
-        """`label` of each index in `elements`, in one array pass."""
+        """The label of each index in `elements`, in one array pass."""
         raise NotImplementedError
 
     def generators(self) -> tuple[int, ...]:
@@ -148,9 +148,6 @@ class CyclicGroup(FiniteGroup):
     def generators(self) -> tuple[int, ...]:
         return (1,) if self.n > 1 else ()
 
-    def label(self, a: int) -> str:
-        return str(self.check_index(a))
-
     def labels(self, elements) -> list[str]:
         return [str(a) for a in _indices(self, elements).tolist()]
 
@@ -202,9 +199,6 @@ class ProductGroup(FiniteGroup):
             a = a * m + x
         return a
 
-    def label(self, a: int) -> str:
-        return "(" + ",".join(str(x) for x in self.coords(a)) + ")"
-
     def labels(self, elements) -> list[str]:
         """One `%` operation per chunk of rows over their coordinates."""
         m, w = self._radix
@@ -241,15 +235,6 @@ class DihedralGroup(FiniteGroup):
 
     def generators(self) -> tuple[int, ...]:
         return (1, self.n) if self.n > 1 else (1,)
-
-    def label(self, a: int) -> str:
-        rot, ref = self.rotation_reflection(a)
-        parts = []
-        if rot:
-            parts.append("r" if rot == 1 else f"r{rot}")
-        if ref:
-            parts.append("s")
-        return "".join(parts) or "e"
 
     def labels(self, elements) -> list[str]:
         ref, rot = np.divmod(_indices(self, elements), self.n)
@@ -457,19 +442,15 @@ def lattice_generators(subgroups) -> list[tuple[int, ...]]:
     The greedy rule adds the least element g of K outside the span, and
     <span, g> is the smallest subgroup that contains the span and g.  So
     each step, taken for every K at once, reads the C x C containment
-    relation between the subgroups, formed on their membership bitmasks;
-    the span at least doubles per step, so there are at most
-    log2|G| + 1 steps.
+    relation between the subgroups; the span at least doubles per step, so
+    there are at most log2|G| + 1 steps.
     """
     group = subgroups[0].group
     inside = membership(group, subgroups)
-    packed = np.packbits(inside, axis=1, bitorder="little")
-    words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
-    # contains[a, b]: K_b lies in K_a, as no bit of K_b is outside K_a
-    contains = np.ones((len(subgroups), len(subgroups)), dtype=bool)
-    for word in words.T:
-        contains &= (word & ~word[:, None]) == 0
-    orders = inside.sum(axis=1)
+    counts = inside.astype(np.int64)
+    orders = counts.sum(axis=1)
+    # contains[a, b]: K_b lies in K_a, as |K_a & K_b| = |K_b| (an int64, not a BLAS, product)
+    contains = counts @ counts.T == orders
     span = np.full(len(subgroups), int(np.argmin(orders)))
     gens: list[list[int]] = [[] for _ in subgroups]
     active = np.arange(len(subgroups))

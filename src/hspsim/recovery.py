@@ -191,7 +191,6 @@ def subgroup_consistency_rank(
     group: FiniteGroup,
     fourier=None,
     cfg: PipelineConfig = PipelineConfig(),
-    instance_seed: int = 0,
 ) -> RankedCandidates:
     """Rank every subgroup by total-variation distance between its predicted
     exact pipeline distribution and the observed one; ties are reported.
@@ -200,8 +199,7 @@ def subgroup_consistency_rank(
 
     The predictions are the rows of one matrix over the pipeline's outcome
     labels: the annihilator law for abelian kinds, the coset law of one
-    stacked evolution for D_N.  Neither depends on the instance, so
-    `instance_seed` changes no prediction.
+    stacked evolution for D_N.  Neither depends on an instance or its seed.
     """
     if group.order > RANK_ORDER_CAP:
         raise ResourceCapError(

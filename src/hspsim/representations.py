@@ -302,14 +302,15 @@ def _operator(fourier: FourierTransform, table: np.ndarray) -> FourierOperator:
 
 
 def _completeness_defect(fourier: FourierTransform, table: np.ndarray) -> float:
-    """max_g |sum_i d_i chi_i(g) - |G| delta(g, e)| over the entry table: the irreps
-    sum to the regular representation.  chi_i(g) is the sum of the diagonal
-    rows (i, j, j), so one weighted sum of rows gives it without a copy.  It is
-    absolute, so its rounding grows with |G| (1.8e-12 on Z4096)."""
+    """max_g |sum_i d_i chi_i(g) / |G| - delta(g, e)| over the entry table: the
+    irreps sum to the regular representation.  chi_i(g) is the sum of the
+    diagonal rows (i, j, j), so one weighted sum of rows gives it without a
+    copy; dividing by |G| puts it on the scale of the Schur residual."""
     layout = fourier._layout
     _, j, k = layout.rows
-    regular = np.where(j == k, layout.dims[layout.block], 0).astype(np.complex128) @ table
-    regular[0] -= fourier.group.order
+    order = fourier.group.order
+    regular = np.where(j == k, layout.dims[layout.block] / order, 0).astype(np.complex128) @ table
+    regular[0] -= 1
     return float(np.abs(regular).max())
 
 

@@ -416,12 +416,26 @@ def test_run_path_builds_no_op_table():
         assert "op_table" not in vars(group)
 
 
-@pytest.mark.parametrize("spec", ["Z1", "Z12", "Z2^5", "Z3xZ9", "Z6xZ10xZ4", "D1", "D2", "D16"])
+def _label_by_rule(group, a):
+    """The label rule of each kind, stated element by element."""
+    if isinstance(group, DihedralGroup):
+        rot, ref = group.rotation_reflection(a)
+        return ("r" if rot == 1 else f"r{rot}" if rot else "") + ("s" if ref else "") or "e"
+    if isinstance(group, ProductGroup):
+        return "(" + ",".join(str(x) for x in group.coords(a)) + ")"
+    return str(a)
+
+
+@pytest.mark.parametrize(
+    "spec", ["Z1", "Z12", "Z2^5", "Z3xZ9", "Z6xZ10xZ4", "Z2^13", "D1", "D2", "D16"]
+)
 def test_label_table_matches_label(spec):
-    """`labels` renders in one array pass what `label` renders element by element."""
+    """`labels` renders in one array pass (Z2^13 over two `%` chunks) what the
+    label rule gives element by element, and `label` is its one-element case."""
     group = group_from_spec(spec)
-    expected = [group.label(a) for a in range(group.order)]
+    expected = [_label_by_rule(group, a) for a in range(group.order)]
     assert group.labels(np.arange(group.order)) == expected
+    assert [group.label(a) for a in range(group.order)] == expected
     picks = [group.order - 1, 0, group.order // 2]
     assert group.labels(picks) == [expected[a] for a in picks]
     assert group.labels(()) == []

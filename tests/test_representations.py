@@ -242,20 +242,21 @@ def test_fourier_rows_match_closed_form_irreps(spec, ordering):
 
 @pytest.mark.parametrize("spec", SAMPLE_GROUPS)
 def test_completeness_defect_reads_the_regular_character(spec):
-    """sum_i d_i chi_i(g) = |G| delta(g, e) to 1e-12; with one block dropped, or
-    with a 1-dim block replaced by another, which keeps sum_i d_i^2 = |G|, the
-    defect is far from 0."""
-    fourier = fourier_transform(group_from_spec(spec), BasisOrdering.LABEL)
+    """sum_i d_i chi_i(g) / |G| = delta(g, e) to 1e-12; with one block dropped
+    (d^2 / |G| missing at e), or with a 1-dim block replaced by another, which
+    keeps sum_i d_i^2 = |G|, the defect is far from 0."""
+    group = group_from_spec(spec)
+    fourier = fourier_transform(group, BasisOrdering.LABEL)
     table, block = fourier._entries(), fourier._layout.block
     assert _completeness_defect(fourier, table) < 1e-12
     dropped = table.copy()
     dropped[block == block[-1]] = 0
-    assert _completeness_defect(fourier, dropped) >= 1.0 - 1e-12
+    assert group.order * _completeness_defect(fourier, dropped) >= 1.0 - 1e-12
     if len(block) > 1:
         # label order puts the trivial character first and a 1-dim irrep second
         twice = table.copy()
         twice[block == 1] = table[block == 0]
-        assert _completeness_defect(fourier, twice) > 0.1
+        assert group.order * _completeness_defect(fourier, twice) > 0.1
 
 
 def test_verify_representation_suite_values():
@@ -302,6 +303,7 @@ def test_fourier_check_never_copies_f_whole(spec, tmp_path):
         tracemalloc.stop()
     assert peak < 2 * 16 * group.order**2
     assert report["max_schur_residual"] < 1e-12
+    assert report["completeness_defect"] < 1e-12
 
 
 @pytest.mark.parametrize("spec, bound", [("D4096", 1 << 20), ("Z8192", 1 << 20)])
