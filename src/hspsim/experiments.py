@@ -7,6 +7,7 @@ record timestamps, and all randomness flows from the config seeds.
 from __future__ import annotations
 
 import platform
+import statistics
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +31,7 @@ from .recovery import (
     subgroup_consistency_rank,
 )
 from .reporting import (
-    _write_csv,
-    fmt17,
+    _write_rows,
     label_str,
     read_distribution_csv,
     write_distribution_csv,
@@ -197,11 +197,8 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     instance = PeriodicInstance(cfg.modulus, cfg.base, cfg.big_q, cfg.allow_any_q)
     seeds = [cfg.seed + i for i in range(cfg.seeds)]
     rows = transversal_quality_sweep(instance, cfg.bound, seeds)
-    _write_csv(
-        out / "sweep.csv",
-        "seed,peak_mass_shor,peak_mass_offset",
-        (f"{seed},{fmt17(pm_shor)},{fmt17(pm_offset)}" for seed, pm_shor, pm_offset in rows),
-    )
+    _write_rows(out / "sweep.csv", "seed,peak_mass_shor,peak_mass_offset",
+                tuple(zip(*rows)), ("%d", "%.17g", "%.17g"))
     return {
         "N": cfg.modulus,
         "a": cfg.base,
@@ -210,7 +207,7 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
         "r_true": instance.period,
         "csv_path": "sweep.csv",
         "peak_mass_shor": rows[0][1],
-        "median_peak_mass_offset": float(np.median([pm for _, _, pm in rows])),
+        "median_peak_mass_offset": statistics.median(pm for _, _, pm in rows),
         "wins_shor": sum(1 for _, pm_shor, pm_offset in rows if pm_shor > pm_offset),
         "seeds": cfg.seeds,
     }

@@ -304,8 +304,9 @@ def _grow(group: FiniteGroup, span: np.ndarray, gens) -> None:
     frontier = np.flatnonzero(span)
     while frontier.size:
         prods = group._op(frontier[:, None], x)
-        frontier = np.unique(prods[~span[prods]])
-        span[frontier] = True
+        fresh = _mask(group, prods[~span[prods]])
+        frontier = np.flatnonzero(fresh)
+        span |= fresh
 
 
 def _greedy_generators(group: FiniteGroup, inside: np.ndarray) -> tuple[int, ...]:

@@ -5,8 +5,8 @@ intersection of the sampled character kernels, Simon's problem
 included.  Period finding extracts candidate denominators from
 continued-fraction convergents in exact integer arithmetic.  A result
 is confirmed only by an independent check: the full exact support not
-shrinking the candidate, or the modular identity a^r = 1; never by
-sample count alone.
+shrinking the candidate, or the modular identity a^r = 1 (with r then
+reduced to the order of a); never by sample count alone.
 
 Candidate ranking compares the observed distribution with each
 subgroup's predicted one.  For abelian kinds the prediction is the
@@ -27,7 +27,7 @@ import numpy as np
 
 from .engine import OutcomeDistribution, PipelineConfig, level_set_laws, outcome_labels
 from .errors import ResourceCapError
-from .groups import (CyclicGroup, FiniteGroup, ProductGroup, Subgroup, all_subgroups,
+from .groups import (CyclicGroup, FiniteGroup, ProductGroup, Subgroup, _mask, all_subgroups,
                      character_pairing, membership)
 from .representations import FourierTransform, fourier_transform
 
@@ -80,7 +80,7 @@ class RankedCandidates:
 
 def _kernel_intersection(group: FiniteGroup, ks: np.ndarray, outcomes) -> np.ndarray:
     """The elements of `ks` on which every sampled character chi_y is 1."""
-    unique = np.unique(np.asarray(outcomes, dtype=np.int64))
+    unique = np.flatnonzero(_mask(group, outcomes))
     keep = np.ones(len(ks), dtype=bool)
     step = max(1, _PAIRING_CHUNK // len(ks))
     for lo in range(0, len(unique), step):
@@ -139,7 +139,12 @@ def continued_fraction_period(y: int, big_q: int, n: int) -> int | None:
 
 
 def period_from_samples(outcomes, big_q: int, n: int, base: int) -> PeriodEstimate:
-    """LCM of per-sample candidate denominators, validated by a^r = 1 mod N."""
+    """L = LCM of per-sample candidate denominators, confirmed by a^L = 1 mod N.
+
+    a^L = 1 holds for every multiple of the order of a, so a confirmed L is
+    reduced to that order by dividing out each p while a^(L/p) = 1.  Every
+    prime of L divides a denominator, so p runs up to the largest one.
+    """
     outcomes = tuple(outcomes)
     candidates = []
     for y in outcomes:
@@ -149,8 +154,12 @@ def period_from_samples(outcomes, big_q: int, n: int, base: int) -> PeriodEstima
     if not candidates:
         return PeriodEstimate(None, False, len(outcomes))
     r = math.lcm(*candidates)
-    confirmed = pow(base, r, n) == 1
-    return PeriodEstimate(r, confirmed, len(outcomes))
+    if pow(base, r, n) != 1:
+        return PeriodEstimate(r, False, len(outcomes))
+    for p in range(2, max(candidates) + 1):
+        while r % p == 0 and pow(base, r // p, n) == 1:
+            r //= p
+    return PeriodEstimate(r, True, len(outcomes))
 
 
 def annihilator_law(group: FiniteGroup, candidates, labels) -> np.ndarray:
@@ -178,10 +187,11 @@ def coset_law(fourier: FourierTransform, cfg: PipelineConfig, candidates) -> np.
     """
     group = fourier.group
     g = np.arange(group.order, dtype=np.int64)[:, None]
-    ids = np.stack([
-        np.unique(group._op(g, np.array(k.elements)).min(axis=1), return_inverse=True)[1]
-        for k in candidates
-    ])
+    least = np.stack([group._op(g, np.array(k.elements)).min(axis=1) for k in candidates])
+    # a coset's id is the rank of its least element among the least elements
+    present = np.zeros((len(candidates), group.order), dtype=bool)
+    np.put_along_axis(present, least, True, axis=1)
+    ids = np.take_along_axis(np.cumsum(present, axis=1) - 1, least, axis=1)
     laws = level_set_laws(fourier, cfg, ids, [k.num_cosets for k in candidates])
     return np.stack([law.probs for law in laws])
 

@@ -30,28 +30,33 @@ def parse_label(text: str):
     return int(text)
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    """Write the header and each row of `rows` as one line, streamed through one handle."""
+def _write_rows(path: Path, header: str, columns, codes) -> None:
+    """Write the header, then row i as the i-th entries of `columns` joined by
+    commas, each formatted by its `%` code in `codes` ("%d", "%.17g"); a label
+    triple is written "%d:%d:%d".  One `%` operation formats each chunk of
+    rows, and the chunks are streamed through one handle."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.writelines(row + "\n" for row in rows)
+        for lo in range(0, len(columns[0]), _CSV_ROWS):
+            fields, formats = [], []
+            for column, code in zip(columns, codes):
+                chunk = column[lo:lo + _CSV_ROWS]
+                chunk = chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
+                if isinstance(chunk[0], tuple):
+                    fields += zip(*chunk)
+                    formats.append(":".join([code] * len(chunk[0])))
+                else:
+                    fields.append(chunk)
+                    formats.append(code)
+            flat = [None] * (len(fields) * len(chunk))
+            for i, field in enumerate(fields):
+                flat[i::len(fields)] = field
+            fh.write((",".join(formats) + "\n") * len(chunk) % tuple(flat))
 
 
 def write_distribution_csv(path: Path, dist: OutcomeDistribution) -> None:
-    """The rows `label_str(label),fmt17(p)`, formatted by one `%` operation per
-    chunk of rows (label triples as "%d:%d:%d") and streamed chunk by chunk."""
-    labels = dist.labels
-    width = len(labels[0]) if labels and isinstance(labels[0], tuple) else 1
-    row = ":".join(["%d"] * width) + ",%.17g\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("outcome_label,probability\n")
-        for lo in range(0, len(labels), _CSV_ROWS):
-            chunk = labels[lo:lo + _CSV_ROWS]
-            flat = [None] * ((width + 1) * len(chunk))
-            for i, column in enumerate(zip(*chunk) if width > 1 else (chunk,)):
-                flat[i::width + 1] = column
-            flat[width::width + 1] = dist.probs[lo:lo + _CSV_ROWS].tolist()
-            fh.write(row * len(chunk) % tuple(flat))
+    """The rows `label_str(label),fmt17(p)`."""
+    _write_rows(path, "outcome_label,probability", (dist.labels, dist.probs), ("%d", "%.17g"))
 
 
 def read_distribution_csv(path: Path) -> OutcomeDistribution:
@@ -77,13 +82,14 @@ def read_distribution_csv(path: Path) -> OutcomeDistribution:
 
 
 def write_f_table_csv(path: Path, instance) -> None:
-    _write_csv(path, "g_index,f_index", (f"{g},{int(v)}" for g, v in enumerate(instance.f_table)))
+    """The rows `g,f(g)` of the instance's level-set table."""
+    table = instance.f_table
+    _write_rows(path, "g_index,f_index", (range(len(table)), table), ("%d", "%d"))
 
 
 def write_samples_csv(path: Path, samples) -> None:
-    _write_csv(
-        path, "trial_index,outcome_label", (f"{i},{label_str(lab)}" for i, lab in enumerate(samples))
-    )
+    """The rows `i,label_str(sample_i)`."""
+    _write_rows(path, "trial_index,outcome_label", (range(len(samples)), samples), ("%d", "%d"))
 
 
 def write_json(path: Path, payload: dict) -> None:

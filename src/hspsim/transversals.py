@@ -2,13 +2,15 @@
 
 A transversal tau picks one integer representative per residue class
 modulo Q, so tau(q) mod Q = q.  The integer line is never materialized:
-only the representative table and the composed table
-f~(q) = a^tau(q) mod N exist, both as read-only int64 arrays of length
-Q.  Since a^r = 1 mod N for the period r, f~ is the lookup A[tau mod r]
-into the power table A = (a^0, ..., a^(r-1)) mod N.  The canonical
-transversal maps q to its least non-negative representative; the
-adversarial family adds per-point offsets q + Q*m_q, which keeps the
-section property while generically destroying the periodicity of f~.
+the representative table is a read-only int64 array of length Q.  Since
+a^r = 1 mod N for the period r, the composed table f~(q) = a^tau(q) mod N
+is the lookup A[tau mod r] into the power table
+A = (a^0, ..., a^(r-1)) mod N.  A is injective on Z_r, so the level sets
+of f~ are the residue classes of tau mod r, and the pipeline reads them
+off tau without building f~.  The canonical transversal maps q to its
+least non-negative representative; the adversarial family adds per-point
+offsets q + Q*m_q, which keeps the section property while generically
+destroying the periodicity of f~.
 Representatives must fit in int64, so an offset bound B needs Q*B <= 2^63.
 """
 
@@ -48,11 +50,12 @@ class Transversal:
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
         q = len(table)
-        ordered = np.sort(table)
-        if (ordered[1:] == ordered[:-1]).any():
-            raise ValueError("transversal table is not injective")
         bad = np.flatnonzero((table < 0) | (table % max(q, 1) != np.arange(q)))
         if bad.size:
+            # distinct residues imply injectivity, so only a failing table can repeat
+            ordered = np.sort(table)
+            if (ordered[1:] == ordered[:-1]).any():
+                raise ValueError("transversal table is not injective")
             i = int(bad[0])
             raise ValueError(f"representative {table[i]} does not reduce to {i} modulo {q}")
 
@@ -133,10 +136,19 @@ class PeriodicInstance:
 
 @dataclass(frozen=True, eq=False)
 class ApproximateFunction:
-    """Composed table f~(q) = f(tau(q)), a read-only int64 array."""
+    """Composed table f~(q) = A[tau(q) mod r], held as its level sets: the class
+    tau(q) mod r of each q and the power table A, both read-only int64 arrays."""
 
     transversal: Transversal
-    values: np.ndarray
+    classes: np.ndarray
+    powers: np.ndarray
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """f~ itself, a read-only int64 array, built on first read."""
+        values = self.powers[self.classes]
+        values.flags.writeable = False
+        return values
 
 
 def approximate_function(instance: PeriodicInstance, tau: Transversal) -> ApproximateFunction:
@@ -144,9 +156,30 @@ def approximate_function(instance: PeriodicInstance, tau: Transversal) -> Approx
         raise ValueError(
             f"transversal has quotient order {len(tau.table)}, instance expects {instance.q}"
         )
-    values = instance.powers()[tau.table % instance.period]
-    values.flags.writeable = False
-    return ApproximateFunction(tau, values)
+    classes = tau.table % instance.period
+    classes.flags.writeable = False
+    return ApproximateFunction(tau, classes, instance.powers())
+
+
+def _spectrum(instance: PeriodicInstance, tau: Transversal) -> np.ndarray:
+    """Left-register probabilities over Z_Q, before `finalize_distribution`.
+
+    The classes of tau mod r are summed in ascending order of their value
+    a^k mod N, each as one float64 indicator; empty classes are skipped.
+    """
+    q, n = instance.q, instance.modulus
+    if q * n > PERIOD_STATE_CAP:
+        raise ResourceCapError(f"state size {q}*{n} exceeds the cap {PERIOD_STATE_CAP}")
+    f = approximate_function(instance, tau)
+    sizes = np.bincount(f.classes, minlength=len(f.powers))
+    half = np.zeros(q // 2 + 1)
+    indicator = np.empty(q)
+    for k in np.argsort(f.powers):
+        if sizes[k]:
+            np.equal(f.classes, k, out=indicator)
+            half += np.abs(np.fft.rfft(indicator)) ** 2
+    half /= q * q
+    return np.concatenate([half, half[1:(q + 1) // 2][::-1]])
 
 
 def shor_pipeline(
@@ -155,7 +188,7 @@ def shor_pipeline(
     """Exact left-register distribution over Z_Q for the composed table f~.
 
     Identical to running the two-register pipeline on domain Z_Q with right
-    register Z_N: the sum over the distinct f~ values v of |DFT(f~ == v)|^2 / Q^2.
+    register Z_N: the sum over the level sets S of f~ of |DFT(1_S)|^2 / Q^2.
     The level-set indicators are real, so each is one real FFT over the
     Q//2+1 half spectrum, mirrored by |X[Q-y]| = |X[y]|.  The inverse
     transform of a real vector has the same moduli, so both second
@@ -163,49 +196,47 @@ def shor_pipeline(
     """
     if second_transform not in SECOND_TRANSFORMS:
         raise ValueError(f"second_transform must be one of {SECOND_TRANSFORMS}")
-    q, n = instance.q, instance.modulus
-    if q * n > PERIOD_STATE_CAP:
-        raise ResourceCapError(f"state size {q}*{n} exceeds the cap {PERIOD_STATE_CAP}")
-    values = approximate_function(instance, tau).values
-    half = np.zeros(q // 2 + 1)
-    for value in np.unique(values):
-        half += np.abs(np.fft.rfft(values == value)) ** 2
-    half /= q * q
-    probs = np.concatenate([half, half[1:(q + 1) // 2][::-1]])
-    return finalize_distribution(tuple(range(q)), probs)
+    return finalize_distribution(tuple(range(instance.q)), _spectrum(instance, tau))
 
 
-def peak_mass(dist: OutcomeDistribution, r: int, q: int) -> float:
-    """Total probability within half-integer windows of the multiples j*Q/r.
-
-    An integer outcome y qualifies when min_j |y - j*Q/r| <= 1/2, evaluated
-    in exact integer arithmetic as 2*min(d, Q - d) <= r for d = r*y mod Q,
-    for all labels at once.  The selected probabilities are summed in label
-    order.
-    """
+def _in_windows(labels: np.ndarray, r: int, q: int) -> np.ndarray:
+    """Whether min_j |y - j*Q/r| <= 1/2 for each label y, in exact integer
+    arithmetic as 2*min(d, Q - d) <= r for d = r*y mod Q."""
     if r < 1:
         raise ValueError(f"period must be positive, got {r}")
     if q < 1:
         raise ValueError(f"Q must be positive, got {q}")
-    labels = np.asarray(dist.labels, dtype=np.int64)
     if labels.size and r * max(int(np.abs(labels).max()), q) >= 1 << 52:
         raise ValueError(f"r*y and Q must stay below 2^52 for exact windows (r={r}, Q={q})")
     d = r * labels
     d %= q
     np.minimum(d, q - d, out=d)
-    selected = np.where(2 * d <= r, np.asarray(dist.probs, dtype=np.float64), 0.0)
+    return 2 * d <= r
+
+
+def peak_mass(dist: OutcomeDistribution, r: int, q: int) -> float:
+    """Total probability within half-integer windows of the multiples j*Q/r,
+    for all labels at once, summed in label order."""
+    labels = np.asarray(dist.labels, dtype=np.int64)
+    selected = np.where(_in_windows(labels, r, q), np.asarray(dist.probs, dtype=np.float64), 0.0)
     return float(np.cumsum(selected)[-1]) if selected.size else 0.0
 
 
 def transversal_quality_sweep(
     instance: PeriodicInstance, bound: int, seeds
 ) -> list[tuple[int, float, float]]:
-    """Peak mass of the canonical transversal versus seeded offset transversals."""
+    """Peak mass of the canonical transversal versus seeded offset transversals.
+
+    Each value equals `peak_mass(shor_pipeline(instance, tau), r, Q)`: the
+    window outcomes are found once, and each transversal's probabilities
+    are summed over them in ascending order.
+    """
     r, q = instance.period, instance.q
-    reference = peak_mass(shor_pipeline(instance, shor_transversal(q)), r, q)
-    rows = []
-    for seed in seeds:
-        tau = offset_transversal(q, bound, seed)
-        pm = peak_mass(shor_pipeline(instance, tau), r, q)
-        rows.append((int(seed), reference, pm))
-    return rows
+    windows = np.flatnonzero(_in_windows(np.arange(q), r, q))
+
+    def mass(tau: Transversal) -> float:
+        probs = finalize_distribution(range(q), _spectrum(instance, tau)).probs
+        return float(np.cumsum(probs[windows])[-1])
+
+    reference = mass(shor_transversal(q))
+    return [(int(seed), reference, mass(offset_transversal(q, bound, seed))) for seed in seeds]

@@ -1,10 +1,14 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import hspsim
 from hspsim import cli
 from hspsim.cli import build_parser, main
 from hspsim.config import (
@@ -355,6 +359,39 @@ def test_cli_sweep_transversal(tmp_path, capsys):
     assert len(lines) == 4
     report = json.loads(capsys.readouterr().out)
     assert report["wins_shor"] == 3
+
+
+_LOADS_MA = "import sys\n{run}\nprint('numpy.ma' in sys.modules)"
+_RUN_CLI = """import contextlib, io
+from hspsim.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(sys.argv[1:]) == 0"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--instance", "instance.json", "--trials", "8", "--out-dir", "sim"],
+    ["recover", "--dist", "distribution.csv", "--group", "D4", "--out-dir", "rec"],
+    ["recover", "--dist", "z2.csv", "--group", "Z2^3", "--out-dir", "rec"],
+    ["sweep-transversal", "--N", "21", "--a", "2", "--Q", "512", "--bound", "21",
+     "--seeds", "4", "--out-dir", "sweep"],
+], ids=["simulate", "recover-D4", "recover-Z2^3", "sweep-transversal"])
+def test_cli_runs_never_import_numpy_ma(tmp_path, argv):
+    """numpy.ma costs 12-15 ms to import in a fresh process; no run needs it."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(hspsim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+
+    def loads_ma(run: str, *args) -> bool:
+        done = subprocess.run([sys.executable, "-c", _LOADS_MA.format(run=run), *args],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+        return done.stdout.strip() == "True"
+
+    if loads_ma("import numpy"):
+        pytest.skip("this numpy loads numpy.ma on import")
+    (tmp_path / "instance.json").write_text('{"group": "D4", "hidden_generators": [2], "seed": 7}')
+    (tmp_path / "z2.csv").write_text("outcome_label,probability\n0,0.5\n5,0.5\n")
+    assert main(["simulate", "--instance", str(tmp_path / "instance.json"),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert not loads_ma(_RUN_CLI, *argv)
 
 
 # Per experiment: a JSON config and the command line that sets the same

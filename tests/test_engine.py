@@ -19,7 +19,13 @@ from hspsim.experiments import run_experiment
 from hspsim.groups import all_subgroups, group_from_spec, subgroup_from_generators
 from hspsim.oracle import build_instance
 from hspsim.recovery import SampleSet, character_sieve
-from hspsim.reporting import fmt17, label_str, write_distribution_csv
+from hspsim.reporting import (
+    fmt17,
+    label_str,
+    write_distribution_csv,
+    write_f_table_csv,
+    write_samples_csv,
+)
 from hspsim.representations import BasisOrdering, fourier_operator, fourier_transform
 
 from oracles import blackbox_by_loops, character_kernel_probs, dense_pipeline_probs
@@ -306,6 +312,33 @@ def test_distribution_csv_matches_row_by_row_format(tmp_path):
         write_distribution_csv(path, dist)
         rows = "".join(f"{label_str(lab)},{fmt17(p)}\n" for lab, p in zip(dist.labels, dist.probs))
         assert path.read_text(encoding="utf-8") == "outcome_label,probability\n" + rows
+
+
+def test_samples_and_f_table_csv_match_row_by_row_format(tmp_path):
+    """The chunked writers give the bytes of one f-string per row: integer and
+    triple labels, several chunks, and no rows."""
+    d16 = group_from_spec("D16")
+    z2 = group_from_spec("Z2^11")
+    instances = [
+        build_instance(d16, subgroup_from_generators(d16, [3]), seed=0),
+        build_instance(z2, subgroup_from_generators(z2, [5]), seed=1),
+    ]
+    for i, inst in enumerate(instances):
+        path = tmp_path / f"f{i}.csv"
+        write_f_table_csv(path, inst)
+        rows = "".join(f"{g},{int(v)}\n" for g, v in enumerate(inst.f_table))
+        assert path.read_text(encoding="utf-8") == "g_index,f_index\n" + rows
+    triples = run_pipeline(instances[0], fourier_transform(d16))
+    rng = np.random.default_rng(3)
+    for i, samples in enumerate([
+        rng.integers(0, 1 << 40, size=3000).tolist(),
+        sample(triples, 2500, seed=4),
+        [],
+    ]):
+        path = tmp_path / f"s{i}.csv"
+        write_samples_csv(path, samples)
+        rows = "".join(f"{j},{label_str(lab)}\n" for j, lab in enumerate(samples))
+        assert path.read_text(encoding="utf-8") == "trial_index,outcome_label\n" + rows
 
 
 def test_sample_point_mass_and_determinism():

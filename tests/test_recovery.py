@@ -1,3 +1,4 @@
+import math
 import re
 import sys
 
@@ -43,6 +44,7 @@ from oracles import (
     character_kernel_probs,
     character_trivial_on,
     kernel_intersection,
+    multiplicative_order,
     rank_by_pipeline,
     reference_period_denominator,
 )
@@ -227,6 +229,36 @@ def test_period_recovered_from_ideal_support(r, big_q):
     est = period_from_samples(support, big_q, modulus, base)
     assert est.period == r
     assert est.confirmed
+
+
+def test_confirmed_period_is_the_order_not_a_multiple():
+    # N=21, a=2, r=6, Q=512: y=128 gives denominator 4 and y=171 gives 3, so
+    # L = 12 and a^12 = 1, but the period is 6
+    assert [continued_fraction_period(y, 512, 21) for y in (128, 171)] == [4, 3]
+    est = period_from_samples([128, 171], 512, 21, 2)
+    assert est.period == 6 and est.confirmed
+    # a^4 != 1, so L = 4 stays as it is and is not confirmed
+    est = period_from_samples([128], 512, 21, 2)
+    assert est.period == 4 and not est.confirmed
+
+
+@pytest.mark.parametrize("modulus,big_q", [(15, 64), (21, 512), (35, 1024), (91, 4096), (97, 999)])
+def test_period_from_samples_against_brute_force_order(modulus, big_q):
+    """A confirmed period is the brute-force multiplicative order, on random outcome sets."""
+    rng = np.random.default_rng(modulus)
+    for base in (b for b in range(2, modulus) if math.gcd(b, modulus) == 1):
+        order = multiplicative_order(base, modulus)
+        for _ in range(8):
+            outcomes = rng.integers(0, big_q, size=int(rng.integers(1, 6))).tolist()
+            denominators = [reference_period_denominator(y, big_q, modulus) for y in outcomes]
+            denominators = [d for d in denominators if d is not None]
+            est = period_from_samples(outcomes, big_q, modulus, base)
+            if not denominators:
+                assert est.period is None and not est.confirmed
+                continue
+            lcm = math.lcm(*denominators)
+            assert est.confirmed == (lcm % order == 0)
+            assert est.period == (order if est.confirmed else lcm)
 
 
 def test_trivial_period_support_is_uninformative():

@@ -22,6 +22,7 @@ from oracles import (
     multiplicative_order,
     peak_mass_by_windows,
 )
+from test_acceptance import PEAK_MASS_N21_A2_Q512
 
 # Frozen: shor transversal, N=21, a=2, Q=65536 (the benchmark's sweep instance).
 PEAK_MASS_N21_A2_Q65536 = 0.7892786611208602
@@ -267,3 +268,65 @@ def test_peak_mass_memory_at_period_cap():
     assert peak < 48 * 2**20
     # one label nearest each j*Q/6, j = 0..5
     assert mass == 6 / q
+
+
+def _level_set_law(values, big_q, forward):
+    """sum_v |DFT(1[f~ = v])|^2 / Q^2 over the distinct values v, by full complex FFTs."""
+    values = np.asarray(values)
+    probs = np.zeros(big_q)
+    for v in sorted(set(values.tolist())):
+        indicator = (values == v).astype(np.complex128)
+        spectrum = np.fft.fft(indicator) if forward else np.fft.ifft(indicator) * big_q
+        probs += np.abs(spectrum) ** 2
+    return probs / big_q**2
+
+
+@pytest.mark.parametrize("big_q", [4, 16, 999, 65536])
+def test_period_law_matches_level_sets_of_composed_table(big_q):
+    # r = 6: Q = 4 < r leaves classes of tau mod r empty; Q = 999 is odd
+    modulus, base = 21, 2
+    inst = PeriodicInstance(modulus, base, big_q, allow_any_q=True)
+    transversals = [shor_transversal(big_q)] + [
+        offset_transversal(big_q, bound, seed=3) for bound in (21, 1 << 40)
+    ]
+    for tau in transversals:
+        values = composed_table(base, modulus, tau.table)
+        if big_q == 4:
+            assert len(set(values)) < inst.period
+        for transform in ("forward", "inverse"):
+            dist = shor_pipeline(inst, tau, transform)
+            expected = _level_set_law(values, big_q, transform == "forward")
+            assert np.abs(np.asarray(dist.probs) - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("modulus,base,big_q", [(21, 2, 4), (21, 2, 16), (21, 2, 999),
+                                                (21, 2, 512), (21, 2, 65536), (35, 2, 4096)])
+def test_sweep_rows_equal_peak_mass_of_the_pipeline(modulus, base, big_q):
+    inst = PeriodicInstance(modulus, base, big_q, allow_any_q=True)
+    r = inst.period
+    reference = peak_mass(shor_pipeline(inst, shor_transversal(big_q)), r, big_q)
+    for bound in (1, 21, 1 << 40):
+        rows = transversal_quality_sweep(inst, bound, range(3, 6))
+        assert [seed for seed, _, _ in rows] == [3, 4, 5]
+        for seed, pm_shor, pm_offset in rows:
+            assert pm_shor == reference
+            tau = offset_transversal(big_q, bound, seed)
+            assert pm_offset == peak_mass(shor_pipeline(inst, tau), r, big_q)
+    frozen = {512: PEAK_MASS_N21_A2_Q512, 65536: PEAK_MASS_N21_A2_Q65536}
+    if modulus == 21 and big_q in frozen:
+        assert abs(reference - frozen[big_q]) < 1e-10
+
+
+def test_sweep_row_memory_at_period_cap():
+    """Q*N = 2^22: one offset row holds a few Q-length arrays, no f~ table or label tuple."""
+    inst = PeriodicInstance(4, 3, 1 << 20)
+    tracemalloc.start()
+    try:
+        rows = transversal_quality_sweep(inst, 1000, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # building f~, np.unique over it and a tuple of 2^20 labels per row peaks at 90 MiB
+    assert peak < 48 * 2**20
+    # r = 2 divides Q, so every transversal puts all mass on the windows
+    assert rows == [(0, 1.0, 1.0)]
