@@ -6,7 +6,6 @@ from .config import ExperimentConfig, parse_config, serialize_config
 from .engine import (
     OutcomeDistribution,
     PipelineConfig,
-    QuantumState,
     run_pipeline,
     sample,
     step_trace,
@@ -16,10 +15,10 @@ from .groups import (
     CyclicGroup,
     DihedralGroup,
     FiniteGroup,
-    GroupElement,
     ProductGroup,
     Subgroup,
     all_subgroups,
+    coset_ids,
     group_from_spec,
     left_cosets,
     subgroup_from_generators,
@@ -41,7 +40,6 @@ from .representations import (
     FourierOperator,
     FourierTransform,
     Irrep,
-    contragredient,
     fourier_operator,
     fourier_transform,
     irreps_of,

@@ -128,10 +128,7 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return d
 
 
-def _print_summary(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-        return
+def _print_csv(report: dict) -> None:
     if "distribution" in report:
         print("outcome_label,probability")
         for label, p in report["distribution"]:
@@ -163,7 +160,11 @@ def main(argv=None) -> int:
     except IntegrityError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 4
-    _print_summary(report, args.format)
+    if args.format == "json":
+        # the bytes of report.json, so the JSON form is stated once, in reporting
+        sys.stdout.write((Path(args.out_dir) / "report.json").read_text(encoding="utf-8"))
+    else:
+        _print_csv(report)
     return 0
 
 

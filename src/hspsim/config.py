@@ -21,6 +21,9 @@ from .representations import BasisOrdering
 from .transversals import PERIOD_STATE_CAP, REPRESENTATIVE_LIMIT
 
 TRANSVERSAL_KINDS = ("shor", "offset")
+# each trial is one sample and one report entry, each sweep seed one transversal
+TRIALS_CAP = 65536
+SEEDS_CAP = 65536
 
 
 @dataclass(frozen=True)
@@ -48,9 +51,6 @@ class ExperimentConfig:
     bound: int | None = None
     seeds: int | None = None
     dist: str | None = None
-
-    def resolved_oracle_seed(self) -> int:
-        return self.seed if self.oracle_seed is None else self.oracle_seed
 
 
 def _normalize_generators(raw_gens) -> tuple:
@@ -214,6 +214,9 @@ ORDER_CAPS = {
 
 
 def _validate_semantics(cfg: ExperimentConfig) -> None:
+    for key, value, cap in (("trials", cfg.trials, TRIALS_CAP), ("seeds", cfg.seeds, SEEDS_CAP)):
+        if value is not None and value > cap:
+            raise ResourceCapError(f"field {key!r} is capped at {cap}, got {value}")
     if cfg.experiment in ORDER_CAPS:
         group = resolve_group(cfg)
         cap = ORDER_CAPS[cfg.experiment]

@@ -51,20 +51,6 @@ class PipelineConfig:
 
 
 @dataclass
-class QuantumState:
-    """Amplitudes over the G x H basis, index = g_index * |H| + h_index."""
-
-    dims: tuple[int, int]
-    amplitudes: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def as_matrix(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.dims)
-
-
-@dataclass
 class OutcomeDistribution:
     """Exact left-register Born probabilities keyed by outcome label.
 
@@ -207,12 +193,10 @@ def step_trace(
     instance: HspInstance,
     fourier: FourierTransform,
     cfg: PipelineConfig = PipelineConfig(),
-) -> list[QuantumState]:
-    """Snapshots psi0..psi3 of the pipeline, for inspection and testing."""
+) -> list[np.ndarray]:
+    """Snapshots psi0..psi3 of the pipeline, each a (|G|, |H|) array of amplitudes."""
     _check_group(instance, fourier)
-    n_h = instance.codomain.order
-    states, _ = _evolve(fourier, cfg, instance.f_table[None], [n_h])
-    return [QuantumState((instance.group.order, n_h), m.reshape(-1)) for m in states]
+    return _evolve(fourier, cfg, instance.f_table[None], [instance.codomain.order])[0]
 
 
 def sample(dist: OutcomeDistribution, n: int, seed: int) -> list:

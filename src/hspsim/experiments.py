@@ -39,7 +39,8 @@ from .reporting import (
     write_json,
     write_samples_csv,
 )
-from .representations import BasisOrdering, _residuals, fourier_transform, irreps_of
+from .representations import (BasisOrdering, fourier_transform, irreps_of,
+                              verify_representation_suite)
 from .transversals import (
     PeriodicInstance,
     offset_transversal,
@@ -102,14 +103,15 @@ def _run_irreps(cfg: ExperimentConfig, out: Path) -> dict:
 
 def _run_fourier_check(cfg: ExperimentConfig, out: Path) -> dict:
     group = resolve_group(cfg)
-    suite = _residuals(group, BasisOrdering(cfg.ordering))
+    suite = verify_representation_suite(group, BasisOrdering(cfg.ordering))
     return {**suite, "group": group.name, "ordering": cfg.ordering}
 
 
 def _pipeline_pieces(cfg: ExperimentConfig):
     group = resolve_group(cfg)
     hidden = resolve_hidden(cfg, group)
-    instance = build_instance(group, hidden, cfg.resolved_oracle_seed())
+    seed = cfg.seed if cfg.oracle_seed is None else cfg.oracle_seed
+    instance = build_instance(group, hidden, seed)
     fourier = fourier_transform(group, BasisOrdering(cfg.ordering))
     pipeline_cfg = PipelineConfig(cfg.second_transform, cfg.measure_granularity)
     return group, hidden, instance, fourier, pipeline_cfg
@@ -118,8 +120,8 @@ def _pipeline_pieces(cfg: ExperimentConfig):
 def _run_simulate(cfg: ExperimentConfig, out: Path) -> dict:
     group, hidden, instance, fourier, pipeline_cfg = _pipeline_pieces(cfg)
     states = step_trace(instance, fourier, pipeline_cfg)
-    dist = left_register_distribution(states[-1].as_matrix(), fourier, pipeline_cfg)
-    norms = [state.norm() for state in states]
+    dist = left_register_distribution(states[-1], fourier, pipeline_cfg)
+    norms = [float(np.linalg.norm(state)) for state in states]
     samples = sample(dist, cfg.trials, cfg.seed)
     write_distribution_csv(out / "distribution.csv", dist)
     write_samples_csv(out / "samples.csv", samples)

@@ -33,14 +33,6 @@ SUBGROUP_ENUM_LIMIT = 64
 _LABEL_ROWS = 4096
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """A group element: dense index plus its canonical label."""
-
-    index: int
-    label: str
-
-
 class FiniteGroup:
     """Base class; elements are the indices 0..order-1, identity is 0.
 
@@ -77,10 +69,6 @@ class FiniteGroup:
     @property
     def identity(self) -> int:
         return 0
-
-    def element(self, a: int) -> GroupElement:
-        self.check_index(a)
-        return GroupElement(a, self.label(a))
 
     def check_index(self, a: int) -> int:
         if not isinstance(a, (int, np.integer)) or not 0 <= a < self.order:
@@ -220,10 +208,6 @@ class DihedralGroup(FiniteGroup):
         self.name = f"D{self.n}"
         self.order = _int64_order(self.name, 2 * self.n)
 
-    def rotation_reflection(self, a: int) -> tuple[int, int]:
-        self.check_index(a)
-        return a % self.n, a // self.n
-
     def _op(self, a, b):
         n = self.n
         aref, bref = a // n, b // n
@@ -348,20 +332,26 @@ def subgroup_from_generators(group: FiniteGroup, generators) -> Subgroup:
     return Subgroup.from_generators(group, generators)
 
 
-def left_cosets(group: FiniteGroup, subgroup: Subgroup) -> list[tuple[int, ...]]:
-    """Partition of G into left cosets gK, ordered by least-index representative."""
+def coset_ids(group: FiniteGroup, subgroup: Subgroup) -> np.ndarray:
+    """The int64 id of each element's left coset gK, the cosets numbered by their
+    least element.  The least element not yet placed is the least of its coset,
+    so one `_op` per coset places the coset, in O(|G|) memory."""
     if subgroup.group is not group:
         raise ValueError("subgroup does not belong to the given group")
     kel = np.array(subgroup.elements, dtype=np.int64)
-    seen = np.zeros(group.order, dtype=bool)
-    cosets = []
-    for g in range(group.order):
-        if seen[g]:
-            continue
-        coset = np.sort(group._op(g, kel))
-        seen[coset] = True
-        cosets.append(tuple(coset.tolist()))
-    return cosets
+    ids = np.full(group.order, -1, dtype=np.int64)
+    g = 0
+    for c in range(subgroup.num_cosets):
+        while ids[g] >= 0:
+            g += 1
+        ids[group._op(g, kel)] = c
+    return ids
+
+
+def left_cosets(group: FiniteGroup, subgroup: Subgroup) -> list[tuple[int, ...]]:
+    """Partition of G into left cosets gK, ordered by least-index representative."""
+    members = np.argsort(coset_ids(group, subgroup), kind="stable")
+    return [tuple(c) for c in members.reshape(-1, subgroup.order).tolist()]
 
 
 def character_pairing(group: FiniteGroup, xs, ys) -> tuple[np.ndarray, int]:

@@ -4,7 +4,9 @@ An instance fixes a group G, a hidden subgroup K, and a map f: G -> H
 that factors through the coset space: f is constant on each left coset
 of K and injective across cosets.  The codomain defaults to Z_M with
 M = |G|/|K|; its group structure never influences the left-register
-statistics.  The blackbox acts on the G x H basis by
+statistics.  f is a seed-chosen injection of Z_{|G/K|} into Z_M read at
+the coset ids of `groups.coset_ids`, which number the cosets by their
+least element.  The blackbox acts on the G x H basis by
 |g>|h> -> |g>|f(g) h^-1>; the engine applies it to |psi1>|e> only, as
 one scatter of psi1 onto the level sets of `f_table`.
 """
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrityError
-from .groups import CyclicGroup, FiniteGroup, Subgroup, left_cosets
+from .groups import CyclicGroup, FiniteGroup, Subgroup, coset_ids
 
 
 @dataclass(frozen=True)
@@ -37,17 +39,13 @@ def build_instance(
     group: FiniteGroup, hidden: Subgroup, seed: int, codomain_order: int | None = None
 ) -> HspInstance:
     """Instance with a seed-chosen injection of the coset space into Z_M."""
-    cosets = left_cosets(group, hidden)
-    m = len(cosets)
+    m = hidden.num_cosets
     big_m = m if codomain_order is None else int(codomain_order)
     if big_m < m:
         raise ValueError(f"codomain order {big_m} is below the coset count {m}")
     rng = np.random.default_rng(seed)
     injection = tuple(int(v) for v in rng.permutation(big_m)[:m])
-    f_table = np.empty(group.order, dtype=np.int64)
-    for idx, coset in enumerate(cosets):
-        for g in coset:
-            f_table[g] = injection[idx]
+    f_table = np.array(injection, dtype=np.int64)[coset_ids(group, hidden)]
     f_table.flags.writeable = False
     return HspInstance(group, hidden, CyclicGroup(big_m), injection, f_table, int(seed))
 
@@ -60,17 +58,16 @@ def classical_brute_force_hsp(instance: HspInstance) -> Subgroup:
     """
     f = instance.f_table
     group = instance.group
-    members = [g for g in range(group.order) if f[g] == f[0]]
     try:
-        candidate = Subgroup.from_elements(group, members)
+        candidate = Subgroup.from_elements(group, np.flatnonzero(f == f[0]))
     except ValueError as exc:
         raise IntegrityError(f"f-stabilizer is not a subgroup: {exc}") from exc
-    values = []
-    for coset in left_cosets(group, candidate):
-        vals = {int(f[g]) for g in coset}
-        if len(vals) != 1:
-            raise IntegrityError("f is not constant on a left coset of its stabilizer")
-        values.append(vals.pop())
-    if len(set(values)) != len(values):
+    ids = coset_ids(group, candidate)
+    # one value per coset; if a coset holds two values, some element differs from its entry
+    values = np.empty(candidate.num_cosets, dtype=np.int64)
+    values[ids] = f
+    if not np.array_equal(values[ids], f):
+        raise IntegrityError("f is not constant on a left coset of its stabilizer")
+    if len(set(values.tolist())) != len(values):
         raise IntegrityError("f repeats a value across distinct cosets")
     return candidate

@@ -14,8 +14,8 @@ annihilator law (outcomes uniform on K^perp; Hallgren, Russell and
 Ta-Shma), read for all candidates at once off one character pairing, so
 it builds no instance or state.  Dihedral candidates run the pipeline
 together: the law of K depends only on its left cosets, so each
-candidate's coset ids serve as its f, and one evolution of the stacked
-candidates gives every row.
+candidate's coset ids (`groups.coset_ids`) serve as its f, and one
+evolution of the stacked candidates gives every row.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .engine import OutcomeDistribution, PipelineConfig, level_set_laws, outcome_labels
 from .errors import ResourceCapError
 from .groups import (CyclicGroup, FiniteGroup, ProductGroup, Subgroup, _mask, all_subgroups,
-                     character_pairing, membership)
+                     character_pairing, coset_ids, membership)
 from .representations import FourierTransform, fourier_transform
 
 RANK_TIE_TOL = 1e-12
@@ -182,16 +182,10 @@ def coset_law(fourier: FourierTransform, cfg: PipelineConfig, candidates) -> np.
 
     f is constant on the left cosets gK_c and injective across them, and
     which value each coset takes only permutes columns of H, which the
-    measurement sums over; so the ids of the cosets, numbered by their
-    least element, serve as f for every instance and seed.
+    measurement sums over; so the coset ids of `groups.coset_ids` serve as
+    f for every instance and seed.
     """
-    group = fourier.group
-    g = np.arange(group.order, dtype=np.int64)[:, None]
-    least = np.stack([group._op(g, np.array(k.elements)).min(axis=1) for k in candidates])
-    # a coset's id is the rank of its least element among the least elements
-    present = np.zeros((len(candidates), group.order), dtype=bool)
-    np.put_along_axis(present, least, True, axis=1)
-    ids = np.take_along_axis(np.cumsum(present, axis=1) - 1, least, axis=1)
+    ids = np.stack([coset_ids(fourier.group, k) for k in candidates])
     laws = level_set_laws(fourier, cfg, ids, [k.num_cosets for k in candidates])
     return np.stack([law.probs for law in laws])
 

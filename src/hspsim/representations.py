@@ -28,7 +28,6 @@ from .errors import IntegrityError, ResourceCapError
 from .groups import (MAX_TABLE_ORDER, CyclicGroup, DihedralGroup, FiniteGroup, ProductGroup,
                      character_pairing)
 
-CONTRAGREDIENT_UNITARITY_TOL = 1e-10
 # rows per block of the entry table: freeing whole-table temporaries raised
 # the allocator's mmap threshold and `irreps` D1024 peak RSS by about 10 MB
 _ENTRY_ROWS = 128
@@ -259,16 +258,6 @@ def _irreps(fourier: FourierTransform, table: np.ndarray) -> list[Irrep]:
     return out
 
 
-def contragredient(irrep: Irrep) -> Irrep:
-    """g -> transpose(pi(g^-1)); equals the entrywise conjugate for unitary pi."""
-    if irrep.max_unitarity_residual() > CONTRAGREDIENT_UNITARITY_TOL:
-        raise ValueError("contragredient requires a unitary representation")
-    group = irrep.group
-    inv_idx = group._inv(np.arange(group.order, dtype=np.int64))
-    mats = irrep.matrices[inv_idx].transpose(0, 2, 1).copy()
-    return Irrep(group, irrep.label, irrep.dim, _readonly(mats))
-
-
 # np.lexsort keys (last key primary) of the blocks for each row ordering;
 # blocks stay row-major in (j, k)
 _ORDER_KEYS = {
@@ -314,9 +303,12 @@ def _completeness_defect(fourier: FourierTransform, table: np.ndarray) -> float:
     return float(np.abs(regular).max())
 
 
-def _residuals(group: FiniteGroup, ordering: BasisOrdering) -> dict:
-    """Completeness defect and per-irrep unitarity from one entry table, which then
-    becomes F in place: F F^dagger = I is exactly Schur orthogonality."""
+def verify_representation_suite(
+    group: FiniteGroup, ordering: BasisOrdering = BasisOrdering.DIM_THEN_LABEL
+) -> dict:
+    """Completeness, Schur orthogonality and unitarity residuals of irreps_of,
+    from one entry table in the row order `ordering`, which then becomes F in
+    place: F F^dagger = I is exactly Schur orthogonality."""
     fourier = fourier_transform(group, ordering)
     table = fourier._entries()
     unitarity = max(ir.max_unitarity_residual() for ir in _irreps(fourier, table))
@@ -328,8 +320,3 @@ def _residuals(group: FiniteGroup, ordering: BasisOrdering) -> dict:
         # F F^dagger - I is also the residual of F's own unitarity
         "max_unitarity_residual": max(unitarity, schur),
     }
-
-
-def verify_representation_suite(group: FiniteGroup) -> dict:
-    """Completeness, Schur orthogonality, and unitarity residuals for irreps_of."""
-    return _residuals(group, BasisOrdering.DIM_THEN_LABEL)

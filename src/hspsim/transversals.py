@@ -5,12 +5,13 @@ modulo Q, so tau(q) mod Q = q.  The integer line is never materialized:
 the representative table is a read-only int64 array of length Q.  Since
 a^r = 1 mod N for the period r, the composed table f~(q) = a^tau(q) mod N
 is the lookup A[tau mod r] into the power table
-A = (a^0, ..., a^(r-1)) mod N.  A is injective on Z_r, so the level sets
-of f~ are the residue classes of tau mod r, and the pipeline reads them
-off tau without building f~.  The canonical transversal maps q to its
-least non-negative representative; the adversarial family adds per-point
-offsets q + Q*m_q, which keeps the section property while generically
-destroying the periodicity of f~.
+A = (a^0, ..., a^(r-1)) mod N, doubled until its first 1 after k = 0
+(so never longer than 2r): its length is the period.  A is injective on
+Z_r, so the level sets of f~ are the residue classes of tau mod r, and
+the pipeline reads them off tau without building f~.  The canonical
+transversal maps q to its least non-negative representative; the
+adversarial family adds per-point offsets q + Q*m_q, which keeps the
+section property while generically destroying the periodicity of f~.
 Representatives must fit in int64, so an offset bound B needs Q*B <= 2^63.
 """
 
@@ -115,23 +116,19 @@ class PeriodicInstance:
             raise ValueError(f"Q = {self.q} is not a power of two (set allow_any_q to override)")
 
     @cached_property
-    def period(self) -> int:
-        r, value = 1, self.base % self.modulus
-        while value != 1:
-            value = (value * self.base) % self.modulus
-            r += 1
-        return r
-
     def powers(self) -> np.ndarray:
-        """A[k] = a^k mod N for k = 0..r-1, by doubling; products stay below N^2."""
-        r, n = self.period, self.modulus
-        table = np.ones(r, dtype=np.int64)
-        filled = 1
-        while filled < r:
-            step = min(filled, r - filled)
-            table[filled : filled + step] = table[:step] * pow(self.base, filled, n) % n
-            filled += step
+        """A[k] = a^k mod N for k = 0..r-1, read-only; products stay below N^2."""
+        n, table = self.modulus, np.ones(1, dtype=np.int64)
+        # doubled until the first 1 after k = 0: a^(L+k) = a^k a^L for L = len(table)
+        while not (ones := np.flatnonzero(table[1:] == 1)).size:
+            table = np.concatenate([table, table * (int(table[-1]) * self.base % n) % n])
+        table = table[:ones[0] + 1].copy()
+        table.flags.writeable = False
         return table
+
+    @property
+    def period(self) -> int:
+        return len(self.powers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +155,7 @@ def approximate_function(instance: PeriodicInstance, tau: Transversal) -> Approx
         )
     classes = tau.table % instance.period
     classes.flags.writeable = False
-    return ApproximateFunction(tau, classes, instance.powers())
+    return ApproximateFunction(tau, classes, instance.powers)
 
 
 def _spectrum(instance: PeriodicInstance, tau: Transversal) -> np.ndarray:

@@ -11,8 +11,11 @@ import pytest
 import hspsim
 from hspsim import cli
 from hspsim.cli import build_parser, main
+from hspsim import config
 from hspsim.config import (
     SCHEMA,
+    SEEDS_CAP,
+    TRIALS_CAP,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
@@ -113,6 +116,33 @@ def test_parse_enforces_resource_caps():
         parse_config(
             '{"experiment":"simulate","group":"Z512","hidden_generators":[]}'
         )
+
+
+def test_parse_caps_trials_and_seeds(monkeypatch, capsys):
+    """trials and seeds are refused past their caps by arithmetic on the parsed
+    values, before a group is resolved or anything is allocated."""
+    assert TRIALS_CAP == SEEDS_CAP == 65536
+    trial_configs = [
+        {"experiment": "simulate", "group": "D4", "hidden_generators": [2]},
+        {"experiment": "simon", "group": "Z2^3", "hidden_generators": []},
+        {"experiment": "shor", "N": 21, "a": 2, "Q": 512},
+    ]
+    sweep = {"experiment": "sweep-transversal", "N": 21, "a": 2, "Q": 512, "bound": 21}
+    for raw in trial_configs:
+        assert config_from_dict({**raw, "trials": TRIALS_CAP}).trials == TRIALS_CAP
+    assert config_from_dict({**sweep, "seeds": SEEDS_CAP}).seeds == SEEDS_CAP
+
+    def refuse(cfg):
+        raise AssertionError("a group was resolved before the caps were checked")
+
+    monkeypatch.setattr(config, "resolve_group", refuse)
+    for raw in trial_configs:
+        with pytest.raises(ResourceCapError, match="'trials' is capped at 65536, got 65537"):
+            config_from_dict({**raw, "trials": 65537})
+    with pytest.raises(ResourceCapError, match="'seeds' is capped at 65536, got 65537"):
+        config_from_dict({**sweep, "seeds": 65537})
+    assert main(["shor", "--N", "21", "--a", "2", "--Q", "512", "--trials", "65537"]) == 3
+    assert "'trials'" in capsys.readouterr().err
 
 
 def test_parse_caps_group_order_of_dense_array_experiments():
@@ -374,7 +404,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     ["recover", "--dist", "z2.csv", "--group", "Z2^3", "--out-dir", "rec"],
     ["sweep-transversal", "--N", "21", "--a", "2", "--Q", "512", "--bound", "21",
      "--seeds", "4", "--out-dir", "sweep"],
-], ids=["simulate", "recover-D4", "recover-Z2^3", "sweep-transversal"])
+    ["simon", "--n", "4", "--hidden", "1011", "--trials", "12", "--out-dir", "simon"],
+    ["shor", "--N", "21", "--a", "2", "--Q", "512", "--trials", "8", "--out-dir", "shor"],
+], ids=["simulate", "recover-D4", "recover-Z2^3", "sweep-transversal", "simon", "shor"])
 def test_cli_runs_never_import_numpy_ma(tmp_path, argv):
     """numpy.ma costs 12-15 ms to import in a fresh process; no run needs it."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

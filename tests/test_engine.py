@@ -134,12 +134,13 @@ def test_norms_along_the_pipeline():
     states = step_trace(inst, fop)
     assert len(states) == 4
     for state in states:
-        assert abs(state.norm() - 1.0) < 1e-12
+        assert state.shape == (group.order, inst.codomain.order)
+        assert abs(np.linalg.norm(state) - 1.0) < 1e-12
     # initial state is |0>|identity>
-    assert states[0].amplitudes[0] == 1.0
-    assert np.abs(states[0].amplitudes[1:]).max() == 0.0
+    assert states[0][0, 0] == 1.0
+    assert np.abs(states[0].ravel()[1:]).max() == 0.0
     # after the first transform: the identity column of the Fourier operator
-    matrix = states[1].as_matrix()
+    matrix = states[1]
     assert np.array_equal(matrix[:, 0], fop.matrix[:, 0])
     assert np.abs(matrix[:, 1:]).max() == 0.0
 
@@ -165,7 +166,7 @@ def test_blackbox_step_is_the_basis_permutation(spec, gens, normal, codomain_ord
     assert hidden.normal == normal
     inst = build_instance(group, hidden, seed=4, codomain_order=codomain_order)
     assert inst.codomain.order == (codomain_order or hidden.num_cosets)
-    psi1, psi2 = (s.as_matrix() for s in step_trace(inst, fourier_transform(group))[1:3])
+    psi1, psi2 = step_trace(inst, fourier_transform(group))[1:3]
     expected = blackbox_by_loops(inst.f_table.tolist(), inst.codomain.order, psi1)
     assert psi2.dtype == expected.dtype and psi2.shape == expected.shape
     assert np.array_equal(psi2, expected)
@@ -177,7 +178,7 @@ def test_first_step_is_uniform_for_abelian_groups():
     group = group_from_spec("Z12")
     hidden = subgroup_from_generators(group, [4])
     inst = build_instance(group, hidden, seed=0)
-    matrix = step_trace(inst, fourier_operator(group))[1].as_matrix()
+    matrix = step_trace(inst, fourier_operator(group))[1]
     assert np.abs(np.abs(matrix[:, 0]) - 1 / np.sqrt(group.order)).max() < 1e-12
 
 
@@ -191,7 +192,7 @@ def test_irrep_label_granularity_aggregates_blocks():
         for hidden in all_subgroups(group):
             inst = build_instance(group, hidden, seed=0)
             coarse = run_pipeline(inst, fourier, cfg)
-            probs = (np.abs(step_trace(inst, fourier, cfg)[3].as_matrix()) ** 2).sum(axis=1)
+            probs = (np.abs(step_trace(inst, fourier, cfg)[3]) ** 2).sum(axis=1)
             labels = tuple(dict.fromkeys(i for i, _, _ in fourier.row_index))
             agg = {lab: 0.0 for lab in labels}
             for (i, _, _), p in zip(fourier.row_index, probs):

@@ -14,6 +14,7 @@ from hspsim.groups import (
     Subgroup,
     all_subgroups,
     character_pairing,
+    coset_ids,
     group_from_spec,
     left_cosets,
     subgroup_from_generators,
@@ -82,12 +83,10 @@ def test_product_involution_group():
 
 def test_element_canonicalization():
     d4 = DihedralGroup(4)
-    elem = d4.element(6)
-    assert elem.index == 6
-    assert elem.label == "r2s"
-    assert d4.element(0).label == "e"
+    assert d4.label(6) == "r2s"
+    assert d4.label(0) == "e"
     with pytest.raises(ValueError):
-        d4.element(8)
+        d4.label(8)
     with pytest.raises(ValueError):
         d4.op(0, 9)
 
@@ -135,6 +134,8 @@ def test_left_cosets_examples():
 
 @pytest.mark.parametrize("spec", AXIOM_GROUPS)
 def test_cosets_partition_evenly(spec):
+    """left_cosets, coset_ids and the instance's f against cosets gK formed
+    element by element with scalar `op`."""
     group = group_from_spec(spec)
     for sub in all_subgroups(group):
         cosets = left_cosets(group, sub)
@@ -144,6 +145,14 @@ def test_cosets_partition_evenly(spec):
         # least-index representatives, subgroup first
         assert all(c[0] == min(c) for c in cosets)
         assert cosets[0] == sub.elements
+        expected = sorted({tuple(sorted(group.op(g, k) for k in sub.elements))
+                           for g in range(group.order)})
+        assert cosets == expected
+        index = {g: i for i, coset in enumerate(expected) for g in coset}
+        assert coset_ids(group, sub).tolist() == [index[g] for g in range(group.order)]
+        for seed, codomain_order in ((0, None), (1, None), (2, None), (3, group.order + 3)):
+            inst = build_instance(group, sub, seed, codomain_order)
+            assert inst.f_table.tolist() == [inst.injection[index[g]] for g in range(group.order)]
 
 
 def _divisors(n):
@@ -419,7 +428,7 @@ def test_run_path_builds_no_op_table():
 def _label_by_rule(group, a):
     """The label rule of each kind, stated element by element."""
     if isinstance(group, DihedralGroup):
-        rot, ref = group.rotation_reflection(a)
+        ref, rot = divmod(a, group.n)
         return ("r" if rot == 1 else f"r{rot}" if rot else "") + ("s" if ref else "") or "e"
     if isinstance(group, ProductGroup):
         return "(" + ",".join(str(x) for x in group.coords(a)) + ")"

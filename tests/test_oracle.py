@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from hspsim.engine import step_trace
-from hspsim.groups import all_subgroups, group_from_spec, subgroup_from_generators
-from hspsim.oracle import build_instance, classical_brute_force_hsp
+from hspsim.errors import IntegrityError
+from hspsim.groups import CyclicGroup, all_subgroups, group_from_spec, subgroup_from_generators
+from hspsim.oracle import HspInstance, build_instance, classical_brute_force_hsp
 from hspsim.representations import fourier_transform
 
 
@@ -48,10 +49,27 @@ def test_brute_force_recovers_hidden_subgroup(spec):
             assert classical_brute_force_hsp(inst).elements == hidden.elements
 
 
+@pytest.mark.parametrize("spec, f_values, message", [
+    ("Z4", [0, 0, 1, 1], "not a subgroup"),
+    ("Z4", [0, 1, 0, 2], "not constant on a left coset"),
+    # constant on the right cosets {r, sr}, {r^2, sr^2} of <s> in D3, not on the left ones
+    ("D3", [0, 1, 2, 0, 2, 1], "not constant on a left coset"),
+    ("Z6", [0, 1, 1, 0, 1, 1], "repeats a value across distinct cosets"),
+])
+def test_brute_force_refuses_inconsistent_tables(spec, f_values, message):
+    """Hand-built tables that build_instance never makes, each breaking one
+    property that the brute force checks."""
+    group = group_from_spec(spec)
+    table = np.array(f_values, dtype=np.int64)
+    inst = HspInstance(group, subgroup_from_generators(group, []), CyclicGroup(group.order),
+                       tuple(f_values), table, 0)
+    with pytest.raises(IntegrityError, match=message):
+        classical_brute_force_hsp(inst)
+
+
 def _blackbox_step(inst):
     """psi1 and psi2 of the pipeline, as (|G|, |H|) arrays."""
-    psi1, psi2 = step_trace(inst, fourier_transform(inst.group))[1:3]
-    return psi1.as_matrix(), psi2.as_matrix()
+    return step_trace(inst, fourier_transform(inst.group))[1:3]
 
 
 def test_oracle_writes_f_into_identity_column():

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,6 @@ from hspsim.groups import CyclicGroup, DihedralGroup, FiniteGroup, ProductGroup,
 from hspsim.representations import (
     BasisOrdering,
     _completeness_defect,
-    Irrep,
-    contragredient,
     fourier_operator,
     fourier_transform,
     irreps_of,
@@ -79,41 +78,6 @@ def test_irrep_invariants(spec):
         chars = ir.character()
         self_product = float(np.vdot(chars, chars).real) / group.order
         assert abs(self_product - 1.0) < 1e-10
-
-
-def test_contragredient_fixes_real_irreps():
-    group = ProductGroup((2, 2, 2))
-    for ir in irreps_of(group):
-        assert np.array_equal(contragredient(ir).matrices, ir.matrices)
-
-
-def test_contragredient_conjugates_cyclic_characters():
-    z4 = CyclicGroup(4)
-    irreps = irreps_of(z4)
-    flipped = contragredient(irreps[1])
-    assert np.abs(flipped.matrices - irreps[3].matrices).max() < 1e-14
-
-
-def test_contragredient_keeps_real_dihedral_character():
-    d3 = DihedralGroup(3)
-    rho = [ir for ir in irreps_of(d3) if ir.dim == 2][0]
-    contra = contragredient(rho)
-    assert np.abs(contra.character() - rho.character()).max() < 1e-12
-
-
-@pytest.mark.parametrize("spec", SAMPLE_GROUPS)
-def test_contragredient_is_involution(spec):
-    group = group_from_spec(spec)
-    for ir in irreps_of(group):
-        twice = contragredient(contragredient(ir))
-        assert np.abs(twice.matrices - ir.matrices).max() < 1e-14
-
-
-def test_contragredient_refuses_non_unitary():
-    z2 = CyclicGroup(2)
-    mats = np.array([[[1.0]], [[2.0]]], dtype=np.complex128)
-    with pytest.raises(ValueError, match="unitary"):
-        contragredient(Irrep(z2, 0, 1, mats))
 
 
 def test_fourier_of_z2_is_hadamard():
@@ -260,8 +224,9 @@ def test_completeness_defect_reads_the_regular_character(spec):
 
 
 def test_verify_representation_suite_values():
-    for spec, tol in (("Z8", 1e-13), ("D6", 1e-12), ("D3", 1e-12)):
-        report = verify_representation_suite(group_from_spec(spec))
+    cases = (("Z8", 1e-13), ("D6", 1e-12), ("D3", 1e-12))
+    for (spec, tol), ordering in itertools.product(cases, BasisOrdering):
+        report = verify_representation_suite(group_from_spec(spec), ordering)
         assert report["completeness_defect"] < tol
         assert report["max_schur_residual"] < tol
         assert report["max_unitarity_residual"] < tol

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -115,6 +116,21 @@ def test_periodic_instance_validation_and_period():
     with pytest.raises(ValueError, match="power of two"):
         PeriodicInstance(15, 7, 12)
     assert PeriodicInstance(15, 7, 12, allow_any_q=True).q == 12
+
+
+def test_power_table_matches_pow():
+    """A[k] = a^k mod N against Python pow, and its length, the period, against the
+    order of a: every coprime a < N <= 300 (N = 2, a = 1 among them), and
+    N = 1048573, a = 2, whose period 1048572 is N - 1."""
+    cases = [(n, a) for n in range(2, 301) for a in range(1, n) if math.gcd(a, n) == 1]
+    assert (2, 1) in cases
+    for n, a in cases + [(1048573, 2)]:
+        inst = PeriodicInstance(n, a, 2)
+        r = multiplicative_order(a, n)
+        assert inst.period == r
+        assert inst.powers.tolist() == [pow(a, k, n) for k in range(r)], (n, a)
+        assert not inst.powers.flags.writeable
+    assert PeriodicInstance(1048573, 2, 4).period == 1048572
 
 
 def test_exact_case_support_and_probabilities():
