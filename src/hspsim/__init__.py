@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .config import ExperimentConfig, parse_config, serialize_config
+from .config import ExperimentConfig, parse_config
 from .engine import (
     OutcomeDistribution,
     PipelineConfig,
@@ -21,7 +21,6 @@ from .groups import (
     coset_ids,
     group_from_spec,
     left_cosets,
-    subgroup_from_generators,
 )
 from .oracle import HspInstance, build_instance, classical_brute_force_hsp
 from .recovery import (

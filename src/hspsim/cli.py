@@ -129,11 +129,7 @@ def _config_dict(args: argparse.Namespace) -> dict:
 
 
 def _print_csv(report: dict) -> None:
-    if "distribution" in report:
-        print("outcome_label,probability")
-        for label, p in report["distribution"]:
-            print(f"{label},{fmt17(p)}")
-    elif "candidates" in report:
+    if "candidates" in report:
         print("rank,elements,total_variation")
         for i, cand in enumerate(report["candidates"]):
             print(f"{i},{'|'.join(cand['elements'])},{fmt17(cand['total_variation'])}")
@@ -160,9 +156,10 @@ def main(argv=None) -> int:
     except IntegrityError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 4
-    if args.format == "json":
-        # the bytes of report.json, so the JSON form is stated once, in reporting
-        sys.stdout.write((Path(args.out_dir) / "report.json").read_text(encoding="utf-8"))
+    if args.format == "json" or "distribution" in report:
+        # the bytes of report.json or distribution.csv, so each form is stated once, in reporting
+        name = "report.json" if args.format == "json" else "distribution.csv"
+        sys.stdout.write((Path(args.out_dir) / name).read_text(encoding="utf-8"))
     else:
         _print_csv(report)
     return 0

@@ -200,13 +200,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 # recover enumerates and ranks every subgroup (D_N candidates by one stacked
-# pipeline run, abelian ones off the annihilator law); irreps and
-# fourier-check build |G| x |G| arrays
-# (the character table, the dense Fourier operator); simulate and simon hold
-# |G| * |G/K| amplitudes, so |G| alone must already meet the state cap.
+# pipeline run, abelian ones off the annihilator law); irreps and fourier-check
+# build |G| x |G| arrays (the character table, the dense Fourier operator), and
+# irreps writes each character as nested JSON, twice (520 MB at order 1024);
+# simulate and simon hold |G| * |G/K| amplitudes, so |G| alone must already
+# meet the state cap.
 ORDER_CAPS = {
     "recover": RANK_ORDER_CAP,
-    "irreps": MAX_TABLE_ORDER,
+    "irreps": 1024,
     "fourier-check": MAX_TABLE_ORDER,
     "simulate": STATE_SIZE_CAP,
     "simon": STATE_SIZE_CAP,
@@ -288,7 +289,3 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         if value is not None and value is not False:
             out[f.key] = f.dump(value)
     return out
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    return json.dumps(config_to_dict(cfg), sort_keys=True, indent=2) + "\n"

@@ -54,12 +54,12 @@ class PipelineConfig:
 class OutcomeDistribution:
     """Exact left-register Born probabilities keyed by outcome label.
 
-    Labels are plain irrep labels when the group is abelian (every Fourier
+    Labels are plain irrep labels when every irrep is 1-dim (every Fourier
     row is a character row) or when measuring the irrep label only;
     otherwise they are (irrep label, row, column) triples.
     """
 
-    labels: tuple
+    labels: tuple | range
     probs: np.ndarray
 
     def __post_init__(self):
@@ -72,13 +72,8 @@ class OutcomeDistribution:
     def as_mapping(self) -> dict:
         return dict(zip(self.labels, (float(p) for p in self.probs)))
 
-    def total_variation(self, other: "OutcomeDistribution") -> float:
-        mine, theirs = self.as_mapping(), other.as_mapping()
-        keys = set(mine) | set(theirs)
-        return 0.5 * sum(abs(mine.get(k, 0.0) - theirs.get(k, 0.0)) for k in keys)
 
-
-def finalize_distribution(labels: tuple, probs: np.ndarray) -> OutcomeDistribution:
+def finalize_distribution(labels: tuple | range, probs: np.ndarray) -> OutcomeDistribution:
     """Clamp float dust to zero and check normalization."""
     probs = np.where(probs < PROB_CLAMP, 0.0, probs)
     total = float(probs.sum())
@@ -143,19 +138,9 @@ def outcome_labels(fourier: FourierTransform, cfg: PipelineConfig) -> tuple:
     layout = fourier._layout
     if cfg.measure_granularity == "irrep_label_only":
         return tuple(layout.labels.tolist())
-    if fourier.group.is_abelian:
+    if (layout.dims == 1).all():
         return tuple(layout.rows[0].tolist())
     return fourier.row_index
-
-
-def _labelled_probs(
-    fourier: FourierTransform, cfg: PipelineConfig, probs: np.ndarray
-) -> tuple[tuple, np.ndarray]:
-    if cfg.measure_granularity == "irrep_label_only":
-        # bincount adds each block's rows in row order, from 0.0
-        layout = fourier._layout
-        probs = np.bincount(layout.block, weights=probs, minlength=len(layout.labels))
-    return outcome_labels(fourier, cfg), probs
 
 
 def run_pipeline(
@@ -184,9 +169,12 @@ def left_register_distribution(
     psi3: np.ndarray, fourier: FourierTransform, cfg: PipelineConfig
 ) -> OutcomeDistribution:
     """Born distribution of the left register of a final (|G|, |H|) state."""
-    probs = np.abs(psi3) ** 2
-    labels, probs = _labelled_probs(fourier, cfg, probs.sum(axis=1))
-    return finalize_distribution(labels, probs)
+    probs = (np.abs(psi3) ** 2).sum(axis=1)
+    if cfg.measure_granularity == "irrep_label_only":
+        # bincount adds each block's rows in row order, from 0.0
+        layout = fourier._layout
+        probs = np.bincount(layout.block, weights=probs, minlength=len(layout.labels))
+    return finalize_distribution(outcome_labels(fourier, cfg), probs)
 
 
 def step_trace(

@@ -43,24 +43,12 @@ from .representations import (BasisOrdering, fourier_transform, irreps_of,
                               verify_representation_suite)
 from .transversals import (
     PeriodicInstance,
+    _in_windows,
     offset_transversal,
-    peak_mass,
     shor_pipeline,
     shor_transversal,
     transversal_quality_sweep,
 )
-
-
-def _versions() -> dict:
-    return {
-        "hspsim": __version__,
-        "numpy": np.__version__,
-        "python": platform.python_version(),
-    }
-
-
-def _base_report(cfg: ExperimentConfig) -> dict:
-    return {"config": config_to_dict(cfg), "seed": cfg.seed, "versions": _versions()}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path = ".") -> dict:
@@ -76,7 +64,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path = ".") -> dict:
         "sweep-transversal": _run_sweep,
         "recover": _run_recover,
     }
-    report = _base_report(cfg)
+    versions = {"hspsim": __version__, "numpy": np.__version__,
+                "python": platform.python_version()}
+    report = {"config": config_to_dict(cfg), "seed": cfg.seed, "versions": versions}
     report.update(handlers[cfg.experiment](cfg, out))
     write_json(out / "report.json", report)
     return report
@@ -168,18 +158,21 @@ def _run_simon(cfg: ExperimentConfig, out: Path) -> dict:
 def _run_shor(cfg: ExperimentConfig, out: Path) -> dict:
     instance = PeriodicInstance(cfg.modulus, cfg.base, cfg.big_q, cfg.allow_any_q)
     if cfg.transversal.kind == "shor":
-        tau = shor_transversal(cfg.big_q)
+        tau, tau_name = shor_transversal(cfg.big_q), "shor"
     else:
         tau = offset_transversal(cfg.big_q, cfg.transversal.bound, cfg.seed)
+        tau_name = f"offset(seed={cfg.seed}, bound={cfg.transversal.bound})"
     dist = shor_pipeline(instance, tau, cfg.second_transform)
     write_distribution_csv(out / "distribution.csv", dist)
+    # the window sum of transversal_quality_sweep: peak_mass bit for bit, with no label pass
+    windows = _in_windows(np.arange(cfg.big_q), instance.period, cfg.big_q)
     report = {
         "N": cfg.modulus,
         "a": cfg.base,
         "Q": cfg.big_q,
-        "transversal": tau.provenance,
+        "transversal": tau_name,
         "distribution_csv_path": "distribution.csv",
-        "peak_mass": peak_mass(dist, instance.period, cfg.big_q),
+        "peak_mass": float(np.cumsum(dist.probs[windows])[-1]),
         "r_true": instance.period,
     }
     if cfg.trials:

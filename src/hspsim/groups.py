@@ -66,22 +66,12 @@ class FiniteGroup:
     def generators(self) -> tuple[int, ...]:
         raise NotImplementedError
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def check_index(self, a: int) -> int:
         if not isinstance(a, (int, np.integer)) or not 0 <= a < self.order:
             raise ValueError(
                 f"element index {a!r} out of range for {self.name} (order {self.order})"
             )
         return int(a)
-
-    @cached_property
-    def is_abelian(self) -> bool:
-        """Whether the generators commute pairwise; for D_N, whether r s = s r, i.e. N <= 2."""
-        g = np.array(self.generators(), dtype=np.int64)
-        return bool(np.array_equal(self._op(g[:, None], g), self._op(g, g[:, None])))
 
     @cached_property
     def op_table(self) -> np.ndarray:
@@ -242,9 +232,6 @@ class Subgroup:
     def num_cosets(self) -> int:
         return self.group.order // self.order
 
-    def element_labels(self) -> tuple[str, ...]:
-        return tuple(self.group.labels(self.elements))
-
     def spanning_generators(self) -> tuple[int, ...]:
         """A short generator list: repeatedly the least element not yet spanned."""
         return _greedy_generators(self.group, _mask(self.group, self.elements))
@@ -252,14 +239,14 @@ class Subgroup:
     @classmethod
     def from_generators(cls, group: FiniteGroup, generators) -> "Subgroup":
         gens = tuple(group.check_index(g) for g in generators)
-        span = _mask(group, (group.identity,))
+        span = _mask(group, (0,))
         _grow(group, span, gens)
         return cls(group, tuple(np.flatnonzero(span).tolist()), _is_normal(group, span, gens))
 
     @classmethod
     def from_elements(cls, group: FiniteGroup, elements) -> "Subgroup":
         elems = tuple(sorted({group.check_index(a) for a in elements}))
-        if not elems or elems[0] != group.identity:
+        if not elems or elems[0] != 0:
             raise ValueError("subgroup must contain the identity")
         inside = _mask(group, elems)
         return cls(group, elems, _is_normal(group, inside, _greedy_generators(group, inside)))
@@ -299,7 +286,7 @@ def _greedy_generators(group: FiniteGroup, inside: np.ndarray) -> tuple[int, ...
     Each generator is the least element not yet spanned, so the span at
     least doubles per generator and no step does |S|^2 work.
     """
-    span = _mask(group, (group.identity,))
+    span = _mask(group, (0,))
     gens: list[int] = []
     while True:
         rest = np.flatnonzero(inside & ~span)
@@ -321,15 +308,9 @@ def _is_normal(group: FiniteGroup, inside: np.ndarray, generators) -> bool:
     That suffices: the g with gKg^-1 = K form a subgroup, and
     conjugation by g maps <k_1, ..., k_m> onto <g k_1 g^-1, ...>.
     """
-    if group.is_abelian:
-        return True
     g = np.array(group.generators(), dtype=np.int64)[:, None]
     k = np.array(generators, dtype=np.int64)
     return bool(inside[group._op(group._op(g, k), group._inv(g))].all())
-
-
-def subgroup_from_generators(group: FiniteGroup, generators) -> Subgroup:
-    return Subgroup.from_generators(group, generators)
 
 
 def coset_ids(group: FiniteGroup, subgroup: Subgroup) -> np.ndarray:

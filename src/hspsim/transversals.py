@@ -39,9 +39,6 @@ class Transversal:
     """
 
     table: np.ndarray
-    kind: str
-    seed: int | None = None
-    bound: int | None = None
 
     def __post_init__(self):
         raw = np.asarray(self.table)
@@ -60,21 +57,12 @@ class Transversal:
             i = int(bad[0])
             raise ValueError(f"representative {table[i]} does not reduce to {i} modulo {q}")
 
-    def __call__(self, q: int) -> int:
-        return int(self.table[q])
-
-    @property
-    def provenance(self) -> str:
-        if self.kind == "offset":
-            return f"offset(seed={self.seed}, bound={self.bound})"
-        return self.kind
-
 
 def shor_transversal(q: int) -> Transversal:
     """Least non-negative representatives of Z_q inside the integers."""
     if q < 1:
         raise ValueError(f"quotient order must be positive, got {q}")
-    return Transversal(np.arange(q), "shor")
+    return Transversal(np.arange(q))
 
 
 def offset_transversal(q: int, bound: int, seed: int) -> Transversal:
@@ -89,7 +77,7 @@ def offset_transversal(q: int, bound: int, seed: int) -> Transversal:
         )
     rng = np.random.default_rng(seed)
     offsets = rng.integers(0, bound, size=q)
-    return Transversal(np.arange(q) + q * offsets, "offset", seed=int(seed), bound=int(bound))
+    return Transversal(np.arange(q) + q * offsets)
 
 
 @dataclass(frozen=True)
@@ -136,7 +124,6 @@ class ApproximateFunction:
     """Composed table f~(q) = A[tau(q) mod r], held as its level sets: the class
     tau(q) mod r of each q and the power table A, both read-only int64 arrays."""
 
-    transversal: Transversal
     classes: np.ndarray
     powers: np.ndarray
 
@@ -155,7 +142,7 @@ def approximate_function(instance: PeriodicInstance, tau: Transversal) -> Approx
         )
     classes = tau.table % instance.period
     classes.flags.writeable = False
-    return ApproximateFunction(tau, classes, instance.powers)
+    return ApproximateFunction(classes, instance.powers)
 
 
 def _spectrum(instance: PeriodicInstance, tau: Transversal) -> np.ndarray:
@@ -193,7 +180,7 @@ def shor_pipeline(
     """
     if second_transform not in SECOND_TRANSFORMS:
         raise ValueError(f"second_transform must be one of {SECOND_TRANSFORMS}")
-    return finalize_distribution(tuple(range(instance.q)), _spectrum(instance, tau))
+    return finalize_distribution(range(instance.q), _spectrum(instance, tau))
 
 
 def _in_windows(labels: np.ndarray, r: int, q: int) -> np.ndarray:
@@ -213,8 +200,12 @@ def _in_windows(labels: np.ndarray, r: int, q: int) -> np.ndarray:
 
 def peak_mass(dist: OutcomeDistribution, r: int, q: int) -> float:
     """Total probability within half-integer windows of the multiples j*Q/r,
-    for all labels at once, summed in label order."""
-    labels = np.asarray(dist.labels, dtype=np.int64)
+    for all labels at once, summed in label order.  A range of labels, as
+    `shor_pipeline` gives, is read as one arange, not element by element."""
+    labels = dist.labels
+    if isinstance(labels, range):
+        labels = np.arange(labels.start, labels.stop, labels.step)
+    labels = np.asarray(labels, dtype=np.int64)
     selected = np.where(_in_windows(labels, r, q), np.asarray(dist.probs, dtype=np.float64), 0.0)
     return float(np.cumsum(selected)[-1]) if selected.size else 0.0
 

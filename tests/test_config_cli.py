@@ -20,10 +20,11 @@ from hspsim.config import (
     config_from_dict,
     config_to_dict,
     parse_config,
-    serialize_config,
 )
 from hspsim.errors import ConfigError, ResourceCapError
 from hspsim.experiments import run_experiment
+from hspsim.transversals import (PeriodicInstance, offset_transversal, peak_mass, shor_pipeline,
+                                 shor_transversal)
 
 from test_acceptance import PEAK_MASS_N21_A2_Q512
 
@@ -146,12 +147,12 @@ def test_parse_caps_trials_and_seeds(monkeypatch, capsys):
 
 
 def test_parse_caps_group_order_of_dense_array_experiments():
-    for text in (
-        '{"experiment":"fourier-check","group":"Z8192"}',
-        '{"experiment":"irreps","group":"Z8192"}',
-    ):
-        with pytest.raises(ResourceCapError, match="capped at order 4096"):
-            parse_config(text)
+    with pytest.raises(ResourceCapError, match="capped at order 4096"):
+        parse_config('{"experiment":"fourier-check","group":"Z8192"}')
+    # irreps writes every character as nested JSON, twice: capped below the dense table
+    for spec in ("Z8192", "Z2^12"):
+        with pytest.raises(ResourceCapError, match="capped at order 1024"):
+            parse_config('{"experiment":"irreps","group":"%s"}' % spec)
     # simulate and simon build no |G| x |G| array: only the state cap bounds them
     for text in (
         '{"experiment":"simulate","group":"Z65536","hidden_generators":[2]}',
@@ -171,7 +172,7 @@ def test_parse_caps_group_order_of_dense_array_experiments():
             {"experiment": "simon", "group": f"Z2^{n}", "hidden_generators": unit_vectors}
         )
     parse_config('{"experiment":"fourier-check","group":"D2048"}')
-    parse_config('{"experiment":"irreps","group":"Z2^12"}')
+    parse_config('{"experiment":"irreps","group":"Z2^10"}')
 
 
 @pytest.mark.parametrize(
@@ -189,7 +190,7 @@ def test_parse_caps_group_order_of_dense_array_experiments():
 )
 def test_config_round_trips(text):
     cfg = parse_config(text)
-    again = parse_config(serialize_config(cfg))
+    again = parse_config(json.dumps(config_to_dict(cfg)))
     assert again == cfg
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
@@ -318,6 +319,32 @@ def test_cli_fourier_check_prints_residuals(tmp_path, capsys):
     assert float(fields["completeness_defect"]) < 1e-12
     assert float(fields["max_schur_residual"]) < 1e-12
     assert float(fields["max_unitarity_residual"]) < 1e-12
+
+
+@pytest.mark.parametrize("group,flags", [
+    ("D4", []),  # irrep:row:column triples
+    ("Z2xZ4", []),  # plain character indices
+    ("D4", ["--measure-granularity", "irrep_label_only"]),
+])
+def test_cli_simulate_stdout_is_the_artifact_bytes(tmp_path, capsys, group, flags):
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps({"group": group, "hidden_generators": [2], "seed": 3}))
+    for fmt, name in (("csv", "distribution.csv"), ("json", "report.json")):
+        out = tmp_path / fmt
+        assert main(["simulate", "--instance", str(instance), "--out-dir", str(out),
+                     "--format", fmt, *flags]) == 0
+        assert capsys.readouterr().out == (out / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("kind,seed", [("shor", 0), ("offset", 0), ("offset", 1), ("offset", 2)])
+def test_shor_report_names_the_transversal_it_ran(tmp_path, kind, seed):
+    cfg = config_from_dict({"experiment": "shor", "N": 21, "a": 2, "Q": 64, "seed": seed,
+                            "transversal": {"kind": kind, "bound": 7}})
+    report = run_experiment(cfg, tmp_path)
+    tau = shor_transversal(64) if kind == "shor" else offset_transversal(64, 7, seed)
+    expected = "shor" if kind == "shor" else f"offset(seed={seed}, bound=7)"
+    assert report["transversal"] == expected
+    assert report["peak_mass"] == peak_mass(shor_pipeline(PeriodicInstance(21, 2, 64), tau), 6, 64)
 
 
 def test_cli_recover_round_trip(tmp_path, capsys):
@@ -497,6 +524,18 @@ def test_readme_command_lines_parse(line):
         config_from_dict(cli._config_dict(args))
 
 
+def test_readme_command_lines_run_in_order(tmp_path, monkeypatch, capsys):
+    """The `## Command line` block end to end, beside the README's instance.json."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    instance = readme.split("reads an instance file like", 1)[1].split("```json\n", 1)[1]
+    monkeypatch.chdir(tmp_path)
+    Path("instance.json").write_text(instance.split("```", 1)[0], encoding="utf-8")
+    for line in _readme_command_lines():
+        assert main(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()
+    assert Path("run", "distribution.csv").is_file() and Path("report.json").is_file()
+
+
 def test_readme_library_code_runs(capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = [b.split("```", 1)[0] for b in readme.split("```python\n")[1:]]
@@ -506,7 +545,7 @@ def test_readme_library_code_runs(capsys):
         exec(block, namespace)
     capsys.readouterr()
     best, tv = namespace["ranking"].entries[0]
-    assert best.element_labels() == ("e", "r2") and tv < 1e-10
+    assert best.group.labels(best.elements) == ["e", "r2"] and tv < 1e-10
     h, inst = namespace["h"], namespace["inst"]
     pm = h.peak_mass(namespace["dist"], inst.period, 512)
     assert abs(pm - PEAK_MASS_N21_A2_Q512) < 1e-10

@@ -16,7 +16,7 @@ from hspsim.engine import (
 )
 from hspsim.errors import ResourceCapError
 from hspsim.experiments import run_experiment
-from hspsim.groups import all_subgroups, group_from_spec, subgroup_from_generators
+from hspsim.groups import Subgroup, all_subgroups, group_from_spec
 from hspsim.oracle import build_instance
 from hspsim.recovery import SampleSet, character_sieve
 from hspsim.reporting import (
@@ -38,7 +38,7 @@ ABELIAN_SWEEP = [
 
 def test_simon_instance_distribution_uniform_on_annihilator():
     group = group_from_spec("Z2^2")
-    hidden = subgroup_from_generators(group, [3])
+    hidden = Subgroup.from_generators(group, [3])
     dist = run_pipeline(
         build_instance(group, hidden, seed=0), fourier_operator(group)
     )
@@ -47,7 +47,7 @@ def test_simon_instance_distribution_uniform_on_annihilator():
 
 def test_constant_function_gives_point_mass_at_trivial_character():
     group = group_from_spec("Z12")
-    hidden = subgroup_from_generators(group, [1])
+    hidden = Subgroup.from_generators(group, [1])
     dist = run_pipeline(
         build_instance(group, hidden, seed=0), fourier_operator(group)
     )
@@ -57,7 +57,7 @@ def test_constant_function_gives_point_mass_at_trivial_character():
 
 def test_injective_function_gives_uniform_distribution():
     group = group_from_spec("Z6")
-    hidden = subgroup_from_generators(group, [])
+    hidden = Subgroup.from_generators(group, [])
     dist = run_pipeline(
         build_instance(group, hidden, seed=0), fourier_operator(group)
     )
@@ -117,7 +117,7 @@ def test_forward_and_inverse_transforms_relabel_by_negation(spec):
 
 def test_distribution_independent_of_injection_seed():
     group = group_from_spec("D4")
-    hidden = subgroup_from_generators(group, [2])
+    hidden = Subgroup.from_generators(group, [2])
     fop = fourier_operator(group)
     dists = [
         run_pipeline(build_instance(group, hidden, seed=s), fop) for s in range(5)
@@ -128,7 +128,7 @@ def test_distribution_independent_of_injection_seed():
 
 def test_norms_along_the_pipeline():
     group = group_from_spec("D6")
-    hidden = subgroup_from_generators(group, [3])
+    hidden = Subgroup.from_generators(group, [3])
     inst = build_instance(group, hidden, seed=0)
     fop = fourier_operator(group)
     states = step_trace(inst, fop)
@@ -162,7 +162,7 @@ BLACKBOX_CASES = [
 def test_blackbox_step_is_the_basis_permutation(spec, gens, normal, codomain_order):
     """psi2 is |g>|h> -> |g>|f(g) h^-1> applied to psi1, bit for bit."""
     group = group_from_spec(spec)
-    hidden = subgroup_from_generators(group, gens)
+    hidden = Subgroup.from_generators(group, gens)
     assert hidden.normal == normal
     inst = build_instance(group, hidden, seed=4, codomain_order=codomain_order)
     assert inst.codomain.order == (codomain_order or hidden.num_cosets)
@@ -176,7 +176,7 @@ def test_blackbox_step_is_the_basis_permutation(spec, gens, normal, codomain_ord
 
 def test_first_step_is_uniform_for_abelian_groups():
     group = group_from_spec("Z12")
-    hidden = subgroup_from_generators(group, [4])
+    hidden = Subgroup.from_generators(group, [4])
     inst = build_instance(group, hidden, seed=0)
     matrix = step_trace(inst, fourier_operator(group))[1]
     assert np.abs(np.abs(matrix[:, 0]) - 1 / np.sqrt(group.order)).max() < 1e-12
@@ -225,7 +225,7 @@ def test_fourier_rows_are_arrays_at_the_state_cap(spec):
 ])
 def test_run_path_builds_no_row_index(spec, gens, granularity):
     group = group_from_spec(spec)
-    inst = build_instance(group, subgroup_from_generators(group, gens), seed=0)
+    inst = build_instance(group, Subgroup.from_generators(group, gens), seed=0)
     fourier = fourier_transform(group)
     run_pipeline(inst, fourier, PipelineConfig("forward", granularity))
     assert "row_index" not in vars(fourier)
@@ -234,7 +234,7 @@ def test_run_path_builds_no_row_index(spec, gens, granularity):
 def test_pipeline_rejects_mismatched_fourier_operator():
     group = group_from_spec("Z6")
     other = fourier_operator(group_from_spec("Z8"))
-    hidden = subgroup_from_generators(group, [3])
+    hidden = Subgroup.from_generators(group, [3])
     inst = build_instance(group, hidden, seed=0)
     with pytest.raises(ValueError, match="match"):
         run_pipeline(inst, other)
@@ -242,7 +242,7 @@ def test_pipeline_rejects_mismatched_fourier_operator():
 
 def test_pipeline_state_size_cap():
     group = group_from_spec("Z512")
-    hidden = subgroup_from_generators(group, [])
+    hidden = Subgroup.from_generators(group, [])
     inst = build_instance(group, hidden, seed=0)
     fop = fourier_operator(group)
     with pytest.raises(ResourceCapError):
@@ -302,7 +302,7 @@ def test_distribution_csv_matches_row_by_row_format(tmp_path):
     probs = rng.random(10_000)
     probs[::3] = 0.0
     d16 = group_from_spec("D16")
-    inst = build_instance(d16, subgroup_from_generators(d16, [3]), seed=0)
+    inst = build_instance(d16, Subgroup.from_generators(d16, [3]), seed=0)
     dists = [
         OutcomeDistribution(tuple(range(len(probs))), probs / probs.sum()),
         run_pipeline(inst, fourier_transform(d16)),
@@ -321,8 +321,8 @@ def test_samples_and_f_table_csv_match_row_by_row_format(tmp_path):
     d16 = group_from_spec("D16")
     z2 = group_from_spec("Z2^11")
     instances = [
-        build_instance(d16, subgroup_from_generators(d16, [3]), seed=0),
-        build_instance(z2, subgroup_from_generators(z2, [5]), seed=1),
+        build_instance(d16, Subgroup.from_generators(d16, [3]), seed=0),
+        build_instance(z2, Subgroup.from_generators(z2, [5]), seed=1),
     ]
     for i, inst in enumerate(instances):
         path = tmp_path / f"f{i}.csv"

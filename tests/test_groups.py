@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hspsim.config import config_from_dict, resolve_group, resolve_hidden
+from hspsim.engine import PipelineConfig, outcome_labels
 from hspsim.errors import ResourceCapError
 from hspsim.groups import (
     CyclicGroup,
@@ -17,10 +18,10 @@ from hspsim.groups import (
     coset_ids,
     group_from_spec,
     left_cosets,
-    subgroup_from_generators,
 )
 from hspsim.oracle import build_instance, classical_brute_force_hsp
 from hspsim.recovery import SampleSet, simon_solve
+from hspsim.representations import fourier_transform
 
 from oracles import (
     character_trivial_on,
@@ -30,7 +31,7 @@ from oracles import (
     subgroups_by_subsets,
 )
 
-AXIOM_GROUPS = ["Z1", "Z2", "Z6", "Z12", "Z2^3", "Z2xZ4", "D1", "D3", "D4", "D6"]
+AXIOM_GROUPS = ["Z1", "Z2", "Z6", "Z12", "Z2^3", "Z2xZ4", "D1", "D2", "D3", "D4", "D6"]
 
 
 @pytest.mark.parametrize("spec", AXIOM_GROUPS)
@@ -46,7 +47,9 @@ def test_group_axioms_exhaustive(spec):
         assert group.op(group.inv(a), a) == 0
     # associativity via the materialized table: op(op(a,b),c) == op(a,op(b,c))
     assert np.array_equal(table[table], table[:, table])
-    assert group.is_abelian == np.array_equal(table, table.T)
+    # outcome labels are plain ints exactly for the abelian groups, D1 and D2 included
+    labels = outcome_labels(fourier_transform(group), PipelineConfig())
+    assert all(isinstance(lab, int) for lab in labels) == np.array_equal(table, table.T)
 
 
 def test_cyclic_op_examples():
@@ -93,17 +96,17 @@ def test_element_canonicalization():
 
 def test_subgroup_from_generators_examples():
     d4 = DihedralGroup(4)
-    center = subgroup_from_generators(d4, [2])
+    center = Subgroup.from_generators(d4, [2])
     assert center.elements == (0, 2)
     assert center.normal
 
     z12 = CyclicGroup(12)
-    k = subgroup_from_generators(z12, [8])
+    k = Subgroup.from_generators(z12, [8])
     assert k.elements == (0, 4, 8)
     assert k.normal
 
     d3 = DihedralGroup(3)
-    refl = subgroup_from_generators(d3, [3])
+    refl = Subgroup.from_generators(d3, [3])
     assert refl.elements == (0, 3)
     assert not refl.normal
 
@@ -118,17 +121,17 @@ def test_subgroup_from_elements_rejects_non_subgroup():
 
 def test_left_cosets_examples():
     z6 = CyclicGroup(6)
-    k = subgroup_from_generators(z6, [3])
+    k = Subgroup.from_generators(z6, [3])
     assert left_cosets(z6, k) == [(0, 3), (1, 4), (2, 5)]
 
     d3 = DihedralGroup(3)
-    refl = subgroup_from_generators(d3, [3])
+    refl = Subgroup.from_generators(d3, [3])
     cosets = left_cosets(d3, refl)
     assert len(cosets) == 3
     assert all(len(c) == 2 for c in cosets)
     assert cosets[0] == refl.elements
 
-    whole = subgroup_from_generators(z6, [1])
+    whole = Subgroup.from_generators(z6, [1])
     assert left_cosets(z6, whole) == [tuple(range(6))]
 
 

@@ -3,14 +3,14 @@ import pytest
 
 from hspsim.engine import step_trace
 from hspsim.errors import IntegrityError
-from hspsim.groups import CyclicGroup, all_subgroups, group_from_spec, subgroup_from_generators
+from hspsim.groups import CyclicGroup, Subgroup, all_subgroups, group_from_spec
 from hspsim.oracle import HspInstance, build_instance, classical_brute_force_hsp
 from hspsim.representations import fourier_transform
 
 
 def test_instance_respects_coset_structure():
     group = group_from_spec("Z2^2")
-    hidden = subgroup_from_generators(group, [3])
+    hidden = Subgroup.from_generators(group, [3])
     inst = build_instance(group, hidden, seed=5)
     f = inst.f_table
     assert f[0] == f[3]
@@ -21,18 +21,18 @@ def test_instance_respects_coset_structure():
 
 def test_instance_trivial_and_full_hidden_subgroups():
     group = group_from_spec("D4")
-    trivial = subgroup_from_generators(group, [])
+    trivial = Subgroup.from_generators(group, [])
     inst = build_instance(group, trivial, seed=0)
     assert len(set(int(v) for v in inst.f_table)) == group.order
 
-    whole = subgroup_from_generators(group, [1, 4])
+    whole = Subgroup.from_generators(group, [1, 4])
     inst = build_instance(group, whole, seed=0)
     assert len(set(int(v) for v in inst.f_table)) == 1
 
 
 def test_instance_codomain_can_be_larger():
     group = group_from_spec("Z6")
-    hidden = subgroup_from_generators(group, [3])
+    hidden = Subgroup.from_generators(group, [3])
     inst = build_instance(group, hidden, seed=1, codomain_order=10)
     assert inst.codomain.order == 10
     assert len(set(inst.injection)) == 3
@@ -61,7 +61,7 @@ def test_brute_force_refuses_inconsistent_tables(spec, f_values, message):
     property that the brute force checks."""
     group = group_from_spec(spec)
     table = np.array(f_values, dtype=np.int64)
-    inst = HspInstance(group, subgroup_from_generators(group, []), CyclicGroup(group.order),
+    inst = HspInstance(group, Subgroup.from_generators(group, []), CyclicGroup(group.order),
                        tuple(f_values), table, 0)
     with pytest.raises(IntegrityError, match=message):
         classical_brute_force_hsp(inst)
@@ -74,7 +74,7 @@ def _blackbox_step(inst):
 
 def test_oracle_writes_f_into_identity_column():
     group = group_from_spec("D3")
-    hidden = subgroup_from_generators(group, [1])
+    hidden = Subgroup.from_generators(group, [1])
     inst = build_instance(group, hidden, seed=3)
     psi1, psi2 = _blackbox_step(inst)
     assert np.count_nonzero(psi1[:, 0]) == 4
@@ -86,7 +86,7 @@ def test_oracle_writes_f_into_identity_column():
 
 def test_oracle_is_linear_on_uniform_input():
     group = group_from_spec("Z6")
-    hidden = subgroup_from_generators(group, [2])
+    hidden = Subgroup.from_generators(group, [2])
     inst = build_instance(group, hidden, seed=9)
     n_g, n_h = group.order, inst.codomain.order
     psi1, psi2 = _blackbox_step(inst)

@@ -23,7 +23,6 @@ from hspsim.groups import (
     Subgroup,
     all_subgroups,
     group_from_spec,
-    subgroup_from_generators,
 )
 from hspsim.oracle import build_instance
 from hspsim.recovery import (
@@ -94,7 +93,7 @@ def test_simon_solve_empty_samples():
 
 def test_simon_solve_confirmation_against_full_support():
     group = group_from_spec("Z2^3")
-    hidden = subgroup_from_generators(group, [5])
+    hidden = Subgroup.from_generators(group, [5])
     dist = run_pipeline(build_instance(group, hidden, seed=0), fourier_operator(group))
     support = tuple(dist.support(1e-10))
     partial = simon_solve(SampleSet(group, support[:1]), full_support=support)
@@ -277,7 +276,7 @@ def test_period_from_pipeline_samples_end_to_end():
 
 def test_consistency_rank_assigns_zero_to_true_subgroup():
     group = group_from_spec("D4")
-    hidden = subgroup_from_generators(group, [2])
+    hidden = Subgroup.from_generators(group, [2])
     fop = fourier_operator(group)
     dist = run_pipeline(build_instance(group, hidden, seed=0), fop)
     ranking = subgroup_consistency_rank(dist, group, fop)
@@ -289,7 +288,7 @@ def test_consistency_rank_assigns_zero_to_true_subgroup():
 
 def test_consistency_rank_orders_and_reports_ties():
     group = group_from_spec("Z2^2")
-    hidden = subgroup_from_generators(group, [3])
+    hidden = Subgroup.from_generators(group, [3])
     fop = fourier_operator(group)
     dist = run_pipeline(build_instance(group, hidden, seed=0), fop)
     ranking = subgroup_consistency_rank(dist, group, fop)
@@ -310,7 +309,7 @@ def test_consistency_rank_orders_equal_tvs_by_elements():
     """TVs equal to RANK_TIE_TOL rank by element tuple, whatever their last ulp."""
     group = group_from_spec("Z2^5")
     fourier = fourier_transform(group)
-    dist = run_pipeline(build_instance(group, subgroup_from_generators(group, [3]), 0), fourier)
+    dist = run_pipeline(build_instance(group, Subgroup.from_generators(group, [3]), 0), fourier)
     ranking = subgroup_consistency_rank(dist, group, fourier)
     keys = [(round(tv / RANK_TIE_TOL), sub.elements) for sub, tv in ranking.entries]
     assert keys == sorted(keys)
@@ -346,7 +345,7 @@ def test_consistency_rank_refuses_transform_of_another_group(spec, other):
 def test_consistency_rank_respects_order_cap():
     group = group_from_spec("Z64")
     dist = run_pipeline(
-        build_instance(group, subgroup_from_generators(group, [1]), seed=0),
+        build_instance(group, Subgroup.from_generators(group, [1]), seed=0),
         fourier_operator(group),
     )
     with pytest.raises(ResourceCapError):
@@ -355,7 +354,7 @@ def test_consistency_rank_respects_order_cap():
 
 def test_consistency_rank_with_coarse_measurement():
     group = group_from_spec("D4")
-    hidden = subgroup_from_generators(group, [2])
+    hidden = Subgroup.from_generators(group, [2])
     fop = fourier_operator(group)
     cfg = PipelineConfig("forward", "irrep_label_only")
     dist = run_pipeline(build_instance(group, hidden, seed=0), fop, cfg)
@@ -412,7 +411,7 @@ def test_consistency_rank_matches_per_candidate_oracle(spec):
 
 def test_recover_ranks_abelian_candidates_without_pipeline(tmp_path, monkeypatch):
     group = group_from_spec("Z2^5")
-    hidden = subgroup_from_generators(group, [3, 12])
+    hidden = Subgroup.from_generators(group, [3, 12])
     dist = run_pipeline(build_instance(group, hidden, seed=0), fourier_transform(group))
     write_distribution_csv(tmp_path / "distribution.csv", dist)
     _refuse_pipeline(monkeypatch)
@@ -421,7 +420,7 @@ def test_recover_ranks_abelian_candidates_without_pipeline(tmp_path, monkeypatch
     )
     report = run_experiment(cfg, tmp_path / "recover")
     assert len(report["candidates"]) == len(all_subgroups(group))
-    truth = [c for c in report["candidates"] if c["elements"] == list(hidden.element_labels())]
+    truth = [c for c in report["candidates"] if c["elements"] == group.labels(hidden.elements)]
     assert len(truth) == 1
     assert truth[0]["total_variation"] <= 1e-12
     assert report["tie_classes"] == []
@@ -445,7 +444,7 @@ def test_recover_reports_spanning_generators(spec, tmp_path):
     dist = run_pipeline(build_instance(group, hidden, seed=1), fourier_transform(group))
     report = _recover_report(tmp_path, group, dist)
     expected = {
-        k.element_labels(): [group.label(g) for g in k.spanning_generators()] for k in candidates
+        tuple(group.labels(k.elements)): [group.label(g) for g in k.spanning_generators()] for k in candidates
     }
     assert len(report["candidates"]) == len(expected)
     for entry in report["candidates"]:
@@ -459,7 +458,7 @@ def test_recover_ranks_dihedral_candidates_without_pipeline(granularity, tmp_pat
     group = group_from_spec("D16")
     fourier = fourier_transform(group)
     cfg = PipelineConfig("forward", granularity)
-    hidden = subgroup_from_generators(group, [4, 17])
+    hidden = Subgroup.from_generators(group, [4, 17])
     dist = run_pipeline(build_instance(group, hidden, seed=5), fourier, cfg)
     candidates = all_subgroups(group)
     preds = {k.elements: run_pipeline(build_instance(group, k, 0), fourier, cfg).as_mapping()
@@ -467,7 +466,7 @@ def test_recover_ranks_dihedral_candidates_without_pipeline(granularity, tmp_pat
     expected, expected_ties = rank_by_pipeline(dist.as_mapping(), list(preds), preds.__getitem__)
     _refuse_pipeline(monkeypatch)
     report = _recover_report(tmp_path, group, dist, granularity)
-    truth = [c for c in report["candidates"] if c["elements"] == list(hidden.element_labels())]
+    truth = [c for c in report["candidates"] if c["elements"] == group.labels(hidden.elements)]
     assert len(truth) == 1 and truth[0]["total_variation"] <= 1e-12
     assert [tuple(group.labels(e)) for e, _ in expected] == [
         tuple(c["elements"]) for c in report["candidates"]]
@@ -489,7 +488,7 @@ class _DriftingTransform(FourierTransform):
 def test_norm_drift_in_one_candidate_block_is_refused():
     group = group_from_spec("D16")
     fourier = fourier_transform(group)
-    dist = run_pipeline(build_instance(group, subgroup_from_generators(group, [2]), 0), fourier)
+    dist = run_pipeline(build_instance(group, Subgroup.from_generators(group, [2]), 0), fourier)
     subgroup_consistency_rank(dist, group, fourier)
     with pytest.raises(IntegrityError, match="after the second Fourier transform"):
         subgroup_consistency_rank(dist, group, _DriftingTransform(group, fourier.ordering))

@@ -32,12 +32,12 @@ PEAK_MASS_N21_A2_Q65536 = 0.7892786611208602
 def test_shor_transversal_is_identity_section():
     tau = shor_transversal(4)
     assert np.array_equal(tau.table, (0, 1, 2, 3))
-    assert all(tau(q) % 4 == q for q in range(4))
+    assert all(tau.table[q] % 4 == q for q in range(4))
 
 
 def test_tables_are_readonly_int64():
     inst = PeriodicInstance(21, 2, 16)
-    tables = [Transversal((0, 1, 2, 3), "custom").table]
+    tables = [Transversal((0, 1, 2, 3)).table]
     for tau in (shor_transversal(16), offset_transversal(16, 21, seed=0)):
         tables += [tau.table, approximate_function(inst, tau).values]
     for table in tables:
@@ -60,8 +60,7 @@ def test_offset_transversal_with_bound_one_is_canonical():
 @pytest.mark.parametrize("seed", range(5))
 def test_offset_transversal_section_property(seed):
     tau = offset_transversal(16, 7, seed)
-    assert all(tau(q) % 16 == q for q in range(16))
-    assert tau.provenance == f"offset(seed={seed}, bound=7)"
+    assert all(tau.table[q] % 16 == q for q in range(16))
 
 
 def test_offsets_are_invisible_when_period_divides_q():
@@ -91,20 +90,20 @@ def test_offset_bound_refused_past_int64():
 
 def test_transversal_validation_rejects_bad_tables():
     with pytest.raises(ValueError, match="injective"):
-        Transversal((0, 1, 2, 2), "custom")
+        Transversal((0, 1, 2, 2))
     with pytest.raises(ValueError, match="reduce"):
-        Transversal((0, 1, 2, 5), "custom")
+        Transversal((0, 1, 2, 5))
     with pytest.raises(ValueError):
         offset_transversal(16, 0, seed=0)
 
 
 def test_transversal_validation_names_the_first_bad_index():
     with pytest.raises(ValueError, match="-3 does not reduce to 1 modulo 4"):
-        Transversal((0, -3, 2, -1), "custom")
+        Transversal((0, -3, 2, -1))
     with pytest.raises(ValueError, match="9 does not reduce to 2 modulo 4"):
-        Transversal([0, 1, 9, 7], "custom")
+        Transversal([0, 1, 9, 7])
     with pytest.raises(ValueError):
-        Transversal((0, 1.5, 2, 3), "custom")
+        Transversal((0, 1.5, 2, 3))
 
 
 def test_periodic_instance_validation_and_period():
@@ -198,7 +197,7 @@ def test_shift_covariance_of_the_distribution():
     base = shor_pipeline(inst, shor_transversal(16))
     for shift in range(1, 6):
         table = tuple(q + shift * 16 for q in range(16))
-        shifted = Transversal(table, "custom")
+        shifted = Transversal(table)
         dist = shor_pipeline(inst, shifted)
         assert np.abs(np.asarray(dist.probs) - np.asarray(base.probs)).max() < 1e-12
 
