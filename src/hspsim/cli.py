@@ -156,9 +156,10 @@ def main(argv=None) -> int:
     except IntegrityError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 4
-    if args.format == "json" or "distribution" in report:
-        # the bytes of report.json or distribution.csv, so each form is stated once, in reporting
-        name = "report.json" if args.format == "json" else "distribution.csv"
+    # the bytes of report.json or distribution.csv, so each form is stated once, in reporting
+    name = ("report.json" if args.format == "json"
+            else "distribution.csv" if "distribution" in report else None)
+    if name:
         sys.stdout.write((Path(args.out_dir) / name).read_text(encoding="utf-8"))
     else:
         _print_csv(report)

@@ -43,8 +43,8 @@ from .representations import (BasisOrdering, fourier_transform, irreps_of,
                               verify_representation_suite)
 from .transversals import (
     PeriodicInstance,
-    _in_windows,
     offset_transversal,
+    peak_mass,
     shor_pipeline,
     shor_transversal,
     transversal_quality_sweep,
@@ -164,15 +164,13 @@ def _run_shor(cfg: ExperimentConfig, out: Path) -> dict:
         tau_name = f"offset(seed={cfg.seed}, bound={cfg.transversal.bound})"
     dist = shor_pipeline(instance, tau, cfg.second_transform)
     write_distribution_csv(out / "distribution.csv", dist)
-    # the window sum of transversal_quality_sweep: peak_mass bit for bit, with no label pass
-    windows = _in_windows(np.arange(cfg.big_q), instance.period, cfg.big_q)
     report = {
         "N": cfg.modulus,
         "a": cfg.base,
         "Q": cfg.big_q,
         "transversal": tau_name,
         "distribution_csv_path": "distribution.csv",
-        "peak_mass": float(np.cumsum(dist.probs[windows])[-1]),
+        "peak_mass": peak_mass(dist, instance.period, cfg.big_q),
         "r_true": instance.period,
     }
     if cfg.trials:

@@ -277,9 +277,9 @@ def test_criterion_8_non_abelian_self_consistency():
     }
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
-            # one Fourier transform, so both predictions list the same labels in one order
-            p, q = (predictions[entries[k][0].elements].probs for k in (i, j))
-            tv = 0.5 * np.abs(p - q).sum()
+            a, b = (predictions[entries[k][0].elements] for k in (i, j))
+            assert a.labels == b.labels
+            tv = 0.5 * np.abs(a.probs - b.probs).sum()
             if tv < 1e-12 and (i, j) not in in_same_class:
                 failures.append(f"identical predictions at ranks {i},{j} not reported as tie")
     _finish(8, "non-abelian-self-consistency", failures)
