@@ -202,7 +202,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 # recover enumerates and ranks every subgroup (D_N candidates by one stacked
 # pipeline run, abelian ones off the annihilator law); irreps and fourier-check
 # build |G| x |G| arrays (the character table, the dense Fourier operator), and
-# irreps writes each character as nested JSON, twice (520 MB at order 1024);
+# irreps writes each character as nested JSON, twice (274 MB at order 1024);
 # simulate and simon hold |G| * |G/K| amplitudes, so |G| alone must already
 # meet the state cap.
 ORDER_CAPS = {

@@ -32,7 +32,7 @@ from .recovery import (
 )
 from .reporting import (
     _write_rows,
-    label_str,
+    label_strs,
     read_distribution_csv,
     write_distribution_csv,
     write_f_table_csv,
@@ -120,8 +120,8 @@ def _run_simulate(cfg: ExperimentConfig, out: Path) -> dict:
         "group": group.name,
         "hidden_elements": group.labels(hidden.elements),
         "hidden_is_normal": hidden.normal,
-        "distribution": [[label_str(l), float(p)] for l, p in zip(dist.labels, dist.probs)],
-        "samples": [label_str(l) for l in samples],
+        "distribution": [[s, p] for s, p in zip(label_strs(dist.labels), dist.probs.tolist())],
+        "samples": label_strs(samples),
         "norms": norms,
         "paths": {
             "distribution": "distribution.csv",

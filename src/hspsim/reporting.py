@@ -18,10 +18,11 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def label_str(label) -> str:
-    if isinstance(label, tuple):
-        return ":".join(str(int(x)) for x in label)
-    return str(int(label))
+def label_strs(labels) -> list[str]:
+    """Outcome labels as text: "i:j:k" for an irrep:row:column triple, else the integer."""
+    if labels and isinstance(labels[0], tuple):
+        return ["%d:%d:%d" % label for label in labels]
+    return [str(int(label)) for label in labels]
 
 
 def parse_label(text: str):
@@ -55,7 +56,7 @@ def _write_rows(path: Path, header: str, columns, codes) -> None:
 
 
 def write_distribution_csv(path: Path, dist: OutcomeDistribution) -> None:
-    """The rows `label_str(label),fmt17(p)`."""
+    """The rows `label,fmt17(p)`, each label written as by `label_strs`."""
     _write_rows(path, "outcome_label,probability", (dist.labels, dist.probs), ("%d", "%.17g"))
 
 
@@ -88,11 +89,13 @@ def write_f_table_csv(path: Path, instance) -> None:
 
 
 def write_samples_csv(path: Path, samples) -> None:
-    """The rows `i,label_str(sample_i)`."""
+    """The rows `i,sample_i`, each label written as by `label_strs`."""
     _write_rows(path, "trial_index,outcome_label", (range(len(samples)), samples), ("%d", "%d"))
 
 
 def write_json(path: Path, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    """`{`, one `  "key": value` line per top-level key in sorted order, `}`.  Each
+    value is one compact `json.dumps` on json's C encoder, which `indent` would bypass."""
+    lines = [f"  {json.dumps(k)}: {json.dumps(payload[k], sort_keys=True)}"
+             for k in sorted(payload)]
+    Path(path).write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")

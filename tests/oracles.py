@@ -4,8 +4,8 @@ Everything here deliberately avoids the package's computational paths:
 dense Kronecker-product unitaries instead of blocked register updates,
 direct cmath summation instead of FFTs, closed-form character sums,
 irreps written element by element, Fraction-based convergents, subset
-enumeration for subgroups, and per-point Python loops for the
-period-finding tables and peak mass.
+enumeration for subgroups, per-point Python loops for the
+period-finding tables and peak mass, and one join per outcome label.
 """
 
 from __future__ import annotations
@@ -264,3 +264,10 @@ def multiplicative_order(base: int, modulus: int) -> int:
         value = (value * base) % modulus
         r += 1
     return r
+
+
+def label_str(label) -> str:
+    """An outcome label as text, one part at a time: "i:j:k" or the integer."""
+    if isinstance(label, tuple):
+        return ":".join(str(int(x)) for x in label)
+    return str(int(label))

@@ -336,6 +336,53 @@ def test_cli_simulate_stdout_is_the_artifact_bytes(tmp_path, capsys, group, flag
         assert capsys.readouterr().out == (out / name).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("argv", [
+    ["recover", "--dist", "z2.csv", "--group", "Z2^3"],
+    ["sweep-transversal", "--N", "21", "--a", "2", "--Q", "512", "--bound", "21", "--seeds", "3"],
+    ["shor", "--N", "21", "--a", "2", "--Q", "512", "--trials", "8"],
+    ["simon", "--n", "4", "--hidden", "1011", "--trials", "12"],
+    ["irreps", "D4"],
+    ["fourier", "D4"],
+], ids=["recover", "sweep-transversal", "shor", "simon", "irreps", "fourier"])
+def test_cli_json_stdout_is_the_report_bytes(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "z2.csv").write_text("outcome_label,probability\n0,0.5\n5,0.5\n")
+    assert main([*argv, "--out-dir", "out", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
+
+
+def test_reports_stay_on_the_c_encoder(tmp_path, monkeypatch):
+    """json's pure-Python encoder, which `indent` selects, took half of a D2048
+    simulate step; every report is written by its C encoder, one sorted
+    top-level key per line."""
+    def pure_python_encoder(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+    (tmp_path / "z2.csv").write_text("outcome_label,probability\n0,0.5\n5,0.5\n")
+    runs = [
+        ({"experiment": "simulate", "group": "D8", "hidden_generators": [2], "trials": 8},
+         ["report.json"]),
+        ({"experiment": "recover", "group": "Z2^3", "dist": str(tmp_path / "z2.csv")},
+         ["report.json"]),
+        ({"experiment": "irreps", "group": "D4"}, ["report.json", "irreps.json"]),
+    ]
+    for i, (raw, names) in enumerate(runs):
+        out = tmp_path / str(i)
+        report = run_experiment(config_from_dict(raw), out)
+        for name in names:
+            text = (out / name).read_text(encoding="utf-8")
+            payload = json.loads(text)
+            assert payload == {key: report[key] for key in payload}
+            assert name == "irreps.json" or payload == report
+            assert text.endswith("}\n")
+            lines = text[:-1].split("\n")
+            assert lines[0] == "{" and lines[-1] == "}"
+            entries = [json.loads("{%s}" % line.removesuffix(",")) for line in lines[1:-1]]
+            assert [key for entry in entries for key in entry] == sorted(payload)
+            assert all(len(entry) == 1 for entry in entries)
+
+
 @pytest.mark.parametrize("kind,seed", [("shor", 0), ("offset", 0), ("offset", 1), ("offset", 2)])
 def test_shor_report_names_the_transversal_it_ran(tmp_path, kind, seed):
     cfg = config_from_dict({"experiment": "shor", "N": 21, "a": 2, "Q": 64, "seed": seed,

@@ -21,14 +21,14 @@ from hspsim.oracle import build_instance
 from hspsim.recovery import SampleSet, character_sieve
 from hspsim.reporting import (
     fmt17,
-    label_str,
+    label_strs,
     write_distribution_csv,
     write_f_table_csv,
     write_samples_csv,
 )
 from hspsim.representations import BasisOrdering, fourier_operator, fourier_transform
 
-from oracles import blackbox_by_loops, character_kernel_probs, dense_pipeline_probs
+from oracles import blackbox_by_loops, character_kernel_probs, dense_pipeline_probs, label_str
 
 ABELIAN_SWEEP = [
     "Z2", "Z4", "Z6", "Z8", "Z12", "Z16", "Z24", "Z32",
@@ -296,8 +296,8 @@ def test_distribution_csv_is_streamed(tmp_path):
 
 
 def test_distribution_csv_matches_row_by_row_format(tmp_path):
-    """The chunked `%` formatting writes the bytes of label_str and fmt17 row by
-    row: integer and triple labels, zeros, several chunks, and no rows."""
+    """The chunked `%` formatting writes the bytes of the oracle's label_str and
+    fmt17 row by row: integer and triple labels, zeros, several chunks, and no rows."""
     rng = np.random.default_rng(5)
     probs = rng.random(10_000)
     probs[::3] = 0.0
@@ -340,6 +340,31 @@ def test_samples_and_f_table_csv_match_row_by_row_format(tmp_path):
         write_samples_csv(path, samples)
         rows = "".join(f"{j},{label_str(lab)}\n" for j, lab in enumerate(samples))
         assert path.read_text(encoding="utf-8") == "trial_index,outcome_label\n" + rows
+
+
+def test_label_strs_match_the_oracle(tmp_path):
+    """One `%` per label gives the oracle's part-by-part join: irrep:row:column
+    triples, plain character indices (also as a range), irrep labels alone, the
+    samples and distribution of a run, and no labels."""
+    d8, z = group_from_spec("D8"), group_from_spec("Z2xZ4")
+    d8_inst = build_instance(d8, Subgroup.from_generators(d8, [2]), seed=0)
+    triples = run_pipeline(d8_inst, fourier_transform(d8))
+    irrep_only = run_pipeline(d8_inst, fourier_transform(d8),
+                              PipelineConfig("forward", "irrep_label_only"))
+    plain = run_pipeline(build_instance(z, Subgroup.from_generators(z, [1]), seed=0),
+                         fourier_transform(z))
+    assert isinstance(triples.labels[0], tuple)
+    assert not isinstance(plain.labels[0], tuple) and not isinstance(irrep_only.labels[0], tuple)
+    for labels in (triples.labels, plain.labels, range(len(plain.labels)), irrep_only.labels,
+                   sample(triples, 50, seed=2), sample(plain, 50, seed=2), (), [], range(0)):
+        assert label_strs(labels) == [label_str(lab) for lab in labels]
+    cfg = config_from_dict({"experiment": "simulate", "group": "D8", "hidden_generators": [2],
+                            "trials": 40, "seed": 3})
+    report = run_experiment(cfg, tmp_path)
+    dist = run_pipeline(build_instance(d8, Subgroup.from_generators(d8, [2]), seed=3),
+                        fourier_transform(d8))
+    assert report["samples"] == [label_str(lab) for lab in sample(dist, 40, seed=3)]
+    assert [lab for lab, _ in report["distribution"]] == [label_str(lab) for lab in dist.labels]
 
 
 def test_sample_point_mass_and_determinism():
