@@ -67,7 +67,7 @@ class OutcomeDistribution:
             raise ValueError("labels and probabilities differ in length")
 
     def support(self, threshold: float = 0.0) -> list:
-        return [lab for lab, p in zip(self.labels, self.probs) if p > threshold]
+        return [self.labels[i] for i in np.flatnonzero(self.probs > threshold).tolist()]
 
     def as_mapping(self) -> dict:
         return dict(zip(self.labels, (float(p) for p in self.probs)))

@@ -78,7 +78,8 @@ def _run_irreps(cfg: ExperimentConfig, out: Path) -> dict:
         {
             "label": ir.label,
             "dim": ir.dim,
-            "characters": [[float(c.real), float(c.imag)] for c in ir.character()],
+            # complex128 viewed as float64 pairs: [real, imag] per character
+            "characters": ir.character().view(np.float64).reshape(-1, 2).tolist(),
         }
         for ir in irreps_of(group)
     ]

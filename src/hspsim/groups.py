@@ -8,12 +8,13 @@ products: mixed radix, first factor most significant; dihedral:
 e, r, ..., r^{N-1}, s, rs, ..., r^{N-1}s).  Groups and subgroups are
 immutable after construction and safe for shared read-only use.
 
-Each kind multiplies and inverts by one index formula that applies to
-Python ints and to numpy int64 arrays alike.  Closure, membership,
-normality and cosets work on generators and index arrays with that
-formula, so they need O(|G|) memory at any order.  Subgroups are
-enumerated by classification (D_N) and by character duality (abelian
-kinds), so no package path builds the |G| x |G| multiplication table.
+Each kind multiplies and inverts by an index formula (bit fields for
+products whose moduli are powers of two) that applies to Python ints and
+to numpy int64 arrays alike.  Closure, membership, normality and cosets
+work on generators and index arrays with that formula, so they need
+O(|G|) memory at any order.  Subgroups are enumerated by classification
+(D_N) and by character duality (abelian kinds), so no package path builds
+the |G| x |G| multiplication table.
 """
 
 from __future__ import annotations
@@ -145,10 +146,20 @@ class ProductGroup(FiniteGroup):
         for i in range(len(moduli) - 2, -1, -1):
             weights[i] = weights[i + 1] * moduli[i + 1]
         self._radix = (np.array(moduli, dtype=np.int64), np.array(weights, dtype=np.int64))
+        # with every modulus a power of two, an index is a concatenation of
+        # bit fields; _fields masks their low bits and their top bits
+        self._fields = None
+        if all(m & (m - 1) == 0 for m in moduli):
+            top = sum(w * m // 2 for m, w in zip(moduli, weights) if m > 1)
+            self._fields = ((self.order - 1) ^ top, top)
 
-    # Coordinate i of index a is a // w_i % m_i; the higher digits of
-    # a // w_i are multiples of m_i, so they drop out mod m_i.
+    # Bit fields: the low bits add, each carry stopping at its field's top
+    # bit, and the top bits add mod 2 by XOR.  Digits: coordinate i of index
+    # a is a // w_i % m_i; the higher digits of a // w_i drop out mod m_i.
     def _op(self, a, b):
+        if self._fields is not None:
+            low, top = self._fields
+            return ((a & low) + (b & low)) ^ ((a ^ b) & top)
         m, w = self._radix
         return (np.asarray(a)[..., None] // w + np.asarray(b)[..., None] // w) % m @ w
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -149,7 +149,7 @@ class FourierTransform:
     def apply(self, columns: np.ndarray) -> np.ndarray:
         """F @ columns for a (|G|, m) array: unnormalised FFT, gather, row scale."""
         p = self._plan
-        spec = np.fft.fftn(columns.reshape(p.shape + (-1,)), axes=p.axes)
+        spec = _fft_axes(columns.reshape(p.shape + (-1,)), p.axes, np.fft.fft)
         spec = spec.reshape(columns.shape)
         out = spec[p.src]
         out[p.pair_rows] += p.pair_sign[:, None] * spec[p.pair_src]
@@ -163,7 +163,7 @@ class FourierTransform:
         spec = np.zeros_like(scaled)
         np.add.at(spec, p.src, scaled)
         np.add.at(spec, p.pair_src, p.pair_sign[:, None] * scaled[p.pair_rows])
-        out = np.fft.ifftn(spec.reshape(p.shape + (-1,)), axes=p.axes, norm="forward")
+        out = _fft_axes(spec.reshape(p.shape + (-1,)), p.axes, partial(np.fft.ifft, norm="forward"))
         return out.reshape(rows.shape)
 
     def _kernel_rows(self, spec: np.ndarray) -> np.ndarray:
@@ -209,6 +209,23 @@ class FourierOperator(FourierTransform):
             prod[:, lo:lo + _GRAM_ROWS] -= np.eye(len(prod))
             worst = max(worst, float(np.abs(prod).max()))
         return worst
+
+
+def _fft_axes(x: np.ndarray, axes: tuple[int, ...], fft) -> np.ndarray:
+    """`fft` along each of `axes`, last axis first, as np.fft.fftn does, on a
+    complex copy of x.  An axis of length 2 takes the butterfly (a + b, a - b)
+    in place, which is exactly what the FFT computes for n = 2."""
+    x = x.astype(np.complex128)
+    for axis in reversed(axes):
+        if x.shape[axis] != 2:
+            x = fft(x, axis=axis)
+            continue
+        head = (slice(None),) * axis
+        a, b = x[head + (0,)], x[head + (1,)]
+        diff = a - b
+        a += b
+        b[...] = diff
+    return x
 
 
 def _roots(denominator: int) -> np.ndarray:

@@ -6,6 +6,9 @@ direct cmath summation instead of FFTs, closed-form character sums,
 irreps written element by element, Fraction-based convergents, subset
 enumeration for subgroups, per-point Python loops for the
 period-finding tables and peak mass, and one join per outcome label.
+Two oracles keep a package formula that a faster path replaced: the
+digit-wise product of mixed-radix indices, and numpy's n-dimensional
+FFT for the Fourier transform.
 """
 
 from __future__ import annotations
@@ -85,6 +88,33 @@ def peak_mass_by_windows(labels, probs, r: int, q: int) -> float:
         if 2 * best <= r:
             total += float(p)
     return total
+
+
+def product_op_by_digits(moduli, a, b):
+    """The product of mixed-radix indices a and b (ints or broadcastable int64
+    arrays): split each into its coordinates a // w_c % m_c, add them mod m_c
+    and recombine with the place values w_c."""
+    m = np.array(moduli, dtype=np.int64)
+    w = np.array([math.prod(moduli[c + 1:]) for c in range(len(moduli))], dtype=np.int64)
+    return (np.asarray(a)[..., None] // w + np.asarray(b)[..., None] // w) % m @ w
+
+
+def fourier_by_fftn(fourier, columns: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """F @ columns, or F^dagger @ columns, through numpy's fftn (ifftn with
+    norm="forward") over the transform plan's axes, with the plan's gather
+    (scatter-add) of spectrum entries and its row scale."""
+    plan, scale = fourier._plan, fourier._layout.scale[:, None]
+    if inverse:
+        scaled = scale * columns
+        spec = np.zeros_like(scaled)
+        np.add.at(spec, plan.src, scaled)
+        np.add.at(spec, plan.pair_src, plan.pair_sign[:, None] * scaled[plan.pair_rows])
+        out = np.fft.ifftn(spec.reshape(plan.shape + (-1,)), axes=plan.axes, norm="forward")
+        return out.reshape(columns.shape)
+    spec = np.fft.fftn(columns.reshape(plan.shape + (-1,)), axes=plan.axes).reshape(columns.shape)
+    out = spec[plan.src]
+    out[plan.pair_rows] += plan.pair_sign[:, None] * spec[plan.pair_src]
+    return scale * out
 
 
 def mixed_radix_coords(moduli, a: int) -> tuple[int, ...]:

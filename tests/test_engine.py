@@ -367,6 +367,18 @@ def test_label_strs_match_the_oracle(tmp_path):
     assert [lab for lab, _ in report["distribution"]] == [label_str(lab) for lab in dist.labels]
 
 
+def test_support_matches_the_label_loop():
+    """One array pass gives the labels a loop over every label keeps, in order."""
+    probs = np.array([0.25, 0.0, 5e-11, 0.25, 1e-13, 0.5, 0.0])
+    triples = ((0, 0, 0), (1, 0, 0), (4, 0, 1), (4, 1, 0), (4, 1, 1), (5, 0, 0), (5, 1, 1))
+    for labels in (range(7), (3, 1, 4, 15, 9, 2, 6), triples):
+        dist = OutcomeDistribution(labels, probs)
+        for threshold in (0.0, 1e-12, 1e-10, 0.25, 0.5):
+            loop = [lab for lab, p in zip(labels, probs) if p > threshold]
+            assert dist.support(threshold) == loop
+    assert OutcomeDistribution((), np.zeros(0)).support() == []
+
+
 def test_sample_point_mass_and_determinism():
     dist = OutcomeDistribution((7,), np.array([1.0]))
     assert sample(dist, 5, seed=3) == [7] * 5

@@ -17,7 +17,7 @@ from hspsim.representations import (
     verify_representation_suite,
 )
 
-from oracles import abelian_irreps, dihedral_irreps
+from oracles import abelian_irreps, dihedral_irreps, fourier_by_fftn
 
 SAMPLE_GROUPS = [
     "Z1", "Z4", "Z12", "Z31", "Z2^3", "Z2xZ4", "Z3xZ9",
@@ -172,6 +172,22 @@ def test_fft_transform_matches_dense_matrix(spec, ordering):
     assert fourier.row_index == fop.row_index
     assert np.array_equal(fourier.apply(x), fop.apply(x))
     assert np.array_equal(fourier.apply_inverse(x), fop.apply_inverse(x))
+
+
+@pytest.mark.parametrize("width", [1, 5, 16])
+@pytest.mark.parametrize("spec", ["Z2^12", "Z2xZ16", "Z3xZ9", "Z32", "D16", "D2"])
+def test_transform_is_bit_identical_to_fftn(spec, width):
+    """The per-axis transform, with butterflies on the length-2 axes, gives
+    the very floats of numpy's fftn and ifftn(norm="forward"), and leaves
+    its input as it was."""
+    fourier = fourier_transform(group_from_spec(spec))
+    rng = np.random.default_rng(width)
+    size = (fourier.group.order, width)
+    x = rng.normal(size=size) + 1j * rng.normal(size=size)
+    before = x.copy()
+    assert np.array_equal(fourier.apply(x), fourier_by_fftn(fourier, x))
+    assert np.array_equal(fourier.apply_inverse(x), fourier_by_fftn(fourier, x, inverse=True))
+    assert np.array_equal(x, before)
 
 
 @pytest.mark.parametrize("ordering", list(BasisOrdering))
