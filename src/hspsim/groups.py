@@ -256,10 +256,15 @@ class Subgroup:
 
     @classmethod
     def from_elements(cls, group: FiniteGroup, elements) -> "Subgroup":
-        elems = tuple(sorted({group.check_index(a) for a in elements}))
+        idx = np.asarray(elements)
+        if idx.ndim != 1 or idx.dtype.kind not in "iu" or (
+                idx.size and not 0 <= idx.min() <= idx.max() < group.order):
+            # an iterator, or a bad entry: element by element, so the first bad one raises
+            idx = [group.check_index(a) for a in elements]
+        inside = _mask(group, idx)
+        elems = tuple(np.flatnonzero(inside).tolist())
         if not elems or elems[0] != 0:
             raise ValueError("subgroup must contain the identity")
-        inside = _mask(group, elems)
         return cls(group, elems, _is_normal(group, inside, _greedy_generators(group, inside)))
 
 
@@ -430,9 +435,10 @@ def lattice_generators(subgroups) -> list[tuple[int, ...]]:
     """
     group = subgroups[0].group
     inside = membership(group, subgroups)
-    counts = inside.astype(np.int64)
-    orders = counts.sum(axis=1)
-    # contains[a, b]: K_b lies in K_a, as |K_a & K_b| = |K_b| (an int64, not a BLAS, product)
+    orders = inside.sum(axis=1)
+    # contains[a, b]: K_b lies in K_a, as |K_a & K_b| = |K_b|.  A float64 (BLAS)
+    # product of the 0/1 rows is exact: each sum is an integer <= |G| < 2^53
+    counts = inside.astype(np.float64)
     contains = counts @ counts.T == orders
     span = np.full(len(subgroups), int(np.argmin(orders)))
     gens: list[list[int]] = [[] for _ in subgroups]

@@ -8,10 +8,12 @@ is the lookup A[tau mod r] into the power table
 A = (a^0, ..., a^(r-1)) mod N, doubled until its first 1 after k = 0
 (so never longer than 2r): its length is the period.  A is injective on
 Z_r, so the level sets of f~ are the residue classes of tau mod r, and
-the pipeline reads them off tau without building f~.  The canonical
-transversal maps q to its least non-negative representative; the
-adversarial family adds per-point offsets q + Q*m_q, which keeps the
-section property while generically destroying the periodicity of f~.
+the pipeline reads them off tau without building f~.  Whatever the
+transversal, each class lies on one coset of gcd(Q, r)Z_Q and takes one
+rfft of length Q/gcd(Q, r).  The canonical transversal maps q to its
+least non-negative representative; the adversarial family adds per-point
+offsets q + Q*m_q, which keeps the section property while generically
+destroying the periodicity of f~.
 Representatives must fit in int64, so an offset bound B needs Q*B <= 2^63.
 """
 
@@ -148,22 +150,26 @@ def approximate_function(instance: PeriodicInstance, tau: Transversal) -> Approx
 def _spectrum(instance: PeriodicInstance, tau: Transversal) -> np.ndarray:
     """Left-register probabilities over Z_Q, before `finalize_distribution`.
 
-    The classes of tau mod r are summed in ascending order of their value
-    a^k mod N, each as one float64 indicator; empty classes are skipped.
+    g = gcd(Q, r) divides Q and r, so class k of tau mod r lies on the coset
+    k + gZ_Q, and its |DFT|^2 over Z_Q is that of its length m = Q/g
+    subsequence, repeated g times.  The non-empty classes are summed in
+    ascending order of a^k mod N, each as one float64 indicator of length m.
     """
     q, n = instance.q, instance.modulus
     if q * n > PERIOD_STATE_CAP:
         raise ResourceCapError(f"state size {q}*{n} exceeds the cap {PERIOD_STATE_CAP}")
     f = approximate_function(instance, tau)
     sizes = np.bincount(f.classes, minlength=len(f.powers))
-    half = np.zeros(q // 2 + 1)
-    indicator = np.empty(q)
+    g = math.gcd(q, len(f.powers))
+    m = q // g
+    half = np.zeros(m // 2 + 1)
+    indicator = np.empty(m)
     for k in np.argsort(f.powers):
         if sizes[k]:
-            np.equal(f.classes, k, out=indicator)
+            np.equal(f.classes[k % g::g], k, out=indicator)
             half += np.abs(np.fft.rfft(indicator)) ** 2
     half /= q * q
-    return np.concatenate([half, half[1:(q + 1) // 2][::-1]])
+    return np.concatenate([half, half[1:(m + 1) // 2][::-1]] * g)
 
 
 def shor_pipeline(
@@ -173,10 +179,10 @@ def shor_pipeline(
 
     Identical to running the two-register pipeline on domain Z_Q with right
     register Z_N: the sum over the level sets S of f~ of |DFT(1_S)|^2 / Q^2.
-    The level-set indicators are real, so each is one real FFT over the
-    Q//2+1 half spectrum, mirrored by |X[Q-y]| = |X[y]|.  The inverse
-    transform of a real vector has the same moduli, so both second
-    transforms give this one distribution.
+    Each level set lies on a coset of gZ_Q, g = gcd(Q, r), and its indicator
+    is real: one rfft of length m = Q/g, mirrored by |X[m-y]| = |X[y]|.
+    The inverse transform of a real vector has the same moduli, so both
+    second transforms give this one distribution.
     """
     if second_transform not in SECOND_TRANSFORMS:
         raise ValueError(f"second_transform must be one of {SECOND_TRANSFORMS}")

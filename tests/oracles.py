@@ -6,9 +6,10 @@ direct cmath summation instead of FFTs, closed-form character sums,
 irreps written element by element, Fraction-based convergents, subset
 enumeration for subgroups, per-point Python loops for the
 period-finding tables and peak mass, and one join per outcome label.
-Two oracles keep a package formula that a faster path replaced: the
-digit-wise product of mixed-radix indices, and numpy's n-dimensional
-FFT for the Fourier transform.
+Three oracles keep a package formula that a faster path replaced: the
+digit-wise product of mixed-radix indices, numpy's n-dimensional FFT for
+the Fourier transform, and one length-Q real FFT per level set for the
+period-finding law.
 """
 
 from __future__ import annotations
@@ -76,6 +77,20 @@ def direct_fourier_probs(f_values, big_q: int, forward: bool = True) -> list[flo
 def composed_table(base: int, modulus: int, reps) -> tuple[int, ...]:
     """f~(q) = base^tau(q) mod modulus, one Python pow per representative."""
     return tuple(pow(base, int(rep), modulus) for rep in reps)
+
+
+def spectrum_by_full_length_rffts(reps, powers, big_q: int) -> np.ndarray:
+    """Left-register probabilities over Z_Q before clamping: one rfft of length
+    Q per non-empty class of reps mod r (r = len(powers)), summed in ascending
+    order of powers[k], its Q//2+1 half spectrum mirrored to length Q."""
+    classes = np.asarray(reps, dtype=np.int64) % len(powers)
+    half = np.zeros(big_q // 2 + 1)
+    for k in np.argsort(powers):
+        indicator = (classes == k).astype(np.float64)
+        if indicator.any():
+            half += np.abs(np.fft.rfft(indicator)) ** 2
+    half /= big_q * big_q
+    return np.concatenate([half, half[1:(big_q + 1) // 2][::-1]])
 
 
 def peak_mass_by_windows(labels, probs, r: int, q: int) -> float:

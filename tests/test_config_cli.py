@@ -465,6 +465,29 @@ def test_cli_sweep_transversal(tmp_path, capsys):
     assert report["wins_shor"] == 3
 
 
+@pytest.mark.parametrize("seeds", [1, 3, 4])
+def test_sweep_median_matches_statistics_median(tmp_path, seeds):
+    import statistics
+
+    cfg = config_from_dict({"experiment": "sweep-transversal", "N": 21, "a": 2, "Q": 512,
+                            "bound": 21, "seeds": seeds, "seed": 5})
+    report = run_experiment(cfg, tmp_path)
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    offsets = [float(row.split(",")[2]) for row in rows]
+    assert report["median_peak_mass_offset"] == statistics.median(offsets)
+
+
+def test_cli_import_loads_no_statistics_modules():
+    """numpy loads none of statistics, fractions and decimal; the CLI should not either."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(hspsim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys\nimport hspsim.cli\n"
+            "print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 _LOADS_MA = "import sys\n{run}\nprint('numpy.ma' in sys.modules)"
 _RUN_CLI = """import contextlib, io
 from hspsim.cli import main

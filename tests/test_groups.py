@@ -19,6 +19,7 @@ from hspsim.groups import (
     character_pairing,
     coset_ids,
     group_from_spec,
+    lattice_generators,
     left_cosets,
 )
 from hspsim.oracle import build_instance, classical_brute_force_hsp
@@ -120,6 +121,55 @@ def test_subgroup_from_elements_rejects_non_subgroup():
         Subgroup.from_elements(z6, [0, 1])
     with pytest.raises(ValueError):
         Subgroup.from_elements(z6, [1, 2])
+
+
+@pytest.mark.parametrize("elements,message", [
+    ([0, 1.5], "element index 1.5 out of range for Z6 (order 6)"),
+    ((0, "a", 9), "element index 'a' out of range for Z6 (order 6)"),
+    ([[0, 3]], "element index [0, 3] out of range for Z6 (order 6)"),
+    ([0, 7, -1], "element index 7 out of range for Z6 (order 6)"),
+    ([0, -1], "element index -1 out of range for Z6 (order 6)"),
+    (np.array([0, 6]), "element index np.int64(6) out of range for Z6 (order 6)"),
+    ([], "subgroup must contain the identity"),
+    (np.array([], dtype=np.int64), "subgroup must contain the identity"),
+    ([3, 3], "subgroup must contain the identity"),
+    ([0, 1], "element set not closed under the group operation: it generates 2"),
+    (iter([0, 2, 2]), "element set not closed under the group operation: it generates 4"),
+])
+def test_from_elements_error_messages(elements, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        Subgroup.from_elements(CyclicGroup(6), elements)
+
+
+def test_from_elements_takes_any_iterable_and_repeats():
+    z6 = CyclicGroup(6)
+    expected = Subgroup(z6, (0, 3), True)
+    for elements in ([3, 0, 3], (0, 3), np.array([3, 0], dtype=np.uint8), range(0, 6, 3),
+                     iter([0, 3, 0]), [np.int64(3), 0], [False, 3]):
+        sub = Subgroup.from_elements(z6, elements)
+        assert sub == expected and sub.normal
+        assert all(type(a) is int for a in sub.elements)
+
+
+def test_from_elements_checks_in_one_array_pass(monkeypatch):
+    """K = G on Z2^16: no per-element `check_index` call (the set comprehension made 65,536)."""
+    group = group_from_spec("Z2^16")
+    calls = []
+    real = FiniteGroup.check_index
+    monkeypatch.setattr(FiniteGroup, "check_index", lambda self, a: calls.append(a) or real(self, a))
+    sub = Subgroup.from_elements(group, np.arange(group.order))
+    assert sub.elements == tuple(range(group.order)) and sub.normal
+    assert not calls
+
+
+@pytest.mark.parametrize("spec", ["Z2^5", "Z2xZ16", "Z32", "D16", "D32"])
+def test_lattice_generators_equal_spanning_generators(spec):
+    subs = all_subgroups(group_from_spec(spec))
+    expected = [sub.spanning_generators() for sub in subs]
+    assert lattice_generators(subs) == expected
+    # any order of the subgroups gives each its own generators
+    order = random.Random(spec).sample(range(len(subs)), len(subs))
+    assert lattice_generators([subs[i] for i in order]) == [expected[i] for i in order]
 
 
 def test_left_cosets_examples():

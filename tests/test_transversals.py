@@ -9,6 +9,7 @@ from hspsim.errors import ResourceCapError
 from hspsim.transversals import (
     PeriodicInstance,
     Transversal,
+    _spectrum,
     approximate_function,
     offset_transversal,
     peak_mass,
@@ -22,6 +23,7 @@ from oracles import (
     direct_fourier_probs,
     multiplicative_order,
     peak_mass_by_windows,
+    spectrum_by_full_length_rffts,
 )
 from test_acceptance import PEAK_MASS_N21_A2_Q512
 
@@ -345,3 +347,47 @@ def test_sweep_row_memory_at_period_cap():
     assert peak < 48 * 2**20
     # r = 2 divides Q, so every transversal puts all mass on the windows
     assert rows == [(0, 1.0, 1.0)]
+
+
+def _some_transversals(big_q):
+    return [shor_transversal(big_q)] + [
+        offset_transversal(big_q, bound, seed) for bound in (2, 21, 1 << 40) for seed in (3, 4)
+    ]
+
+
+@pytest.mark.parametrize("modulus,base,big_q", [(7, 2, 1024), (21, 2, 1001), (35, 2, 4097)])
+def test_coset_kernel_is_bit_identical_when_gcd_is_one(modulus, base, big_q):
+    """g = gcd(Q, r) = 1: one rfft of length Q per class, bit for bit the oracle's."""
+    inst = PeriodicInstance(modulus, base, big_q, allow_any_q=True)
+    assert math.gcd(big_q, inst.period) == 1
+    for tau in _some_transversals(big_q):
+        expected = spectrum_by_full_length_rffts(tau.table, inst.powers, big_q)
+        assert np.array_equal(_spectrum(inst, tau), expected)
+
+
+@pytest.mark.parametrize("modulus,base,big_q,g", [
+    (21, 2, 4, 2),      # Q = 4 < r = 6: empty classes
+    (21, 2, 999, 3),    # odd Q/g = 333
+    (21, 2, 65536, 2),  # the benchmark's sweep instance
+    (91, 2, 4096, 4),   # r = 12
+    (15, 2, 1024, 4),   # g = r = 4
+])
+def test_coset_kernel_matches_full_length_rffts(modulus, base, big_q, g):
+    inst = PeriodicInstance(modulus, base, big_q, allow_any_q=True)
+    assert math.gcd(big_q, inst.period) == g
+    for tau in _some_transversals(big_q):
+        expected = spectrum_by_full_length_rffts(tau.table, inst.powers, big_q)
+        got = _spectrum(inst, tau)
+        assert got.shape == (big_q,)
+        assert np.abs(got - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("modulus,base,big_q", [(15, 2, 1024), (15, 7, 16), (21, 2, 768)])
+def test_offset_laws_equal_the_shor_law_when_period_divides_q(modulus, base, big_q):
+    """r | Q: tau(q) mod r = q mod r for every transversal, so every offset law is
+    the Shor transversal's, bit for bit."""
+    inst = PeriodicInstance(modulus, base, big_q, allow_any_q=True)
+    assert big_q % inst.period == 0
+    reference = shor_pipeline(inst, shor_transversal(big_q)).probs
+    for tau in _some_transversals(big_q)[1:]:
+        assert np.array_equal(shor_pipeline(inst, tau).probs, reference)
