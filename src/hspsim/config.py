@@ -3,22 +3,23 @@
 SCHEMA lists the fields each experiment accepts.  Parsing, the config
 echo in reports and the CLI flags are all loops over it.  Unknown keys
 are rejected, every structural error names the offending field, and
-resource caps are enforced here rather than mid-run.
+resource caps are enforced here rather than mid-run.  Validation builds
+what the run reads, once, on the derived `ExperimentConfig.resolved`: the
+group and hidden subgroup, or the `PeriodicInstance`.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import asdict, dataclass
-from typing import Callable
+from dataclasses import asdict, dataclass, field
+from typing import Callable, NamedTuple
 
 from .engine import STATE_SIZE_CAP, MEASURE_GRANULARITIES, SECOND_TRANSFORMS
 from .errors import ConfigError, ResourceCapError
 from .groups import MAX_TABLE_ORDER, FiniteGroup, ProductGroup, Subgroup, group_from_spec
 from .recovery import RANK_ORDER_CAP
 from .representations import BasisOrdering
-from .transversals import PERIOD_STATE_CAP, REPRESENTATIVE_LIMIT
+from .transversals import PeriodicInstance, check_offset_bound
 
 TRANSVERSAL_KINDS = ("shor", "offset")
 # each trial is one sample and one report entry, each sweep seed one transversal
@@ -30,6 +31,14 @@ SEEDS_CAP = 65536
 class TransversalSpec:
     kind: str = "shor"
     bound: int = 1
+
+
+class Resolved(NamedTuple):
+    """What validation built for the run; None where the experiment has none."""
+
+    group: FiniteGroup | None = None
+    hidden: Subgroup | None = None
+    instance: PeriodicInstance | None = None
 
 
 @dataclass(frozen=True)
@@ -51,6 +60,7 @@ class ExperimentConfig:
     bound: int | None = None
     seeds: int | None = None
     dist: str | None = None
+    resolved: Resolved = field(default=Resolved(), init=False, compare=False, repr=False)
 
 
 def _normalize_generators(raw_gens) -> tuple:
@@ -218,53 +228,29 @@ def _validate_semantics(cfg: ExperimentConfig) -> None:
     for key, value, cap in (("trials", cfg.trials, TRIALS_CAP), ("seeds", cfg.seeds, SEEDS_CAP)):
         if value is not None and value > cap:
             raise ResourceCapError(f"field {key!r} is capped at {cap}, got {value}")
+    group = hidden = instance = None
     if cfg.experiment in ORDER_CAPS:
         group = resolve_group(cfg)
         cap = ORDER_CAPS[cfg.experiment]
         if group.order > cap:
-            raise ResourceCapError(
-                f"{cfg.experiment} is capped at order {cap}, "
-                f"got {cfg.group!r} of order {group.order}"
-            )
-        if cfg.experiment == "simon":
-            if not isinstance(group, ProductGroup) or any(m != 2 for m in group.moduli):
-                raise ConfigError(
-                    f"field 'group': simon needs a Z2^n group, got {cfg.group!r}"
-                )
+            raise ResourceCapError(f"{cfg.experiment} is capped at order {cap}, "
+                                   f"got {cfg.group!r} of order {group.order}")
+        if cfg.experiment == "simon" and (not isinstance(group, ProductGroup)
+                                          or any(m != 2 for m in group.moduli)):
+            raise ConfigError(f"field 'group': simon needs a Z2^n group, got {cfg.group!r}")
         if cfg.experiment in ("simulate", "simon"):
             hidden = resolve_hidden(cfg, group)
-            state = group.order * hidden.num_cosets
-            if state > STATE_SIZE_CAP:
+            if group.order * hidden.num_cosets > STATE_SIZE_CAP:
                 raise ResourceCapError(
                     f"state size {group.order}*{hidden.num_cosets} exceeds {STATE_SIZE_CAP}"
                 )
     if cfg.experiment in ("shor", "sweep-transversal"):
-        if cfg.base >= cfg.modulus:
-            raise ConfigError(f"field 'a': base {cfg.base} must be below N = {cfg.modulus}")
-        if math.gcd(cfg.base, cfg.modulus) != 1:
-            raise ConfigError(
-                f"field 'a': gcd({cfg.base}, {cfg.modulus}) != 1, base must be coprime"
-            )
-        if not cfg.allow_any_q and cfg.big_q & (cfg.big_q - 1):
-            raise ConfigError(
-                f"field 'Q': {cfg.big_q} is not a power of two (set allow_any_q to override)"
-            )
-        if cfg.big_q * cfg.modulus > PERIOD_STATE_CAP:
-            raise ResourceCapError(
-                f"state size {cfg.big_q}*{cfg.modulus} exceeds {PERIOD_STATE_CAP}"
-            )
-        # offset representatives i + Q*m with m < bound are int64, so Q*bound <= 2^63
+        instance = PeriodicInstance(cfg.modulus, cfg.base, cfg.big_q, cfg.allow_any_q)
         if cfg.experiment == "sweep-transversal":
-            key, bound = "bound", cfg.bound
+            check_offset_bound(cfg.big_q, cfg.bound)
         elif cfg.transversal.kind == "offset":
-            key, bound = "transversal.bound", cfg.transversal.bound
-        else:
-            key, bound = None, 1
-        if cfg.big_q * bound > REPRESENTATIVE_LIMIT:
-            raise ConfigError(
-                f"field {key!r}: Q*bound = {cfg.big_q}*{bound} exceeds 2^63, "
-                "the int64 range of the representatives"
-            )
+            check_offset_bound(cfg.big_q, cfg.transversal.bound, "transversal.bound")
+    object.__setattr__(cfg, "resolved", Resolved(group, hidden, instance))
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -1,7 +1,9 @@
 """Experiment orchestration: run a validated config, emit reproducible reports.
 
 A report is fully determined by its configuration bytes: runs never
-record timestamps, and all randomness flows from the config seeds.
+record timestamps, and all randomness flows from the config seeds.  Each
+handler reads the group, hidden subgroup or period instance that
+validation built (`cfg.resolved`) and builds none of them again.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, config_to_dict, resolve_group, resolve_hidden
+from .config import ExperimentConfig, config_to_dict
 from .engine import (
     PipelineConfig,
     left_register_distribution,
@@ -41,7 +43,6 @@ from .reporting import (
 from .representations import (BasisOrdering, fourier_transform, irreps_of,
                               verify_representation_suite)
 from .transversals import (
-    PeriodicInstance,
     offset_transversal,
     peak_mass,
     shor_pipeline,
@@ -72,7 +73,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path = ".") -> dict:
 
 
 def _run_irreps(cfg: ExperimentConfig, out: Path) -> dict:
-    group = resolve_group(cfg)
+    group = cfg.resolved.group
     table = [
         {
             "label": ir.label,
@@ -92,14 +93,13 @@ def _run_irreps(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def _run_fourier_check(cfg: ExperimentConfig, out: Path) -> dict:
-    group = resolve_group(cfg)
+    group = cfg.resolved.group
     suite = verify_representation_suite(group, BasisOrdering(cfg.ordering))
     return {**suite, "group": group.name, "ordering": cfg.ordering}
 
 
 def _pipeline_pieces(cfg: ExperimentConfig):
-    group = resolve_group(cfg)
-    hidden = resolve_hidden(cfg, group)
+    group, hidden = cfg.resolved.group, cfg.resolved.hidden
     seed = cfg.seed if cfg.oracle_seed is None else cfg.oracle_seed
     instance = build_instance(group, hidden, seed)
     fourier = fourier_transform(group, BasisOrdering(cfg.ordering))
@@ -156,7 +156,7 @@ def _run_simon(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def _run_shor(cfg: ExperimentConfig, out: Path) -> dict:
-    instance = PeriodicInstance(cfg.modulus, cfg.base, cfg.big_q, cfg.allow_any_q)
+    instance = cfg.resolved.instance
     if cfg.transversal.kind == "shor":
         tau, tau_name = shor_transversal(cfg.big_q), "shor"
     else:
@@ -187,7 +187,7 @@ def _run_shor(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def _run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
-    instance = PeriodicInstance(cfg.modulus, cfg.base, cfg.big_q, cfg.allow_any_q)
+    instance = cfg.resolved.instance
     seeds = [cfg.seed + i for i in range(cfg.seeds)]
     rows = transversal_quality_sweep(instance, cfg.bound, seeds)
     # the middle of the sorted masses: np.median would import numpy.ma
@@ -210,7 +210,7 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def _run_recover(cfg: ExperimentConfig, out: Path) -> dict:
-    group = resolve_group(cfg)
+    group = cfg.resolved.group
     pipeline_cfg = PipelineConfig(cfg.second_transform, cfg.measure_granularity)
     # a malformed CSV and a label the pipeline cannot produce both raise ValueError
     try:

@@ -274,12 +274,14 @@ def _mask(group: FiniteGroup, elements) -> np.ndarray:
     return member
 
 
-def _grow(group: FiniteGroup, span: np.ndarray, gens) -> None:
-    """Close the mask `span`, which holds a subgroup, in place to <span, gens>.
+def _grow(group: FiniteGroup, span: np.ndarray, gens, closed: int = 0) -> None:
+    """Close the mask `span`, a subgroup closed under gens[:closed], in place
+    to <span, gens>.
 
     Breadth-first right multiplication, one array op per layer.  The
     generators are joined by their repeated squares, so g^k is reached
-    in O(log k) layers.
+    in O(log k) layers.  The span times gens[:closed] lies in the span, so
+    the first layer multiplies by the other generators alone.
     """
     x = np.asarray(gens, dtype=np.int64)
     powers = [x]
@@ -287,13 +289,14 @@ def _grow(group: FiniteGroup, span: np.ndarray, gens) -> None:
         if not x.any():
             break
         powers.append(x := group._op(x, x))
-    x = np.concatenate(powers)
-    frontier = np.flatnonzero(span)
+    x = np.stack(powers)
+    layer, frontier = x[:, closed:].ravel(), np.flatnonzero(span)
     while frontier.size:
-        prods = group._op(frontier[:, None], x)
+        prods = group._op(frontier[:, None], layer)
         fresh = _mask(group, prods[~span[prods]])
         frontier = np.flatnonzero(fresh)
         span |= fresh
+        layer = x.ravel()
 
 
 def _greedy_generators(group: FiniteGroup, inside: np.ndarray) -> tuple[int, ...]:
@@ -309,7 +312,7 @@ def _greedy_generators(group: FiniteGroup, inside: np.ndarray) -> tuple[int, ...
         if not rest.size:
             return tuple(gens)
         gens.append(int(rest[0]))
-        _grow(group, span, gens)
+        _grow(group, span, gens, len(gens) - 1)
         outside = np.flatnonzero(span & ~inside)
         if outside.size:
             raise ValueError(

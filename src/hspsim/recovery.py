@@ -170,9 +170,10 @@ def annihilator_law(group: FiniteGroup, candidates, labels) -> np.ndarray:
     superposition, so either transform gives the uniform law on the
     annihilator of K_c, for every instance and seed.
     """
-    member = membership(group, candidates).astype(np.int64)
+    member = membership(group, candidates).astype(np.float64)
     moved = character_pairing(group, np.arange(group.order), labels)[0] != 0
-    outside = member @ moved.astype(np.int64)
+    # a float64 (BLAS) product of 0/1 entries is exact: each sum is an integer <= |G|
+    outside = member @ moved.astype(np.float64)
     return np.where(outside == 0, member.sum(axis=1)[:, None] / group.order, 0.0)
 
 

@@ -25,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import SECOND_TRANSFORMS, OutcomeDistribution, finalize_distribution
-from .errors import ResourceCapError
+from .engine import OutcomeDistribution, PipelineConfig, finalize_distribution
+from .errors import ConfigError, ResourceCapError
 
 PERIOD_STATE_CAP = 1 << 22
 REPRESENTATIVE_LIMIT = 1 << 63
@@ -67,16 +67,21 @@ def shor_transversal(q: int) -> Transversal:
     return Transversal(np.arange(q))
 
 
+def check_offset_bound(q: int, bound: int, key: str = "bound") -> None:
+    """Representatives i + q*m with m < bound are int64, so q*bound <= 2^63;
+    `key` names the config field that gave the bound."""
+    if q * bound > REPRESENTATIVE_LIMIT:
+        raise ConfigError(f"field {key!r}: Q*bound = {q}*{bound} exceeds 2^63, "
+                          "the int64 range of the representatives")
+
+
 def offset_transversal(q: int, bound: int, seed: int) -> Transversal:
     """tau(i) = i + q*m_i with m_i drawn uniformly from [0, bound)."""
     if q < 1:
         raise ValueError(f"quotient order must be positive, got {q}")
     if bound < 1:
         raise ValueError(f"offset bound must be at least 1, got {bound}")
-    if q * bound > REPRESENTATIVE_LIMIT:
-        raise ValueError(
-            f"offset bound {bound} with Q = {q} exceeds Q*bound <= 2^63 (int64 representatives)"
-        )
+    check_offset_bound(q, bound)
     rng = np.random.default_rng(seed)
     offsets = rng.integers(0, bound, size=q)
     return Transversal(np.arange(q) + q * offsets)
@@ -84,7 +89,8 @@ def offset_transversal(q: int, bound: int, seed: int) -> Transversal:
 
 @dataclass(frozen=True)
 class PeriodicInstance:
-    """Modular exponentiation x -> a^x mod N approximated over Z_Q."""
+    """Modular exponentiation x -> a^x mod N approximated over Z_Q.  The rules on
+    N, a and Q are stated here alone, naming the config fields they check."""
 
     modulus: int
     base: int
@@ -92,18 +98,24 @@ class PeriodicInstance:
     allow_any_q: bool = False
 
     def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be at least 2, got {self.modulus}")
-        if not 1 <= self.base < self.modulus:
-            raise ValueError(f"base {self.base} not in [1, {self.modulus})")
+        if self.base < 1:
+            raise ValueError(f"base must be positive, got {self.base}")
+        if self.base >= self.modulus:
+            raise ConfigError(f"field 'a': base {self.base} must be below N = {self.modulus}")
         if math.gcd(self.base, self.modulus) != 1:
-            raise ValueError(
-                f"base {self.base} is not coprime to the modulus {self.modulus}"
+            raise ConfigError(
+                f"field 'a': gcd({self.base}, {self.modulus}) != 1, base must be coprime"
             )
         if self.q < 1:
             raise ValueError(f"Q must be positive, got {self.q}")
         if not self.allow_any_q and self.q & (self.q - 1):
-            raise ValueError(f"Q = {self.q} is not a power of two (set allow_any_q to override)")
+            raise ConfigError(
+                f"field 'Q': {self.q} is not a power of two (set allow_any_q to override)"
+            )
+        if self.q * self.modulus > PERIOD_STATE_CAP:
+            raise ResourceCapError(
+                f"state size {self.q}*{self.modulus} exceeds {PERIOD_STATE_CAP}"
+            )
 
     @cached_property
     def powers(self) -> np.ndarray:
@@ -155,9 +167,7 @@ def _spectrum(instance: PeriodicInstance, tau: Transversal) -> np.ndarray:
     subsequence, repeated g times.  The non-empty classes are summed in
     ascending order of a^k mod N, each as one float64 indicator of length m.
     """
-    q, n = instance.q, instance.modulus
-    if q * n > PERIOD_STATE_CAP:
-        raise ResourceCapError(f"state size {q}*{n} exceeds the cap {PERIOD_STATE_CAP}")
+    q = instance.q
     f = approximate_function(instance, tau)
     sizes = np.bincount(f.classes, minlength=len(f.powers))
     g = math.gcd(q, len(f.powers))
@@ -184,8 +194,7 @@ def shor_pipeline(
     The inverse transform of a real vector has the same moduli, so both
     second transforms give this one distribution.
     """
-    if second_transform not in SECOND_TRANSFORMS:
-        raise ValueError(f"second_transform must be one of {SECOND_TRANSFORMS}")
+    PipelineConfig(second_transform)  # refuses an unknown transform
     return finalize_distribution(range(instance.q), _spectrum(instance, tau))
 
 

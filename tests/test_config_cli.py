@@ -4,6 +4,7 @@ import shlex
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import hspsim
 from hspsim import cli
 from hspsim.cli import build_parser, main
-from hspsim import config
+from hspsim import config, groups
 from hspsim.config import (
     SCHEMA,
     SEEDS_CAP,
@@ -282,6 +283,139 @@ def test_cli_refuses_offset_bound_past_int64(tmp_path, capsys):
     assert main(["sweep-transversal", "--N", "21", "--a", "2", "--Q", "512", "--bound", huge,
                  "--seeds", "2", "--out-dir", out]) == 2
     assert "field 'bound'" in capsys.readouterr().err
+
+
+_PAST_INT64 = str((1 << 54) + 1)  # times Q = 512 is 2^63 + 512
+
+
+@pytest.mark.parametrize("argv,instance,code,line", [
+    pytest.param(["shor", "--N", "15", "--a", "16", "--Q", "16"], None, 2,
+                 "configuration error: field 'a': base 16 must be below N = 15", id="a>=N"),
+    pytest.param(["shor", "--N", "15", "--a", "5", "--Q", "16"], None, 2,
+                 "configuration error: field 'a': gcd(5, 15) != 1, base must be coprime",
+                 id="gcd"),
+    pytest.param(["shor", "--N", "15", "--a", "7", "--Q", "12"], None, 2,
+                 "configuration error: field 'Q': 12 is not a power of two "
+                 "(set allow_any_q to override)", id="Q-not-power-of-two"),
+    pytest.param(["shor", "--N", "4097", "--a", "3", "--Q", "3000"], None, 2,
+                 "configuration error: field 'Q': 3000 is not a power of two "
+                 "(set allow_any_q to override)", id="Q-rule-before-cap"),
+    pytest.param(["shor", "--N", "4097", "--a", "3", "--Q", "2048"], None, 3,
+                 "resource cap exceeded: state size 2048*4097 exceeds 4194304", id="QN-cap"),
+    pytest.param(["sweep-transversal", "--N", "4097", "--a", "3", "--Q", "2048",
+                  "--bound", _PAST_INT64, "--seeds", "2"], None, 3,
+                 "resource cap exceeded: state size 2048*4097 exceeds 4194304",
+                 id="cap-before-bound"),
+    pytest.param(["sweep-transversal", "--N", "21", "--a", "2", "--Q", "512",
+                  "--bound", _PAST_INT64, "--seeds", "3"], None, 2,
+                 "configuration error: field 'bound': Q*bound = 512*18014398509481985 "
+                 "exceeds 2^63, the int64 range of the representatives", id="sweep-bound"),
+    pytest.param(["shor", "--N", "21", "--a", "2", "--Q", "512", "--transversal", "offset",
+                  "--bound", _PAST_INT64], None, 2,
+                 "configuration error: field 'transversal.bound': Q*bound = "
+                 "512*18014398509481985 exceeds 2^63, the int64 range of the representatives",
+                 id="shor-bound"),
+    pytest.param(["simulate"], {"group": "Z512", "hidden_generators": []}, 3,
+                 "resource cap exceeded: state size 512*512 exceeds 65536", id="state-cap"),
+    pytest.param(["simulate"], {"group": "Z70000", "hidden_generators": []}, 3,
+                 "resource cap exceeded: simulate is capped at order 65536, "
+                 "got 'Z70000' of order 70000", id="order-cap"),
+    pytest.param(["simulate"], {"group": "D4", "hidden_generators": [9]}, 2,
+                 "configuration error: field 'hidden_generators': element index 9 "
+                 "out of range for D4 (order 8)", id="hidden-out-of-range"),
+    pytest.param(["simulate"], {"group": "D4", "hidden_generators": [[1, 0]]}, 2,
+                 "configuration error: field 'hidden_generators': coordinate entry [1, 0] "
+                 "needs a product group, got D4", id="hidden-coordinates"),
+    # the simon subcommand always builds Z2^n, so this config reaches main as a dict
+    pytest.param(None, {"experiment": "simon", "group": "Z6", "hidden_generators": [3]}, 2,
+                 "configuration error: field 'group': simon needs a Z2^n group, got 'Z6'",
+                 id="simon-on-Z6"),
+])
+def test_cli_error_lines_are_pinned(tmp_path, monkeypatch, capsys, argv, instance, code, line):
+    """Each refusal's exact stderr line and exit code, whichever object states the rule."""
+    if argv is None:
+        monkeypatch.setattr(cli, "_config_dict", lambda args: instance)
+        argv = ["irreps", "Z1"]
+    elif instance is not None:
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(instance), encoding="utf-8")
+        argv = argv + ["--instance", str(path)]
+    assert main(argv + ["--out-dir", str(tmp_path / "run")]) == code
+    captured = capsys.readouterr()
+    assert captured.err == line + "\n" and captured.out == ""
+    assert not (tmp_path / "run").exists()
+
+
+def _count_resolutions(monkeypatch) -> Counter:
+    """Count calls of group_from_spec (under every hspsim name bound to it),
+    Subgroup.from_generators and PeriodicInstance construction."""
+    counts = Counter()
+    spec = groups.group_from_spec
+
+    def counted_spec(text):
+        counts["group_from_spec"] += 1
+        return spec(text)
+
+    for name, module in list(sys.modules.items()):
+        if name == "hspsim" or name.startswith("hspsim."):
+            for key, value in list(vars(module).items()):
+                if value is spec:
+                    monkeypatch.setattr(module, key, counted_spec)
+    from_generators = groups.Subgroup.from_generators.__func__
+
+    def counted_generators(cls, group, generators):
+        counts["from_generators"] += 1
+        return from_generators(cls, group, generators)
+
+    monkeypatch.setattr(groups.Subgroup, "from_generators", classmethod(counted_generators))
+    post_init = PeriodicInstance.__post_init__
+
+    def counted_instance(self):
+        counts["PeriodicInstance"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(PeriodicInstance, "__post_init__", counted_instance)
+    return counts
+
+
+@pytest.mark.parametrize("raw,expected", [
+    pytest.param({"experiment": "simulate", "group": "D8", "hidden_generators": [2, 9],
+                  "trials": 4}, (1, 1, 0), id="simulate"),
+    pytest.param({"experiment": "simon", "group": "Z2^4", "hidden_generators": [[1, 0, 1, 1]],
+                  "trials": 6}, (1, 1, 0), id="simon"),
+    pytest.param({"experiment": "recover", "group": "D4"}, (1, 0, 0), id="recover"),
+    pytest.param({"experiment": "irreps", "group": "D4"}, (1, 0, 0), id="irreps"),
+    pytest.param({"experiment": "fourier-check", "group": "Z2xZ4"}, (1, 0, 0), id="fourier"),
+    pytest.param({"experiment": "shor", "N": 21, "a": 2, "Q": 512, "trials": 5}, (0, 0, 1),
+                 id="shor"),
+    pytest.param({"experiment": "shor", "N": 21, "a": 2, "Q": 512, "trials": 5,
+                  "transversal": {"kind": "offset", "bound": 21}}, (0, 0, 1), id="shor-offset"),
+    pytest.param({"experiment": "sweep-transversal", "N": 21, "a": 2, "Q": 512, "bound": 21,
+                  "seeds": 3}, (0, 0, 1), id="sweep"),
+])
+def test_each_run_resolves_its_config_once(tmp_path, monkeypatch, raw, expected):
+    """Parsing builds the group, closes the hidden subgroup and constructs the
+    period instance, each at most once, and the run reads what parsing built."""
+    if raw["experiment"] == "recover":
+        simulate = {"experiment": "simulate", "group": "D4", "hidden_generators": [2]}
+        run_experiment(config_from_dict(simulate), tmp_path / "sim")
+        raw = {**raw, "dist": str(tmp_path / "sim" / "distribution.csv")}
+    counts = _count_resolutions(monkeypatch)
+    cfg = config_from_dict(raw)
+    # parsing takes on no run work: the run builds the power table
+    assert cfg.resolved.instance is None or "powers" not in vars(cfg.resolved.instance)
+    run_experiment(cfg, tmp_path / "run")
+    assert (counts["group_from_spec"], counts["from_generators"],
+            counts["PeriodicInstance"]) == expected
+
+
+def test_resolved_objects_are_derived_not_a_knob():
+    cfg = config_from_dict({"experiment": "simulate", "group": "D4", "hidden_generators": [2]})
+    assert cfg.resolved.group.name == "D4" and cfg.resolved.hidden.elements == (0, 2)
+    assert cfg.resolved.instance is None
+    assert all(f.attr != "resolved" for fields in SCHEMA.values() for f in fields)
+    assert "resolved" not in repr(cfg) and "resolved" not in config_to_dict(cfg)
+    assert cfg == ExperimentConfig("simulate", group="D4", hidden_generators=(2,))
 
 
 def test_cli_maps_integrity_errors_to_exit_4(monkeypatch, capsys):

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hspsim.config import config_from_dict, resolve_group, resolve_hidden
+from hspsim import groups
+from hspsim.config import config_from_dict
 from hspsim.engine import PipelineConfig, outcome_labels
 from hspsim.errors import ResourceCapError
 from hspsim.groups import (
@@ -170,6 +171,46 @@ def test_lattice_generators_equal_spanning_generators(spec):
     # any order of the subgroups gives each its own generators
     order = random.Random(spec).sample(range(len(subs)), len(subs))
     assert lattice_generators([subs[i] for i in order]) == [expected[i] for i in order]
+
+
+@pytest.mark.parametrize("spec", ["Z2^6", "D16", "Z3xZ9"])
+def test_greedy_span_after_each_step_is_the_prefix_closure(spec, monkeypatch):
+    """Each greedy step grows the last span by the new generator's squares alone,
+    and the span it leaves is <g_1, ..., g_i> closed from scratch."""
+    group = group_from_spec(spec)
+    grow, steps = groups._grow, []
+
+    def recording(group, span, gens, closed=0):
+        grow(group, span, gens, closed)
+        steps.append((list(gens), closed, np.flatnonzero(span)))
+
+    for sub in all_subgroups(group):
+        steps.clear()
+        monkeypatch.setattr(groups, "_grow", recording)
+        gens = groups._greedy_generators(group, groups._mask(group, sub.elements))
+        monkeypatch.undo()
+        assert len(steps) == len(gens)
+        for i, (prefix, closed, span) in enumerate(steps):
+            assert prefix == list(gens[:i + 1]) and closed == i
+            assert tuple(span.tolist()) == Subgroup.from_generators(group, prefix).elements
+        assert tuple(steps[-1][2].tolist() if steps else [0]) == sub.elements
+
+
+def test_grow_first_layer_skips_the_generators_the_span_is_closed_under():
+    group = group_from_spec("Z2^6")
+    op, layers = group._op, []
+
+    def recording(a, b):
+        if np.ndim(a) == 2:  # a frontier layer, not a repeated square
+            layers.append(np.size(b))
+        return op(a, b)
+
+    group._op = recording
+    span = groups._mask(group, range(8))  # <1, 2, 4>
+    groups._grow(group, span, [1, 2, 4, 8], closed=3)
+    assert np.array_equal(np.flatnonzero(span), np.arange(16))
+    # 8 and 8^2 = 0 first, then every generator with its square
+    assert layers == [2, 8]
 
 
 def test_left_cosets_examples():
@@ -517,8 +558,7 @@ def test_run_path_builds_no_op_table():
     cfg = config_from_dict(
         {"experiment": "simon", "group": f"Z2^{n}", "hidden_generators": gens, "trials": 15}
     )
-    group = resolve_group(cfg)
-    hidden = resolve_hidden(cfg, group)
+    group, hidden, _ = cfg.resolved
     instance = build_instance(group, hidden, seed=3)
     assert len(left_cosets(group, hidden)) == 16
     # the annihilator of K: y with an even number of shared 1 bits with every generator
@@ -534,8 +574,7 @@ def test_run_path_builds_no_op_table():
         cfg = config_from_dict(
             {"experiment": "simulate", "group": "D2048", "hidden_generators": generators}
         )
-        group = resolve_group(cfg)
-        hidden = resolve_hidden(cfg, group)
+        group, hidden, _ = cfg.resolved
         instance = build_instance(group, hidden, seed=3)
         assert len(left_cosets(group, hidden)) == hidden.num_cosets
         assert classical_brute_force_hsp(instance).elements == hidden.elements

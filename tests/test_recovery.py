@@ -22,7 +22,9 @@ from hspsim.groups import (
     DihedralGroup,
     Subgroup,
     all_subgroups,
+    character_pairing,
     group_from_spec,
+    membership,
 )
 from hspsim.oracle import build_instance
 from hspsim.recovery import (
@@ -375,6 +377,22 @@ def test_annihilator_law_matches_character_kernel_oracle(spec):
         law = annihilator_law(group, candidates, labels)
         for row, probs in zip(law, expected):
             assert np.abs(row - [probs[y] for y in labels]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec", ["Z2^5", "Z2^6", "Z4xZ2", "Z3xZ9"])
+def test_annihilator_law_float_product_equals_integer_product(spec):
+    """The float64 membership x moved-character product gives, bit for bit, the
+    law of the exact int64 product, on every subgroup and outcome labelling."""
+    group = group_from_spec(spec)
+    candidates = all_subgroups(group)
+    member = membership(group, candidates).astype(np.int64)
+    fourier = fourier_transform(group)
+    for cfg in PIPELINE_CONFIGS:
+        labels = outcome_labels(fourier, cfg)
+        moved = character_pairing(group, np.arange(group.order), labels)[0] != 0
+        outside = member @ moved.astype(np.int64)
+        expected = np.where(outside == 0, member.sum(axis=1)[:, None] / group.order, 0.0)
+        assert np.array_equal(annihilator_law(group, candidates, labels), expected)
 
 
 @pytest.mark.parametrize("spec", ABELIAN_SPECS + ["D3", "D4", "D5", "D8", "D16"])
