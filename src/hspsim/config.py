@@ -14,9 +14,11 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
-from .engine import STATE_SIZE_CAP, MEASURE_GRANULARITIES, SECOND_TRANSFORMS
+from .engine import (STATE_SIZE_CAP, MEASURE_GRANULARITIES, SECOND_TRANSFORMS,
+                     check_state_size)
 from .errors import ConfigError, ResourceCapError
-from .groups import MAX_TABLE_ORDER, FiniteGroup, ProductGroup, Subgroup, group_from_spec
+from .groups import (MAX_TABLE_ORDER, FiniteGroup, ProductGroup, Subgroup, group_from_spec,
+                     is_z2n)
 from .recovery import RANK_ORDER_CAP
 from .representations import BasisOrdering
 from .transversals import PeriodicInstance, check_offset_bound
@@ -235,15 +237,11 @@ def _validate_semantics(cfg: ExperimentConfig) -> None:
         if group.order > cap:
             raise ResourceCapError(f"{cfg.experiment} is capped at order {cap}, "
                                    f"got {cfg.group!r} of order {group.order}")
-        if cfg.experiment == "simon" and (not isinstance(group, ProductGroup)
-                                          or any(m != 2 for m in group.moduli)):
+        if cfg.experiment == "simon" and not is_z2n(group):
             raise ConfigError(f"field 'group': simon needs a Z2^n group, got {cfg.group!r}")
         if cfg.experiment in ("simulate", "simon"):
             hidden = resolve_hidden(cfg, group)
-            if group.order * hidden.num_cosets > STATE_SIZE_CAP:
-                raise ResourceCapError(
-                    f"state size {group.order}*{hidden.num_cosets} exceeds {STATE_SIZE_CAP}"
-                )
+            check_state_size(group.order, hidden.num_cosets)
     if cfg.experiment in ("shor", "sweep-transversal"):
         instance = PeriodicInstance(cfg.modulus, cfg.base, cfg.big_q, cfg.allow_any_q)
         if cfg.experiment == "sweep-transversal":

@@ -73,11 +73,18 @@ class OutcomeDistribution:
         return dict(zip(self.labels, (float(p) for p in self.probs)))
 
 
+def check_state_size(rows: int, width: int, cap: int = STATE_SIZE_CAP) -> None:
+    """The state-size rule: a (rows, width) state holds at most `cap` amplitudes."""
+    if rows * width > cap:
+        raise ResourceCapError(f"state size {rows}*{width} exceeds {cap}")
+
+
 def finalize_distribution(labels: tuple | range, probs: np.ndarray) -> OutcomeDistribution:
     """Clamp float dust to zero and check normalization."""
     probs = np.where(probs < PROB_CLAMP, 0.0, probs)
     total = float(probs.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
+    # written so that a NaN total, which compares false, is refused too
+    if not abs(total - 1.0) <= PROB_SUM_TOL:
         raise IntegrityError(f"outcome probabilities sum to {total!r}, not 1")
     probs.flags.writeable = False
     return OutcomeDistribution(labels, probs)
@@ -115,8 +122,7 @@ def _evolve(
     n_g = fourier.group.order
     widths = np.asarray(widths, dtype=np.int64)
     total = int(widths.sum())
-    if n_g * total > STATE_SIZE_CAP:
-        raise ResourceCapError(f"state size {n_g}*{total} exceeds the cap {STATE_SIZE_CAP}")
+    check_state_size(n_g, total)
     starts = np.cumsum(widths) - widths
     psi0 = np.zeros((n_g, total), dtype=np.complex128)
     psi0[0, starts] = 1.0

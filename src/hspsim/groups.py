@@ -199,6 +199,11 @@ class ProductGroup(FiniteGroup):
         return out
 
 
+def is_z2n(group: FiniteGroup) -> bool:
+    """Whether `group` is a product Z2^n, the group of Simon's problem."""
+    return isinstance(group, ProductGroup) and all(m == 2 for m in group.moduli)
+
+
 class DihedralGroup(FiniteGroup):
     """D_N of order 2N; index a encodes r^(a mod N) s^(a div N)."""
 

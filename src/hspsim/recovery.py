@@ -28,7 +28,7 @@ import numpy as np
 from .engine import OutcomeDistribution, PipelineConfig, level_set_laws, outcome_labels
 from .errors import ResourceCapError
 from .groups import (CyclicGroup, FiniteGroup, ProductGroup, Subgroup, _mask, all_subgroups,
-                     character_pairing, coset_ids, membership)
+                     character_pairing, coset_ids, is_z2n, membership)
 from .representations import FourierTransform, fourier_transform
 
 RANK_TIE_TOL = 1e-12
@@ -107,7 +107,7 @@ def character_sieve(samples: SampleSet, full_support=None) -> RecoveryResult:
 def simon_solve(samples: SampleSet, full_support=None) -> RecoveryResult:
     """Simon's problem: the character sieve on Z2^n."""
     group = samples.group
-    if not isinstance(group, ProductGroup) or any(m != 2 for m in group.moduli):
+    if not is_z2n(group):
         raise ValueError(f"simon_solve needs a Z2^n context, got {group.name}")
     return character_sieve(samples, full_support)
 

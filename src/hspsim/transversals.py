@@ -25,8 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import OutcomeDistribution, PipelineConfig, finalize_distribution
-from .errors import ConfigError, ResourceCapError
+from .engine import (OutcomeDistribution, PipelineConfig, check_state_size,
+                     finalize_distribution)
+from .errors import ConfigError
 
 PERIOD_STATE_CAP = 1 << 22
 REPRESENTATIVE_LIMIT = 1 << 63
@@ -112,10 +113,7 @@ class PeriodicInstance:
             raise ConfigError(
                 f"field 'Q': {self.q} is not a power of two (set allow_any_q to override)"
             )
-        if self.q * self.modulus > PERIOD_STATE_CAP:
-            raise ResourceCapError(
-                f"state size {self.q}*{self.modulus} exceeds {PERIOD_STATE_CAP}"
-            )
+        check_state_size(self.q, self.modulus, PERIOD_STATE_CAP)
 
     @cached_property
     def powers(self) -> np.ndarray:

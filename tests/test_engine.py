@@ -1,4 +1,5 @@
 import itertools
+import json
 import sys
 import tracemalloc
 
@@ -14,13 +15,17 @@ from hspsim.engine import (
     sample,
     step_trace,
 )
-from hspsim.errors import ResourceCapError
+from hspsim.errors import IntegrityError, ResourceCapError
 from hspsim.experiments import run_experiment
 from hspsim.groups import Subgroup, all_subgroups, group_from_spec
 from hspsim.oracle import build_instance
 from hspsim.recovery import SampleSet, character_sieve
 from hspsim.reporting import (
+    DistributionPairs,
+    csv_floats,
+    float_texts,
     fmt17,
+    json_floats,
     label_strs,
     write_distribution_csv,
     write_f_table_csv,
@@ -245,8 +250,15 @@ def test_pipeline_state_size_cap():
     hidden = Subgroup.from_generators(group, [])
     inst = build_instance(group, hidden, seed=0)
     fop = fourier_operator(group)
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError, match=r"^state size 512\*512 exceeds 65536$"):
         run_pipeline(inst, fop)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_finalize_distribution_refuses_a_non_finite_total(bad):
+    """A NaN total compares false against the tolerance; it is refused like an inf one."""
+    with pytest.raises(IntegrityError, match=f"^outcome probabilities sum to {bad!r}, not 1$"):
+        finalize_distribution(range(2), np.array([bad, 1.0]))
 
 
 def test_run_path_builds_no_dense_fourier_matrix(tmp_path, monkeypatch):
@@ -293,6 +305,48 @@ def test_distribution_csv_is_streamed(tmp_path):
     assert text.startswith("outcome_label,probability\n0,9.5367431640625e-07\n")
     assert text.endswith(f"\n{q - 1},9.5367431640625e-07\n")
     assert text.count("\n") == q + 1
+
+
+def test_distinct_probabilities_csv_is_streamed(tmp_path):
+    """2^20 all-distinct probabilities, the worst case for the distinct-value
+    table, are written under the same bound as the uniform column."""
+    q = 1 << 20
+    probs = np.arange(1, q + 1) / (q * (q + 1) / 2)
+    assert len(np.unique(probs)) == q
+    dist = OutcomeDistribution(range(q), probs)
+    path = tmp_path / "distribution.csv"
+    tracemalloc.start()
+    try:
+        write_distribution_csv(path, dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == q + 1
+    for i in (0, 1, 1023, 1024, 1025, q - 1):
+        assert lines[i + 1] == f"{i},{fmt17(probs[i])}"
+
+
+def test_float_texts_match_the_per_entry_format():
+    """One text per distinct bit pattern gives "%.17g" % v and repr(v) entry by
+    entry: exact repeats, last-ulp neighbours, subnormals, 1.0, 0.0 and -0.0.
+    Short and all-distinct columns are left to per-entry formatting."""
+    base = np.array([0.1, 1 / 3, 0.25, 1.0, 0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308])
+    column = np.concatenate([base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf),
+                             base[::-1], base[:4], np.full(5, 1 / 3)] * 3)
+    np.random.default_rng(7).shuffle(column)
+    for part in (column, tuple(column.tolist())):
+        values = np.asarray(part).tolist()
+        assert float_texts(part, csv_floats) == ["%.17g" % v for v in values]
+        assert float_texts(part, json_floats) == [repr(v) for v in values]
+    special = [float("nan"), float("inf"), -float("inf"), 0.5] * 20
+    assert float_texts(np.array(special), json_floats) == json.dumps(special)[1:-1].split(", ")
+    for declined in (column[:64], np.arange(1000.0), np.zeros(0)):
+        assert float_texts(declined, csv_floats) is None
+    assert csv_floats(column.tolist()) == ["%.17g" % v for v in column.tolist()]
+    assert json_floats(column.tolist()) == [repr(v) for v in column.tolist()]
+    assert csv_floats([]) == json_floats([]) == []
 
 
 def test_distribution_csv_matches_row_by_row_format(tmp_path):
@@ -365,6 +419,40 @@ def test_label_strs_match_the_oracle(tmp_path):
                         fourier_transform(d8))
     assert report["samples"] == [label_str(lab) for lab in sample(dist, 40, seed=3)]
     assert [lab for lab, _ in report["distribution"]] == [label_str(lab) for lab in dist.labels]
+
+
+def _one_dumps_per_key(report: dict) -> str:
+    """report.json as one `json.dumps(v, sort_keys=True)` per top-level key, sorted."""
+    lines = [f"  {json.dumps(k)}: {json.dumps(report[k], sort_keys=True)}" for k in sorted(report)]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+@pytest.mark.parametrize("spec,gens,granularity", [
+    ("D8", [2], "full_triple"),
+    ("D16", [3], "full_triple"),
+    ("D16", [3], "irrep_label_only"),
+    ("Z2xZ4", [[1, 0]], "full_triple"),
+    ("Z32", [4], "full_triple"),
+])
+@pytest.mark.parametrize("trials", [0, 37])
+def test_report_json_matches_one_dumps_per_key(tmp_path, spec, gens, granularity, trials):
+    """report.json, whose distribution is written from the label and probability
+    texts, is byte for byte the per-key json.dumps of the report with plain
+    pairs, and its pairs are those of the CSV and of an independent run."""
+    cfg = config_from_dict({"experiment": "simulate", "group": spec, "hidden_generators": gens,
+                            "trials": trials, "seed": 5, "measure_granularity": granularity})
+    report = run_experiment(cfg, tmp_path)
+    pairs = report["distribution"]
+    assert isinstance(pairs, DistributionPairs)
+    plain = {**report, "distribution": [list(pair) for pair in pairs]}
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == _one_dumps_per_key(plain)
+    group = cfg.resolved.group
+    dist = run_pipeline(build_instance(group, cfg.resolved.hidden, seed=5), fourier_transform(group),
+                        PipelineConfig("forward", granularity))
+    assert plain["distribution"] == [[label_str(lab), p]
+                                     for lab, p in zip(dist.labels, dist.probs.tolist())]
+    rows = (tmp_path / "distribution.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert rows == [f"{lab},{fmt17(p)}" for lab, p in plain["distribution"]]
 
 
 def test_support_matches_the_label_loop():

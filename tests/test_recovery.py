@@ -16,7 +16,7 @@ from hspsim.engine import (
     run_pipeline,
     sample,
 )
-from hspsim.errors import IntegrityError, ResourceCapError
+from hspsim.errors import ConfigError, IntegrityError, ResourceCapError
 from hspsim.experiments import run_experiment
 from hspsim.groups import (
     DihedralGroup,
@@ -108,6 +108,23 @@ def test_simon_solve_confirmation_against_full_support():
 def test_simon_solve_requires_bit_vector_group():
     with pytest.raises(ValueError, match="Z2"):
         simon_solve(SampleSet(group_from_spec("Z4"), (1,)))
+
+
+@pytest.mark.parametrize("spec,z2n", [("Z2^3", True), ("Z2^1", True), ("Z2", False),
+                                      ("Z2xZ4", False), ("Z6", False), ("D4", False)])
+def test_simon_config_and_solver_share_one_z2n_rule(spec, z2n):
+    """Validation and simon_solve accept the same groups, with their own texts."""
+    raw = {"experiment": "simon", "group": spec, "hidden_generators": []}
+    group = group_from_spec(spec)
+    if z2n:
+        config_from_dict(raw)
+        simon_solve(SampleSet(group, (0,)))
+        return
+    with pytest.raises(ConfigError, match=f"^field 'group': simon needs a Z2\\^n group, "
+                                          f"got '{spec}'$"):
+        config_from_dict(raw)
+    with pytest.raises(ValueError, match="^simon_solve needs a Z2\\^n context, got "):
+        simon_solve(SampleSet(group, (0,)))
 
 
 def test_character_sieve_z12_examples():
