@@ -80,7 +80,10 @@ def check_state_size(rows: int, width: int, cap: int = STATE_SIZE_CAP) -> None:
 
 
 def finalize_distribution(labels: tuple | range, probs: np.ndarray) -> OutcomeDistribution:
-    """Clamp float dust to zero and check normalization."""
+    """Refuse a negative entry, clamp float dust to zero and check normalization."""
+    negative = probs[probs < 0]
+    if negative.size:
+        raise IntegrityError(f"outcome probability {float(negative[0])!r} is negative")
     probs = np.where(probs < PROB_CLAMP, 0.0, probs)
     total = float(probs.sum())
     # written so that a NaN total, which compares false, is refused too

@@ -151,7 +151,7 @@ def _run_simon(cfg: ExperimentConfig, out: Path) -> dict:
         "recovered_generators": [list(group.coords(g)) for g in gens],
         "recovered_elements": group.labels(recovered.elements),
         "confirmed": result.confirmed,
-        "trials_used": result.samples_used,
+        "trials_used": len(samples),
         "matches_brute_force": recovered.elements == truth.elements,
         "paths": {"distribution": "distribution.csv", "samples": "samples.csv"},
     }
@@ -183,7 +183,7 @@ def _run_shor(cfg: ExperimentConfig, out: Path) -> dict:
         report["period_estimate"] = {
             "period": estimate.period,
             "confirmed": estimate.confirmed,
-            "samples_used": estimate.samples_used,
+            "samples_used": len(samples),
         }
     return report
 

@@ -14,7 +14,8 @@ to numpy int64 arrays alike.  Closure, membership, normality and cosets
 work on generators and index arrays with that formula, so they need
 O(|G|) memory at any order.  Subgroups are enumerated by classification
 (D_N) and by character duality (abelian kinds), so no package path builds
-the |G| x |G| multiplication table.
+the |G| x |G| multiplication table.  `check_index` is the one element-index
+rule, and `_indices` its vector form for every entry point taking many.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class FiniteGroup:
         return int(self._inv(self.check_index(a)))
 
     def label(self, a: int) -> str:
-        return self.labels((self.check_index(a),))[0]
+        return self.labels((a,))[0]
 
     def labels(self, elements) -> list[str]:
         """The label of each index in `elements`, in one array pass."""
@@ -91,12 +92,17 @@ class FiniteGroup:
 
 
 def _indices(group: FiniteGroup, elements) -> np.ndarray:
-    """`elements` as an int64 array, each checked to be an element index of `group`."""
-    idx = np.asarray(elements, dtype=np.int64).reshape(-1)
-    if idx.size and not 0 <= idx.min() <= idx.max() < group.order:
-        bad = idx[(idx < 0) | (idx >= group.order)][0]
-        group.check_index(int(bad))
-    return idx
+    """`elements` (any iterable) as an int64 array, the vector form of `check_index`:
+    it refuses what `check_index` refuses, with its text for the first bad entry."""
+    try:
+        idx = np.asarray(elements)
+    except ValueError:  # a ragged nesting, which numpy refuses in its own words
+        idx = None
+    if idx is not None and idx.ndim == 1 and idx.dtype.kind in "iu" and (
+            not idx.size or 0 <= idx.min() <= idx.max() < group.order):
+        return idx.astype(np.int64, copy=False)
+    # an iterator, a non-integer entry or a bad one: element by element
+    return np.array([group.check_index(a) for a in elements], dtype=np.int64)
 
 
 def _int64_order(name: str, order: int) -> int:
@@ -182,10 +188,7 @@ class ProductGroup(FiniteGroup):
             )
         a = 0
         for x, m in zip(coords, self.moduli):
-            x = int(x)
-            if not 0 <= x < m:
-                raise ValueError(f"coordinate {x} out of range for modulus {m}")
-            a = a * m + x
+            a = a * m + CyclicGroup(m).check_index(x)
         return a
 
     def labels(self, elements) -> list[str]:
@@ -261,12 +264,7 @@ class Subgroup:
 
     @classmethod
     def from_elements(cls, group: FiniteGroup, elements) -> "Subgroup":
-        idx = np.asarray(elements)
-        if idx.ndim != 1 or idx.dtype.kind not in "iu" or (
-                idx.size and not 0 <= idx.min() <= idx.max() < group.order):
-            # an iterator, or a bad entry: element by element, so the first bad one raises
-            idx = [group.check_index(a) for a in elements]
-        inside = _mask(group, idx)
+        inside = _mask(group, _indices(group, elements))
         elems = tuple(np.flatnonzero(inside).tolist())
         if not elems or elems[0] != 0:
             raise ValueError("subgroup must contain the identity")

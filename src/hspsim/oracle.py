@@ -2,13 +2,14 @@
 
 An instance fixes a group G, a hidden subgroup K, and a map f: G -> H
 that factors through the coset space: f is constant on each left coset
-of K and injective across cosets.  The codomain defaults to Z_M with
-M = |G|/|K|; its group structure never influences the left-register
-statistics.  f is a seed-chosen injection of Z_{|G/K|} into Z_M read at
-the coset ids of `groups.coset_ids`, which number the cosets by their
-least element.  The blackbox acts on the G x H basis by
-|g>|h> -> |g>|f(g) h^-1>; the engine applies it to |psi1>|e> only, as
-one scatter of psi1 onto the level sets of `f_table`.
+of K and injective across cosets.  `build_instance` takes H = Z_M with
+M = |G|/|K|, and f a seed-chosen bijection of the cosets onto Z_M read
+at the coset ids of `groups.coset_ids`, which number the cosets by their
+least element; a hand-built instance may take a wider codomain.  The
+group structure of H never influences the left-register statistics.
+The blackbox acts on the G x H basis by |g>|h> -> |g>|f(g) h^-1>; the
+engine applies it to |psi1>|e> only, as one scatter of psi1 onto the
+level sets of `f_table`.
 """
 
 from __future__ import annotations
@@ -23,31 +24,20 @@ from .groups import CyclicGroup, FiniteGroup, Subgroup, coset_ids
 
 @dataclass(frozen=True)
 class HspInstance:
+    """G, its hidden subgroup K, the codomain H and f as the table g -> f(g) in H."""
+
     group: FiniteGroup
     hidden: Subgroup
     codomain: CyclicGroup
-    injection: tuple[int, ...]
     f_table: np.ndarray
-    seed: int
-
-    def f(self, g: int) -> int:
-        self.group.check_index(g)
-        return int(self.f_table[g])
 
 
-def build_instance(
-    group: FiniteGroup, hidden: Subgroup, seed: int, codomain_order: int | None = None
-) -> HspInstance:
-    """Instance with a seed-chosen injection of the coset space into Z_M."""
+def build_instance(group: FiniteGroup, hidden: Subgroup, seed: int) -> HspInstance:
+    """Instance with f a seed-chosen bijection of the coset space onto Z_|G/K|."""
     m = hidden.num_cosets
-    big_m = m if codomain_order is None else int(codomain_order)
-    if big_m < m:
-        raise ValueError(f"codomain order {big_m} is below the coset count {m}")
-    rng = np.random.default_rng(seed)
-    injection = tuple(int(v) for v in rng.permutation(big_m)[:m])
-    f_table = np.array(injection, dtype=np.int64)[coset_ids(group, hidden)]
+    f_table = np.random.default_rng(seed).permutation(m)[coset_ids(group, hidden)]
     f_table.flags.writeable = False
-    return HspInstance(group, hidden, CyclicGroup(big_m), injection, f_table, int(seed))
+    return HspInstance(group, hidden, CyclicGroup(m), f_table)
 
 
 def classical_brute_force_hsp(instance: HspInstance) -> Subgroup:

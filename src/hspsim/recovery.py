@@ -6,7 +6,8 @@ included.  Period finding extracts candidate denominators from
 continued-fraction convergents in exact integer arithmetic.  A result
 is confirmed only by an independent check: the full exact support not
 shrinking the candidate, or the modular identity a^r = 1 (with r then
-reduced to the order of a); never by sample count alone.
+reduced to the order of a); never by sample count alone.  Outcomes and
+the full support are checked by `groups._indices`, the element-index rule.
 
 Candidate ranking compares the observed distribution with each
 subgroup's predicted one.  For abelian kinds the prediction is the
@@ -27,8 +28,8 @@ import numpy as np
 
 from .engine import OutcomeDistribution, PipelineConfig, level_set_laws, outcome_labels
 from .errors import ResourceCapError
-from .groups import (CyclicGroup, FiniteGroup, ProductGroup, Subgroup, _mask, all_subgroups,
-                     character_pairing, coset_ids, is_z2n, membership)
+from .groups import (CyclicGroup, FiniteGroup, ProductGroup, Subgroup, _indices, _mask,
+                     all_subgroups, character_pairing, coset_ids, is_z2n, membership)
 from .representations import FourierTransform, fourier_transform
 
 RANK_TIE_TOL = 1e-12
@@ -48,22 +49,19 @@ class SampleSet:
     outcomes: tuple[int, ...]
 
     def __post_init__(self):
-        for y in self.outcomes:
-            self.group.check_index(y)
+        _indices(self.group, self.outcomes)
 
 
 @dataclass(frozen=True)
 class RecoveryResult:
     candidate: Subgroup
     confirmed: bool
-    samples_used: int
 
 
 @dataclass(frozen=True)
 class PeriodEstimate:
     period: int | None
     confirmed: bool
-    samples_used: int
 
 
 @dataclass(frozen=True)
@@ -99,9 +97,9 @@ def character_sieve(samples: SampleSet, full_support=None) -> RecoveryResult:
     candidate = Subgroup(group, elems, True)
     confirmed = False
     if full_support is not None:
-        support = [group.check_index(y) for y in full_support]
+        support = _indices(group, full_support)
         confirmed = len(_kernel_intersection(group, kernel, support)) == len(kernel)
-    return RecoveryResult(candidate, confirmed, len(samples.outcomes))
+    return RecoveryResult(candidate, confirmed)
 
 
 def simon_solve(samples: SampleSet, full_support=None) -> RecoveryResult:
@@ -145,21 +143,20 @@ def period_from_samples(outcomes, big_q: int, n: int, base: int) -> PeriodEstima
     reduced to that order by dividing out each p while a^(L/p) = 1.  Every
     prime of L divides a denominator, so p runs up to the largest one.
     """
-    outcomes = tuple(outcomes)
     candidates = []
     for y in outcomes:
         d = continued_fraction_period(int(y), big_q, n)
         if d is not None:
             candidates.append(d)
     if not candidates:
-        return PeriodEstimate(None, False, len(outcomes))
+        return PeriodEstimate(None, False)
     r = math.lcm(*candidates)
     if pow(base, r, n) != 1:
-        return PeriodEstimate(r, False, len(outcomes))
+        return PeriodEstimate(r, False)
     for p in range(2, max(candidates) + 1):
         while r % p == 0 and pow(base, r // p, n) == 1:
             r //= p
-    return PeriodEstimate(r, True, len(outcomes))
+    return PeriodEstimate(r, True)
 
 
 def annihilator_law(group: FiniteGroup, candidates, labels) -> np.ndarray:

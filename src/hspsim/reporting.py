@@ -85,9 +85,10 @@ def parse_label(text: str):
 def _write_rows(path: Path, header: str, columns, codes) -> None:
     """Write the header, then row i as the i-th entries of `columns` joined by
     commas, each formatted by its `%` code in `codes` ("%d", "%s", "%.17g"); a
-    label triple is written "%d:%d:%d", and a "%.17g" chunk that repeats values
-    is formatted once per distinct value (`float_texts`).  One `%` operation
-    formats each chunk of rows, and the chunks are streamed through one handle."""
+    chunk of label triples is written by `label_strs`, and a "%.17g" chunk that
+    repeats values is formatted once per distinct value (`float_texts`).  One `%`
+    operation formats each chunk of rows, and the chunks are streamed through
+    one handle."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for lo in range(0, len(columns[0]), _CSV_ROWS):
@@ -99,12 +100,10 @@ def _write_rows(path: Path, header: str, columns, codes) -> None:
                     chunk, code = texts, "%s"
                 elif isinstance(chunk, np.ndarray):
                     chunk = chunk.tolist()
-                if isinstance(chunk[0], tuple):
-                    fields += zip(*chunk)
-                    formats.append(":".join([code] * len(chunk[0])))
-                else:
-                    fields.append(chunk)
-                    formats.append(code)
+                elif isinstance(chunk[0], tuple):
+                    chunk, code = label_strs(chunk), "%s"
+                fields.append(chunk)
+                formats.append(code)
             flat = [None] * (len(fields) * len(chunk))
             for i, field in enumerate(fields):
                 flat[i::len(fields)] = field

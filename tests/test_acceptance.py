@@ -233,7 +233,7 @@ def test_criterion_7_brute_force_equivalences():
                     group.order,
                     inst.codomain.order,
                     fop.matrix,
-                    [inst.f(g) for g in range(group.order)],
+                    inst.f_table.tolist(),
                 )
                 if np.abs(np.asarray(dist.probs) - dense).max() >= 1e-12:
                     failures.append(f"{spec}: dense mismatch for K of order {hidden.order}")

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import sys
 import tracemalloc
 
@@ -17,8 +18,8 @@ from hspsim.engine import (
 )
 from hspsim.errors import IntegrityError, ResourceCapError
 from hspsim.experiments import run_experiment
-from hspsim.groups import Subgroup, all_subgroups, group_from_spec
-from hspsim.oracle import build_instance
+from hspsim.groups import CyclicGroup, Subgroup, all_subgroups, group_from_spec
+from hspsim.oracle import HspInstance, build_instance
 from hspsim.recovery import SampleSet, character_sieve
 from hspsim.reporting import (
     DistributionPairs,
@@ -96,7 +97,7 @@ def test_pipeline_matches_dense_unitary_simulation(spec):
                 group.order,
                 inst.codomain.order,
                 fop.matrix,
-                [inst.f(g) for g in range(group.order)],
+                inst.f_table.tolist(),
                 forward=forward,
             )
             assert np.abs(np.asarray(dist.probs) - expected).max() < 1e-12
@@ -169,7 +170,9 @@ def test_blackbox_step_is_the_basis_permutation(spec, gens, normal, codomain_ord
     group = group_from_spec(spec)
     hidden = Subgroup.from_generators(group, gens)
     assert hidden.normal == normal
-    inst = build_instance(group, hidden, seed=4, codomain_order=codomain_order)
+    inst = build_instance(group, hidden, seed=4)
+    if codomain_order is not None:
+        inst = HspInstance(group, hidden, CyclicGroup(codomain_order), inst.f_table)
     assert inst.codomain.order == (codomain_order or hidden.num_cosets)
     psi1, psi2 = step_trace(inst, fourier_transform(group))[1:3]
     expected = blackbox_by_loops(inst.f_table.tolist(), inst.codomain.order, psi1)
@@ -259,6 +262,22 @@ def test_finalize_distribution_refuses_a_non_finite_total(bad):
     """A NaN total compares false against the tolerance; it is refused like an inf one."""
     with pytest.raises(IntegrityError, match=f"^outcome probabilities sum to {bad!r}, not 1$"):
         finalize_distribution(range(2), np.array([bad, 1.0]))
+
+
+@pytest.mark.parametrize("probs, value", [
+    ([-0.5, 1.0, 0.0], -0.5),
+    ([float("-inf"), 1.0], float("-inf")),
+    ([1.0, -1e-300, 0.0], -1e-300),
+    ([0.5, -0.25, 0.75], -0.25),
+])
+def test_finalize_distribution_refuses_a_negative_entry(probs, value):
+    """Born probabilities are never negative: no entry is clamped to zero, however
+    small, and the first negative one is named."""
+    with pytest.raises(IntegrityError, match=f"^outcome probability {re.escape(repr(value))} is negative$"):
+        finalize_distribution(range(len(probs)), np.array(probs))
+    # -0.0 is not negative, and float dust still clamps to zero
+    dist = finalize_distribution(range(3), np.array([-0.0, 1.0, 1e-16]))
+    assert dist.probs.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_run_path_builds_no_dense_fourier_matrix(tmp_path, monkeypatch):

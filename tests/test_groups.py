@@ -24,7 +24,7 @@ from hspsim.groups import (
     left_cosets,
 )
 from hspsim.oracle import build_instance, classical_brute_force_hsp
-from hspsim.recovery import SampleSet, simon_solve
+from hspsim.recovery import SampleSet, character_sieve, simon_solve
 from hspsim.representations import fourier_transform
 
 from oracles import (
@@ -247,9 +247,10 @@ def test_cosets_partition_evenly(spec):
         assert cosets == expected
         index = {g: i for i, coset in enumerate(expected) for g in coset}
         assert coset_ids(group, sub).tolist() == [index[g] for g in range(group.order)]
-        for seed, codomain_order in ((0, None), (1, None), (2, None), (3, group.order + 3)):
-            inst = build_instance(group, sub, seed, codomain_order)
-            assert inst.f_table.tolist() == [inst.injection[index[g]] for g in range(group.order)]
+        for seed in range(4):
+            inst = build_instance(group, sub, seed)
+            values = np.random.default_rng(seed).permutation(len(expected)).tolist()
+            assert inst.f_table.tolist() == [values[index[g]] for g in range(group.order)]
 
 
 def _divisors(n):
@@ -589,6 +590,40 @@ def _label_by_rule(group, a):
     if isinstance(group, ProductGroup):
         return "(" + ",".join(str(x) for x in group.coords(a)) + ")"
     return str(a)
+
+
+_Z6, _Z2_3, _D4 = CyclicGroup(6), group_from_spec("Z2^3"), group_from_spec("D4")
+# each entry point that takes element indices: the group whose check_index
+# rule it applies, and a call with one bad entry (after a good one, where it
+# takes several)
+INDEX_ENTRY_POINTS = {
+    "check_index": (_Z6, _Z6.check_index),
+    "label D4": (_D4, _D4.label),
+    "labels Z6": (_Z6, lambda bad: _Z6.labels([0, bad])),
+    "labels Z2^3": (_Z2_3, lambda bad: _Z2_3.labels([0, bad])),
+    "labels D4": (_D4, lambda bad: _D4.labels([0, bad])),
+    "from_elements": (_Z6, lambda bad: Subgroup.from_elements(_Z6, [0, bad])),
+    "from_generators": (_D4, lambda bad: Subgroup.from_generators(_D4, [1, bad])),
+    "SampleSet": (_Z2_3, lambda bad: SampleSet(_Z2_3, (0, bad))),
+    "character_sieve": (_Z2_3, lambda bad: character_sieve(SampleSet(_Z2_3, (1,)),
+                                                            full_support=[0, bad])),
+    # a coordinate is an element index of its cyclic factor
+    "index_of": (CyclicGroup(2), lambda bad: _Z2_3.index_of((1, bad, 0))),
+}
+
+
+@pytest.mark.parametrize("entry", list(INDEX_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", ["1.5", "'a'", "-1", "|G|", "np.int64(|G|)", "[0, 3]"])
+def test_every_entry_point_applies_the_one_index_rule(entry, bad):
+    """Non-integers, strings, nested lists and out-of-range values are refused
+    everywhere, with check_index's text for the bad entry."""
+    group, call = INDEX_ENTRY_POINTS[entry]
+    value = {"1.5": 1.5, "'a'": "a", "-1": -1, "|G|": group.order,
+             "np.int64(|G|)": np.int64(group.order), "[0, 3]": [0, 3]}[bad]
+    with pytest.raises(ValueError) as rule:
+        group.check_index(value)
+    with pytest.raises(ValueError, match="^" + re.escape(str(rule.value)) + "$"):
+        call(value)
 
 
 @pytest.mark.parametrize(

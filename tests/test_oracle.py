@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hspsim.engine import step_trace
+from hspsim.engine import run_pipeline, step_trace
 from hspsim.errors import IntegrityError
 from hspsim.groups import CyclicGroup, Subgroup, all_subgroups, group_from_spec
 from hspsim.oracle import HspInstance, build_instance, classical_brute_force_hsp
@@ -31,13 +31,17 @@ def test_instance_trivial_and_full_hidden_subgroups():
 
 
 def test_instance_codomain_can_be_larger():
+    """build_instance maps the cosets onto Z_|G/K|; a wider codomain is built by
+    hand from the same table and gives the same left-register law."""
     group = group_from_spec("Z6")
     hidden = Subgroup.from_generators(group, [3])
-    inst = build_instance(group, hidden, seed=1, codomain_order=10)
-    assert inst.codomain.order == 10
-    assert len(set(inst.injection)) == 3
-    with pytest.raises(ValueError):
-        build_instance(group, hidden, seed=1, codomain_order=2)
+    inst = build_instance(group, hidden, seed=1)
+    assert inst.codomain.order == 3
+    assert sorted(set(inst.f_table.tolist())) == [0, 1, 2]
+    wide = HspInstance(group, hidden, CyclicGroup(10), inst.f_table)
+    assert wide.codomain.order == 10
+    fourier = fourier_transform(group)
+    assert np.array_equal(run_pipeline(wide, fourier).probs, run_pipeline(inst, fourier).probs)
 
 
 @pytest.mark.parametrize("spec", ["Z6", "Z12", "Z2^3", "Z2xZ4", "D3", "D4", "D6"])
@@ -61,8 +65,7 @@ def test_brute_force_refuses_inconsistent_tables(spec, f_values, message):
     property that the brute force checks."""
     group = group_from_spec(spec)
     table = np.array(f_values, dtype=np.int64)
-    inst = HspInstance(group, Subgroup.from_generators(group, []), CyclicGroup(group.order),
-                       tuple(f_values), table, 0)
+    inst = HspInstance(group, Subgroup.from_generators(group, []), CyclicGroup(group.order), table)
     with pytest.raises(IntegrityError, match=message):
         classical_brute_force_hsp(inst)
 
@@ -80,8 +83,8 @@ def test_oracle_writes_f_into_identity_column():
     assert np.count_nonzero(psi1[:, 0]) == 4
     for g in range(group.order):
         # row g of |psi1>|e> is psi1[g] |g>|e>, which the blackbox sends to psi1[g] |g>|f(g)>
-        assert list(np.flatnonzero(psi2[g])) == ([inst.f(g)] if psi1[g, 0] else [])
-        assert psi2[g, inst.f(g)] == psi1[g, 0]
+        assert list(np.flatnonzero(psi2[g])) == ([inst.f_table[g]] if psi1[g, 0] else [])
+        assert psi2[g, inst.f_table[g]] == psi1[g, 0]
 
 
 def test_oracle_is_linear_on_uniform_input():
@@ -94,5 +97,5 @@ def test_oracle_is_linear_on_uniform_input():
     assert np.abs(psi1[:, 0] - 1 / np.sqrt(n_g)).max() < 1e-15
     expected = np.zeros((n_g, n_h), dtype=np.complex128)
     for g in range(n_g):
-        expected[g, inst.f(g)] = psi1[g, 0]
+        expected[g, inst.f_table[g]] = psi1[g, 0]
     assert np.array_equal(psi2, expected)

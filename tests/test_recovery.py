@@ -75,9 +75,10 @@ def _refuse_pipeline(monkeypatch):
 
 def test_simon_solve_single_sample():
     group = group_from_spec("Z2^2")
-    result = simon_solve(SampleSet(group, (3,)))
+    samples = SampleSet(group, (3,))
+    result = simon_solve(samples)
     assert result.candidate.elements == (0, 3)
-    assert result.samples_used == 1
+    assert len(samples.outcomes) == 1
 
 
 def test_simon_solve_full_rank():
