@@ -273,9 +273,13 @@ def test_finalize_distribution_refuses_a_non_finite_total(bad):
 def test_finalize_distribution_refuses_a_negative_entry(probs, value):
     """Born probabilities are never negative: no entry is clamped to zero, however
     small, and the first negative one is named."""
-    with pytest.raises(IntegrityError, match=f"^outcome probability {re.escape(repr(value))} is negative$"):
+    message = f"^outcome probability {re.escape(repr(value))} is negative$"
+    with pytest.raises(IntegrityError, match=message):
         finalize_distribution(range(len(probs)), np.array(probs))
-    # -0.0 is not negative, and float dust still clamps to zero
+
+
+def test_finalize_distribution_clamps_dust_and_negative_zero():
+    """-0.0 is not negative, and positive float dust still clamps to zero."""
     dist = finalize_distribution(range(3), np.array([-0.0, 1.0, 1e-16]))
     assert dist.probs.tolist() == [0.0, 1.0, 0.0]
 
