@@ -11,12 +11,14 @@ for stacked runs at |G| times their summed |H|.
 The transforms are applied by FFT (`FourierTransform.apply` and
 `apply_inverse`); the first one is written directly, since F|e> is
 column 0 of F.  The blackbox meets only |psi1>|e>, so it is one scatter
-of psi1 onto the level sets of f: psi2[g, h] = psi1[g, 0] if h = f(g),
-else 0.  No |G| x |G| matrix is built, so memory stays linear in the
-state size.  Runs that differ only in f share psi1, so several of them
-evolve side by side as column blocks of one state, through one
-transform, each block checked for unit norm after every step; one run
-is the case of one block.
+of that column onto the level sets of f: psi2[g, h] = (F|e>)[g] if
+h = f(g), else 0.  A run therefore evolves psi2 -> psi3 alone: psi0
+(e at row 0) and psi1 (F|e> in column 0) have closed forms, and only
+`step_trace` writes them.  No |G| x |G| matrix is built, so memory stays
+linear in the state size.  Runs that differ only in f share psi1, so
+several of them evolve side by side as column blocks of one state,
+through one transform, each block checked for unit norm after every
+step; one run is the case of one block.
 """
 
 from __future__ import annotations
@@ -114,12 +116,14 @@ def _check_norm(matrix: np.ndarray, starts: np.ndarray, step: str) -> None:
 
 def _evolve(
     fourier: FourierTransform, cfg: PipelineConfig, level_sets: np.ndarray, widths
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """psi0..psi3 of one pipeline run per row of `level_sets`, side by side.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psi2 and psi3 of one pipeline run per row of `level_sets`, side by side.
 
     Run b owns widths[b] consecutive columns of each (|G|, sum(widths))
     state, from starts[b] on, and its f takes g to column level_sets[b, g]
-    of them, so one transform serves every run.  Returns the states and
+    of them, so one transform serves every run.  Every run's psi1 is F|e>
+    in its first column, so the first transform is checked once, on that
+    column, and psi0 and psi1 are never built.  Returns psi2, psi3 and
     `starts`.
     """
     n_g = fourier.group.order
@@ -127,19 +131,15 @@ def _evolve(
     total = int(widths.sum())
     check_state_size(n_g, total)
     starts = np.cumsum(widths) - widths
-    psi0 = np.zeros((n_g, total), dtype=np.complex128)
-    psi0[0, starts] = 1.0
     column = fourier.identity_column()
-    psi1 = np.zeros_like(psi0)
-    psi1[:, starts] = column[:, None]
-    _check_norm(psi1, starts, "the first Fourier transform")
-    psi2 = np.zeros_like(psi0)
+    _check_norm(column[:, None], starts[:1], "the first Fourier transform")
+    psi2 = np.zeros((n_g, total), dtype=np.complex128)
     psi2[np.arange(n_g), starts[:, None] + level_sets] = column
     _check_norm(psi2, starts, "the blackbox application")
     second = fourier.apply if cfg.second_transform == "forward" else fourier.apply_inverse
     psi3 = second(psi2)
     _check_norm(psi3, starts, "the second Fourier transform")
-    return [psi0, psi1, psi2, psi3], starts
+    return psi2, psi3, starts
 
 
 def outcome_labels(fourier: FourierTransform, cfg: PipelineConfig) -> tuple:
@@ -166,11 +166,10 @@ def level_set_laws(
     fourier: FourierTransform, cfg: PipelineConfig, level_sets: np.ndarray, widths
 ) -> list[OutcomeDistribution]:
     """The outcome distribution of one pipeline run per row of `level_sets`, all
-    evolved together; run b's f takes g to level_sets[b, g] < widths[b]."""
-    states, starts = _evolve(fourier, cfg, level_sets, widths)
-    blocks = np.split(states[3], starts[1:], axis=1)
-    # psi0..psi2 are freed before the marginals, so they are not live beside them
-    del states
+    evolved together from psi2 to psi3; run b's f takes g to level_sets[b, g] < widths[b]."""
+    # psi2 is dropped with the tuple, so only psi3 is live beside the marginals
+    psi3, starts = _evolve(fourier, cfg, level_sets, widths)[1:]
+    blocks = np.split(psi3, starts[1:], axis=1)
     return [left_register_distribution(block, fourier, cfg) for block in blocks]
 
 
@@ -178,7 +177,8 @@ def left_register_distribution(
     psi3: np.ndarray, fourier: FourierTransform, cfg: PipelineConfig
 ) -> OutcomeDistribution:
     """Born distribution of the left register of a final (|G|, |H|) state."""
-    probs = (np.abs(psi3) ** 2).sum(axis=1)
+    magnitudes = np.abs(psi3)
+    probs = np.square(magnitudes, out=magnitudes).sum(axis=1)
     if cfg.measure_granularity == "irrep_label_only":
         # bincount adds each block's rows in row order, from 0.0
         layout = fourier._layout
@@ -191,9 +191,15 @@ def step_trace(
     fourier: FourierTransform,
     cfg: PipelineConfig = PipelineConfig(),
 ) -> list[np.ndarray]:
-    """Snapshots psi0..psi3 of the pipeline, each a (|G|, |H|) array of amplitudes."""
+    """Snapshots psi0..psi3 of the pipeline, each a (|G|, |H|) array of amplitudes;
+    psi0 (e at row 0) and psi1 (F|e> in column 0) are written here from their closed forms."""
     _check_group(instance, fourier)
-    return _evolve(fourier, cfg, instance.f_table[None], [instance.codomain.order])[0]
+    psi2, psi3, _ = _evolve(fourier, cfg, instance.f_table[None], [instance.codomain.order])
+    psi0 = np.zeros_like(psi2)
+    psi0[0, 0] = 1.0
+    psi1 = np.zeros_like(psi2)
+    psi1[:, 0] = fourier.identity_column()
+    return [psi0, psi1, psi2, psi3]
 
 
 def sample(dist: OutcomeDistribution, n: int, seed: int) -> list:

@@ -110,8 +110,10 @@ def _pipeline_pieces(cfg: ExperimentConfig):
 def _run_simulate(cfg: ExperimentConfig, out: Path) -> dict:
     group, hidden, instance, fourier, pipeline_cfg = _pipeline_pieces(cfg)
     states = step_trace(instance, fourier, pipeline_cfg)
-    dist = left_register_distribution(states[-1], fourier, pipeline_cfg)
     norms = [float(np.linalg.norm(state)) for state in states]
+    # psi0..psi2 go before the marginals, and psi3 before the artifacts
+    del states[:3]
+    dist = left_register_distribution(states.pop(), fourier, pipeline_cfg)
     samples = sample(dist, cfg.trials, cfg.seed)
     report = {
         "group": group.name,

@@ -142,10 +142,11 @@ def period_from_samples(outcomes, big_q: int, n: int, base: int) -> PeriodEstima
     a^L = 1 holds for every multiple of the order of a, so a confirmed L is
     reduced to that order by dividing out each p while a^(L/p) = 1.  Every
     prime of L divides a denominator, so p runs up to the largest one.
+    Each outcome must be an element index of Z_Q.
     """
     candidates = []
-    for y in outcomes:
-        d = continued_fraction_period(int(y), big_q, n)
+    for y in _indices(CyclicGroup(big_q), outcomes).tolist():
+        d = continued_fraction_period(y, big_q, n)
         if d is not None:
             candidates.append(d)
     if not candidates:

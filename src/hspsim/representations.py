@@ -147,24 +147,30 @@ class FourierTransform:
         return np.where(j == k, self._layout.scale, 0.0).astype(np.complex128)
 
     def apply(self, columns: np.ndarray) -> np.ndarray:
-        """F @ columns for a (|G|, m) array: unnormalised FFT, gather, row scale."""
+        """F @ columns for a (|G|, m) array: unnormalised FFT of a copy, gather,
+        row scale in place."""
         p = self._plan
-        spec = _fft_axes(columns.reshape(p.shape + (-1,)), p.axes, np.fft.fft)
-        spec = spec.reshape(columns.shape)
+        spec = columns.astype(np.complex128, order="C")
+        _fft_axes(spec.reshape(p.shape + (-1,)), p.axes, np.fft.fft)
         out = spec[p.src]
         out[p.pair_rows] += p.pair_sign[:, None] * spec[p.pair_src]
-        return self._layout.scale[:, None] * out
+        # freed first, so the scale's cast buffer does not add to the gather's peak
+        del spec
+        out *= self._layout.scale[:, None]
+        return out
 
     def apply_inverse(self, rows: np.ndarray) -> np.ndarray:
         """F^dagger @ rows for a (|G|, m) array: row scale, scatter-add,
-        unnormalised inverse FFT."""
+        unnormalised inverse FFT in place on the scattered spectrum."""
         p = self._plan
         scaled = self._layout.scale[:, None] * rows
-        spec = np.zeros_like(scaled)
+        spec = np.zeros(rows.shape, dtype=np.complex128)
         np.add.at(spec, p.src, scaled)
         np.add.at(spec, p.pair_src, p.pair_sign[:, None] * scaled[p.pair_rows])
-        out = _fft_axes(spec.reshape(p.shape + (-1,)), p.axes, partial(np.fft.ifft, norm="forward"))
-        return out.reshape(rows.shape)
+        # freed before the transform, whose butterflies take a half-size scratch
+        del scaled
+        _fft_axes(spec.reshape(p.shape + (-1,)), p.axes, partial(np.fft.ifft, norm="forward"))
+        return spec
 
     def _kernel_rows(self, spec: np.ndarray) -> np.ndarray:
         """Rows `spec` of W, the conjugated kernel of the unnormalised FFT in
@@ -211,21 +217,23 @@ class FourierOperator(FourierTransform):
         return worst
 
 
-def _fft_axes(x: np.ndarray, axes: tuple[int, ...], fft) -> np.ndarray:
-    """`fft` along each of `axes`, last axis first, as np.fft.fftn does, on a
-    complex copy of x.  An axis of length 2 takes the butterfly (a + b, a - b)
-    in place, which is exactly what the FFT computes for n = 2."""
-    x = x.astype(np.complex128)
+def _fft_axes(x: np.ndarray, axes: tuple[int, ...], fft) -> None:
+    """`fft` along each of `axes`, last axis first, as np.fft.fftn does, in
+    place on the complex array x.  An axis of length 2 takes the butterfly
+    (a + b, a - b), which is exactly what the FFT computes for n = 2; the
+    butterflies share one scratch array, half the size of x, for a - b."""
+    scratch = None
     for axis in reversed(axes):
         if x.shape[axis] != 2:
-            x = fft(x, axis=axis)
+            fft(x, axis=axis, out=x)
             continue
         head = (slice(None),) * axis
         a, b = x[head + (0,)], x[head + (1,)]
-        diff = a - b
+        if scratch is None:
+            scratch = np.empty(x.size // 2, dtype=x.dtype)
+        diff = np.subtract(a, b, out=scratch.reshape(a.shape))
         a += b
         b[...] = diff
-    return x
 
 
 def _roots(denominator: int) -> np.ndarray:

@@ -9,9 +9,12 @@ import pytest
 
 from hspsim.config import config_from_dict
 from hspsim.engine import (
+    MEASURE_GRANULARITIES,
+    SECOND_TRANSFORMS,
     OutcomeDistribution,
     PipelineConfig,
     finalize_distribution,
+    outcome_labels,
     run_pipeline,
     sample,
     step_trace,
@@ -20,7 +23,7 @@ from hspsim.errors import IntegrityError, ResourceCapError
 from hspsim.experiments import run_experiment
 from hspsim.groups import CyclicGroup, Subgroup, all_subgroups, group_from_spec
 from hspsim.oracle import HspInstance, build_instance
-from hspsim.recovery import SampleSet, character_sieve
+from hspsim.recovery import SampleSet, character_sieve, coset_law
 from hspsim.reporting import (
     DistributionPairs,
     csv_floats,
@@ -133,22 +136,25 @@ def test_distribution_independent_of_injection_seed():
 
 
 def test_norms_along_the_pipeline():
-    group = group_from_spec("D6")
-    hidden = Subgroup.from_generators(group, [3])
-    inst = build_instance(group, hidden, seed=0)
-    fop = fourier_operator(group)
-    states = step_trace(inst, fop)
-    assert len(states) == 4
-    for state in states:
-        assert state.shape == (group.order, inst.codomain.order)
-        assert abs(np.linalg.norm(state) - 1.0) < 1e-12
-    # initial state is |0>|identity>
-    assert states[0][0, 0] == 1.0
-    assert np.abs(states[0].ravel()[1:]).max() == 0.0
-    # after the first transform: the identity column of the Fourier operator
-    matrix = states[1]
-    assert np.array_equal(matrix[:, 0], fop.matrix[:, 0])
-    assert np.abs(matrix[:, 1:]).max() == 0.0
+    for spec in ["D6", "Z3xZ9", "Z2^6"]:
+        group = group_from_spec(spec)
+        hidden = Subgroup.from_generators(group, [3])
+        inst = build_instance(group, hidden, seed=0)
+        fop = fourier_operator(group)
+        states = step_trace(inst, fop)
+        assert len(states) == 4
+        shape = (group.order, inst.codomain.order)
+        for state in states:
+            assert state.shape == shape and state.dtype == np.complex128
+            assert abs(np.linalg.norm(state) - 1.0) < 1e-12
+        # the initial state is |e>|0>, and the first transform puts column 0 of F
+        # in column 0, bit for bit
+        psi0 = np.zeros(shape, dtype=np.complex128)
+        psi0[0, 0] = 1.0
+        psi1 = np.zeros(shape, dtype=np.complex128)
+        psi1[:, 0] = fop.matrix[:, 0]
+        assert np.array_equal(states[0], psi0), spec
+        assert np.array_equal(states[1], psi1), spec
 
 
 # (group, hidden generators, K normal, codomain order or None for the coset count)
@@ -209,6 +215,82 @@ def test_irrep_label_granularity_aggregates_blocks():
             assert coarse.labels == expected.labels, (spec, ordering)
             assert coarse.probs.dtype == expected.probs.dtype
             assert np.array_equal(coarse.probs, expected.probs), (spec, ordering, hidden)
+
+
+@pytest.mark.parametrize("granularity", MEASURE_GRANULARITIES)
+@pytest.mark.parametrize("second", SECOND_TRANSFORMS)
+@pytest.mark.parametrize("spec", ["Z2^12", "Z3xZ9", "D16"])
+def test_run_is_the_marginal_of_the_traced_final_state(spec, second, granularity):
+    """run_pipeline, which never builds psi0 or psi1, gives the very floats of
+    the Born marginal of step_trace's psi3, summed row by row."""
+    group = group_from_spec(spec)
+    fourier = fourier_transform(group)
+    cfg = PipelineConfig(second, granularity)
+    if spec == "Z2^12":
+        hiddens = [Subgroup.from_generators(group, [1 << i for i in range(bits)])
+                   for bits in (8, 12)]
+    else:
+        hiddens = all_subgroups(group)
+    labels = outcome_labels(fourier, cfg)
+    for hidden in hiddens:
+        inst = build_instance(group, hidden, seed=3)
+        probs = (np.abs(step_trace(inst, fourier, cfg)[3]) ** 2).sum(axis=1)
+        if granularity == "irrep_label_only":
+            agg = dict.fromkeys(labels, 0.0)
+            for (i, _, _), p in zip(fourier.row_index, probs.tolist()):
+                agg[i] += p
+            probs = np.array(list(agg.values()))
+        expected = finalize_distribution(labels, probs)
+        dist = run_pipeline(inst, fourier, cfg)
+        assert dist.labels == expected.labels
+        assert np.array_equal(dist.probs, expected.probs), hidden.elements
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("second", SECOND_TRANSFORMS)
+def test_run_holds_psi2_and_one_transform_buffer(second):
+    """On Z2^12 with an 8-dim K (16 cosets, 1 MiB per state) a run holds psi2,
+    the transform's copy and its output: below 3.5 MiB, where building all four
+    states and a third array in the transform peaked at 6.2 (forward) and
+    7.3 MiB (inverse)."""
+    group = group_from_spec("Z2^12")
+    hidden = Subgroup.from_generators(group, [1 << i for i in range(8)])
+    inst = build_instance(group, hidden, seed=0)
+    fourier = fourier_transform(group)
+    cfg = PipelineConfig(second)
+    # the row layout and FFT plan are cached before the traced run
+    run_pipeline(inst, fourier, cfg)
+    assert _traced_peak(lambda: run_pipeline(inst, fourier, cfg)) < 3.5 * 2**20
+
+
+def test_coset_law_of_every_d16_subgroup_stays_below_a_mebibyte():
+    """36 candidates side by side (403 cosets, 206 KB per state) peaked at 1.32 MiB
+    with four states built; psi2 and psi3 alone stay below 1 MiB."""
+    group = group_from_spec("D16")
+    candidates = all_subgroups(group)
+    fourier = fourier_transform(group)
+    for second in SECOND_TRANSFORMS:
+        cfg = PipelineConfig(second)
+        coset_law(fourier, cfg, candidates)
+        assert _traced_peak(lambda: coset_law(fourier, cfg, candidates)) < 2**20, second
+
+
+def test_simulate_holds_no_state_beside_its_artifacts(tmp_path):
+    """simulate on D2048 with K = <r^8> (16 cosets, 1 MiB per state) peaks at the
+    four states of step_trace: they are freed before the marginals and the
+    artifacts, where holding them to the end peaked at 6.4 MiB."""
+    cfg = config_from_dict({"experiment": "simulate", "group": "D2048",
+                            "hidden_generators": [8], "trials": 64})
+    run_experiment(cfg, tmp_path / "warm")
+    assert _traced_peak(lambda: run_experiment(cfg, tmp_path / "run")) < 5 * 2**20
 
 
 @pytest.mark.parametrize("spec", ["Z65536", "D32768"])

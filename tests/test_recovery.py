@@ -239,6 +239,20 @@ def test_period_from_samples_examples():
     assert est.period is None and not est.confirmed
 
 
+@pytest.mark.parametrize("outcomes, bad", [
+    ([85.7, "171"], "85.7"),
+    ([85, "171"], "'171'"),
+    ([85, 512], "512"),
+    ([-1], "-1"),
+])
+def test_period_from_samples_refuses_an_outcome_outside_z_q(outcomes, bad):
+    """Each outcome is an element index of Z_Q, refused by that rule, not
+    truncated by int(): [85.7, '171'] once gave a confirmed period 6."""
+    message = f"^element index {re.escape(bad)} out of range for Z512 \\(order 512\\)$"
+    with pytest.raises(ValueError, match=message):
+        period_from_samples(outcomes, 512, 21, 2)
+
+
 @pytest.mark.parametrize("r,big_q", [(2, 16), (4, 16), (8, 16), (16, 256)])
 def test_period_recovered_from_ideal_support(r, big_q):
     # big_q is large enough that no convergent below r slips into the
