@@ -8,17 +8,21 @@ over the right register.  Exact distributions are first class; sampling
 is a seeded layer on top.  State sizes are capped at |G|*|H| <= 65536,
 for stacked runs at |G| times their summed |H|.
 
-The transforms are applied by FFT (`FourierTransform.apply` and
-`apply_inverse`); the first one is written directly, since F|e> is
-column 0 of F.  The blackbox meets only |psi1>|e>, so it is one scatter
-of that column onto the level sets of f: psi2[g, h] = (F|e>)[g] if
-h = f(g), else 0.  A run therefore evolves psi2 -> psi3 alone: psi0
-(e at row 0) and psi1 (F|e> in column 0) have closed forms, and only
-`step_trace` writes them.  No |G| x |G| matrix is built, so memory stays
-linear in the state size.  Runs that differ only in f share psi1, so
-several of them evolve side by side as column blocks of one state,
-through one transform, each block checked for unit norm after every
-step; one run is the case of one block.
+The transforms are applied by FFT (the in-place cores behind
+`FourierTransform.apply` and `apply_inverse`); the first one is written
+directly, since F|e> is column 0 of F.  The blackbox meets only
+|psi1>|e>, so it is one scatter of that column onto the level sets of f:
+psi2[g, h] = (F|e>)[g] if h = f(g), else 0.  A run therefore evolves
+psi2 -> psi3 alone, and the second transform consumes psi2 in place, so
+a run holds at most psi2 and the transform's output.  No |G| x |G|
+matrix is built, so memory stays linear in the state size.  Runs that
+differ only in f share psi1, so several of them evolve side by side as
+column blocks of one state, through one transform, each block checked
+for unit norm after every step; one run is the case of one block.  The
+norms a report gives come from those checks (psi0's is exactly 1.0).
+psi0 (e at row 0) and psi1 (F|e> in column 0) have closed forms, and
+only `step_trace`, the full-evolution oracle of the tests, writes them
+and keeps psi2.
 """
 
 from __future__ import annotations
@@ -103,28 +107,32 @@ def _check_group(instance: HspInstance, fourier: FourierTransform) -> None:
         )
 
 
-def _check_norm(matrix: np.ndarray, starts: np.ndarray, step: str) -> None:
-    """Each run's block of columns, from its entry of `starts` on, must keep unit norm.
+def _check_norm(matrix: np.ndarray, starts: np.ndarray, step: str) -> np.ndarray:
+    """Each run's block of columns, from its entry of `starts` on, must keep unit
+    norm; returns the block norms.
 
-    One vdot per block: a single run's block is the whole state, which it
-    reads in place, with no squared copy of the state."""
-    norms = np.sqrt([np.vdot(block, block).real for block in np.split(matrix, starts[1:], axis=1)])
+    One pass over the float64 view of the C-ordered state: einsum sums the
+    squares of each real and imaginary column, with no squared copy of the
+    state and no BLAS call, so the norms do not depend on the thread count,
+    and reduceat adds them up by block."""
+    x = matrix.view(np.float64)
+    norms = np.sqrt(np.add.reduceat(np.einsum("ij,ij->j", x, x), 2 * starts))
     drifted = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
     if drifted.size:
         raise IntegrityError(f"state norm drifted to {float(norms[drifted[0]])!r} after {step}")
+    return norms
 
 
-def _evolve(
-    fourier: FourierTransform, cfg: PipelineConfig, level_sets: np.ndarray, widths
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """psi2 and psi3 of one pipeline run per row of `level_sets`, side by side.
+def _blackbox(
+    fourier: FourierTransform, level_sets: np.ndarray, widths
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """psi2 of one pipeline run per row of `level_sets`, side by side.
 
-    Run b owns widths[b] consecutive columns of each (|G|, sum(widths))
+    Run b owns widths[b] consecutive columns of the (|G|, sum(widths))
     state, from starts[b] on, and its f takes g to column level_sets[b, g]
-    of them, so one transform serves every run.  Every run's psi1 is F|e>
-    in its first column, so the first transform is checked once, on that
-    column, and psi0 and psi1 are never built.  Returns psi2, psi3 and
-    `starts`.
+    of them.  Every run's psi1 is F|e> in its first column, so the first
+    transform is checked once, on that column, and psi0 and psi1 are never
+    built.  Returns psi2, `starts` and the norms of the two checks.
     """
     n_g = fourier.group.order
     widths = np.asarray(widths, dtype=np.int64)
@@ -132,14 +140,27 @@ def _evolve(
     check_state_size(n_g, total)
     starts = np.cumsum(widths) - widths
     column = fourier.identity_column()
-    _check_norm(column[:, None], starts[:1], "the first Fourier transform")
+    norms = [_check_norm(column[:, None], starts[:1], "the first Fourier transform")]
     psi2 = np.zeros((n_g, total), dtype=np.complex128)
     psi2[np.arange(n_g), starts[:, None] + level_sets] = column
-    _check_norm(psi2, starts, "the blackbox application")
-    second = fourier.apply if cfg.second_transform == "forward" else fourier.apply_inverse
-    psi3 = second(psi2)
-    _check_norm(psi3, starts, "the second Fourier transform")
-    return psi2, psi3, starts
+    norms.append(_check_norm(psi2, starts, "the blackbox application"))
+    return psi2, starts, norms
+
+
+def _evolve(
+    fourier: FourierTransform, cfg: PipelineConfig, level_sets: np.ndarray, widths
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """psi3 of one pipeline run per row of `level_sets`, side by side, as
+    `_blackbox` lays them out.  The second transform consumes psi2 in place,
+    so a run holds psi2 and the transform's output, and psi3 alone on return.
+    Returns psi3, `starts` and the norms of the three checks: after the first
+    transform (one, shared by every run), the blackbox and the second
+    transform (one per run)."""
+    psi2, starts, norms = _blackbox(fourier, level_sets, widths)
+    forward = cfg.second_transform == "forward"
+    psi3 = (fourier._apply_in_place if forward else fourier._apply_inverse_in_place)(psi2)
+    norms.append(_check_norm(psi3, starts, "the second Fourier transform"))
+    return psi3, starts, norms
 
 
 def outcome_labels(fourier: FourierTransform, cfg: PipelineConfig) -> tuple:
@@ -158,8 +179,21 @@ def run_pipeline(
     cfg: PipelineConfig = PipelineConfig(),
 ) -> OutcomeDistribution:
     """Exact left-register outcome distribution p(x) = sum_h |<x,h|psi3>|^2."""
+    return run_with_norms(instance, fourier, cfg)[0]
+
+
+def run_with_norms(
+    instance: HspInstance,
+    fourier: FourierTransform,
+    cfg: PipelineConfig = PipelineConfig(),
+) -> tuple[OutcomeDistribution, list[float]]:
+    """`run_pipeline`'s distribution and the norms of psi0..psi3: exactly 1.0
+    for psi0, whose one nonzero entry is 1.0, then the norms the run's three
+    checks computed.  No state is built for them."""
     _check_group(instance, fourier)
-    return level_set_laws(fourier, cfg, instance.f_table[None], [instance.codomain.order])[0]
+    psi3, _, norms = _evolve(fourier, cfg, instance.f_table[None], [instance.codomain.order])
+    dist = left_register_distribution(psi3, fourier, cfg)
+    return dist, [1.0] + [float(n[0]) for n in norms]
 
 
 def level_set_laws(
@@ -167,8 +201,7 @@ def level_set_laws(
 ) -> list[OutcomeDistribution]:
     """The outcome distribution of one pipeline run per row of `level_sets`, all
     evolved together from psi2 to psi3; run b's f takes g to level_sets[b, g] < widths[b]."""
-    # psi2 is dropped with the tuple, so only psi3 is live beside the marginals
-    psi3, starts = _evolve(fourier, cfg, level_sets, widths)[1:]
+    psi3, starts, _ = _evolve(fourier, cfg, level_sets, widths)
     blocks = np.split(psi3, starts[1:], axis=1)
     return [left_register_distribution(block, fourier, cfg) for block in blocks]
 
@@ -191,10 +224,14 @@ def step_trace(
     fourier: FourierTransform,
     cfg: PipelineConfig = PipelineConfig(),
 ) -> list[np.ndarray]:
-    """Snapshots psi0..psi3 of the pipeline, each a (|G|, |H|) array of amplitudes;
-    psi0 (e at row 0) and psi1 (F|e> in column 0) are written here from their closed forms."""
+    """Snapshots psi0..psi3 of the pipeline, each a (|G|, |H|) array of amplitudes:
+    the full-evolution oracle of the tests, which no run path calls.  psi0 (e at
+    row 0) and psi1 (F|e> in column 0) are written from their closed forms, and
+    psi2 is built a second time, since the run that makes psi3 consumes its own."""
     _check_group(instance, fourier)
-    psi2, psi3, _ = _evolve(fourier, cfg, instance.f_table[None], [instance.codomain.order])
+    level_sets, widths = instance.f_table[None], [instance.codomain.order]
+    psi3 = _evolve(fourier, cfg, level_sets, widths)[0]
+    psi2 = _blackbox(fourier, level_sets, widths)[0]
     psi0 = np.zeros_like(psi2)
     psi0[0, 0] = 1.0
     psi1 = np.zeros_like(psi2)

@@ -15,13 +15,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_to_dict
-from .engine import (
-    PipelineConfig,
-    left_register_distribution,
-    run_pipeline,
-    sample,
-    step_trace,
-)
+from .engine import PipelineConfig, run_pipeline, run_with_norms, sample
 from .errors import ConfigError
 from .groups import lattice_generators
 from .oracle import build_instance, classical_brute_force_hsp
@@ -109,11 +103,7 @@ def _pipeline_pieces(cfg: ExperimentConfig):
 
 def _run_simulate(cfg: ExperimentConfig, out: Path) -> dict:
     group, hidden, instance, fourier, pipeline_cfg = _pipeline_pieces(cfg)
-    states = step_trace(instance, fourier, pipeline_cfg)
-    norms = [float(np.linalg.norm(state)) for state in states]
-    # psi0..psi2 go before the marginals, and psi3 before the artifacts
-    del states[:3]
-    dist = left_register_distribution(states.pop(), fourier, pipeline_cfg)
+    dist, norms = run_with_norms(instance, fourier, pipeline_cfg)
     samples = sample(dist, cfg.trials, cfg.seed)
     report = {
         "group": group.name,

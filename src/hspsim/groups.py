@@ -337,11 +337,21 @@ def _is_normal(group: FiniteGroup, inside: np.ndarray, generators) -> bool:
 
 def coset_ids(group: FiniteGroup, subgroup: Subgroup) -> np.ndarray:
     """The int64 id of each element's left coset gK, the cosets numbered by their
-    least element.  The least element not yet placed is the least of its coset,
-    so one `_op` per coset places the coset, in O(|G|) memory."""
+    least element, in at most sqrt|G| `_op` calls and O(|G|) memory.
+
+    With fewer elements in K than cosets, each element's least coset member
+    is the running minimum over k in K of gk, and the distinct minima, in
+    order, number the cosets.  Otherwise the least element not yet placed is
+    the least of its coset, so one `_op` per coset places the coset."""
     if subgroup.group is not group:
         raise ValueError("subgroup does not belong to the given group")
     kel = np.array(subgroup.elements, dtype=np.int64)
+    if subgroup.order < subgroup.num_cosets:
+        g = np.arange(group.order, dtype=np.int64)
+        least = group._op(g, kel[0])
+        for k in kel[1:]:
+            np.minimum(least, group._op(g, k), out=least)
+        return np.unique(least, return_inverse=True)[1]
     ids = np.full(group.order, -1, dtype=np.int64)
     g = 0
     for c in range(subgroup.num_cosets):

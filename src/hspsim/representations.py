@@ -147,28 +147,34 @@ class FourierTransform:
         return np.where(j == k, self._layout.scale, 0.0).astype(np.complex128)
 
     def apply(self, columns: np.ndarray) -> np.ndarray:
-        """F @ columns for a (|G|, m) array: unnormalised FFT of a copy, gather,
-        row scale in place."""
+        """F @ columns for a (|G|, m) array, which is left as it was: the
+        forward core on a C-ordered complex128 copy."""
+        return self._apply_in_place(columns.astype(np.complex128, order="C"))
+
+    def apply_inverse(self, rows: np.ndarray) -> np.ndarray:
+        """F^dagger @ rows for a (|G|, m) array, which is left as it was: the
+        inverse core on a C-ordered complex128 copy."""
+        return self._apply_inverse_in_place(rows.astype(np.complex128, order="C"))
+
+    def _apply_in_place(self, state: np.ndarray) -> np.ndarray:
+        """F @ state for a C-ordered complex128 (|G|, m) state, which it
+        overwrites: unnormalised FFT in place, gather, row scale in place."""
         p = self._plan
-        spec = columns.astype(np.complex128, order="C")
-        _fft_axes(spec.reshape(p.shape + (-1,)), p.axes, np.fft.fft)
-        out = spec[p.src]
-        out[p.pair_rows] += p.pair_sign[:, None] * spec[p.pair_src]
-        # freed first, so the scale's cast buffer does not add to the gather's peak
-        del spec
+        _fft_axes(state.reshape(p.shape + (-1,)), p.axes, np.fft.fft)
+        out = state[p.src]
+        out[p.pair_rows] += p.pair_sign[:, None] * state[p.pair_src]
         out *= self._layout.scale[:, None]
         return out
 
-    def apply_inverse(self, rows: np.ndarray) -> np.ndarray:
-        """F^dagger @ rows for a (|G|, m) array: row scale, scatter-add,
-        unnormalised inverse FFT in place on the scattered spectrum."""
+    def _apply_inverse_in_place(self, state: np.ndarray) -> np.ndarray:
+        """F^dagger @ state for a C-ordered complex128 (|G|, m) state, which it
+        overwrites: row scale in place, scatter-add, unnormalised inverse FFT
+        in place on the scattered spectrum."""
         p = self._plan
-        scaled = self._layout.scale[:, None] * rows
-        spec = np.zeros(rows.shape, dtype=np.complex128)
-        np.add.at(spec, p.src, scaled)
-        np.add.at(spec, p.pair_src, p.pair_sign[:, None] * scaled[p.pair_rows])
-        # freed before the transform, whose butterflies take a half-size scratch
-        del scaled
+        state *= self._layout.scale[:, None]
+        spec = np.zeros(state.shape, dtype=np.complex128)
+        np.add.at(spec, p.src, state)
+        np.add.at(spec, p.pair_src, p.pair_sign[:, None] * state[p.pair_rows])
         _fft_axes(spec.reshape(p.shape + (-1,)), p.axes, partial(np.fft.ifft, norm="forward"))
         return spec
 

@@ -6,10 +6,10 @@ direct cmath summation instead of FFTs, closed-form character sums,
 irreps written element by element, Fraction-based convergents, subset
 enumeration for subgroups, per-point Python loops for the
 period-finding tables and peak mass, and one join per outcome label.
-Three oracles keep a package formula that a faster path replaced: the
+Four oracles keep a package formula that a faster path replaced: the
 digit-wise product of mixed-radix indices, numpy's n-dimensional FFT for
-the Fourier transform, and one length-Q real FFT per level set for the
-period-finding law.
+the Fourier transform, one length-Q real FFT per level set for the
+period-finding law, and one coset product per coset for the coset ids.
 """
 
 from __future__ import annotations
@@ -112,6 +112,19 @@ def product_op_by_digits(moduli, a, b):
     m = np.array(moduli, dtype=np.int64)
     w = np.array([math.prod(moduli[c + 1:]) for c in range(len(moduli))], dtype=np.int64)
     return (np.asarray(a)[..., None] // w + np.asarray(b)[..., None] // w) % m @ w
+
+
+def coset_ids_by_cosets(group, subgroup) -> np.ndarray:
+    """The coset ids, one `_op` per coset: the least element not yet placed
+    is the least of its coset, and its coset gK takes the next id."""
+    kel = np.array(subgroup.elements, dtype=np.int64)
+    ids = np.full(group.order, -1, dtype=np.int64)
+    g = 0
+    for c in range(subgroup.num_cosets):
+        while ids[g] >= 0:
+            g += 1
+        ids[group._op(g, kel)] = c
+    return ids
 
 
 def fourier_by_fftn(fourier, columns: np.ndarray, inverse: bool = False) -> np.ndarray:

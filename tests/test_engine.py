@@ -1,12 +1,17 @@
 import itertools
 import json
+import math
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hspsim
 from hspsim.config import config_from_dict
 from hspsim.engine import (
     MEASURE_GRANULARITIES,
@@ -258,9 +263,10 @@ def _traced_peak(call) -> int:
 @pytest.mark.parametrize("second", SECOND_TRANSFORMS)
 def test_run_holds_psi2_and_one_transform_buffer(second):
     """On Z2^12 with an 8-dim K (16 cosets, 1 MiB per state) a run holds psi2,
-    the transform's copy and its output: below 3.5 MiB, where building all four
-    states and a third array in the transform peaked at 6.2 (forward) and
-    7.3 MiB (inverse)."""
+    which the second transform overwrites, and the transform's output: 2.13
+    MiB forward and 2.88 MiB inverse, whose butterflies take a half-state
+    scratch.  A transform that copied psi2 peaked at 3.07 MiB either way, and
+    building all four states at 6.2 (forward) and 7.3 MiB (inverse)."""
     group = group_from_spec("Z2^12")
     hidden = Subgroup.from_generators(group, [1 << i for i in range(8)])
     inst = build_instance(group, hidden, seed=0)
@@ -268,7 +274,8 @@ def test_run_holds_psi2_and_one_transform_buffer(second):
     cfg = PipelineConfig(second)
     # the row layout and FFT plan are cached before the traced run
     run_pipeline(inst, fourier, cfg)
-    assert _traced_peak(lambda: run_pipeline(inst, fourier, cfg)) < 3.5 * 2**20
+    bound = {"forward": 2.5, "inverse": 3.5}[second]
+    assert _traced_peak(lambda: run_pipeline(inst, fourier, cfg)) < bound * 2**20
 
 
 def test_coset_law_of_every_d16_subgroup_stays_below_a_mebibyte():
@@ -284,13 +291,76 @@ def test_coset_law_of_every_d16_subgroup_stays_below_a_mebibyte():
 
 
 def test_simulate_holds_no_state_beside_its_artifacts(tmp_path):
-    """simulate on D2048 with K = <r^8> (16 cosets, 1 MiB per state) peaks at the
-    four states of step_trace: they are freed before the marginals and the
-    artifacts, where holding them to the end peaked at 6.4 MiB."""
+    """simulate on D2048 with K = <r^8> (16 cosets, 1 MiB per state) holds psi2
+    and psi3 at most, and takes its norms from the run's checks: 2.37 MiB,
+    where the four states of step_trace peaked at 4.33 MiB, and holding them
+    to the end at 6.4 MiB."""
     cfg = config_from_dict({"experiment": "simulate", "group": "D2048",
                             "hidden_generators": [8], "trials": 64})
     run_experiment(cfg, tmp_path / "warm")
-    assert _traced_peak(lambda: run_experiment(cfg, tmp_path / "run")) < 5 * 2**20
+    assert _traced_peak(lambda: run_experiment(cfg, tmp_path / "run")) < 3 * 2**20
+
+
+@pytest.mark.parametrize("second", SECOND_TRANSFORMS)
+@pytest.mark.parametrize("spec, gens", [("D8", [2]), ("D16", [4, 17]), ("Z3xZ9", [3]),
+                                        ("Z2^6", [5, 10]), ("D2048", [8])])
+def test_simulate_norms_are_the_norms_of_the_traced_states(tmp_path, spec, gens, second):
+    """simulate's norms, taken from the run's checks, are those of step_trace's
+    four states, summed exactly by math.fsum, to 16 ulps of 1.0 (3.6e-15);
+    psi0's is exactly 1.0.  The checks' one-pass sums were off by at most
+    2.0e-15 (on D2048 forward), np.linalg.norm by up to 2.9e-15."""
+    cfg = config_from_dict({"experiment": "simulate", "group": spec, "hidden_generators": gens,
+                            "trials": 4, "second_transform": second})
+    norms = run_experiment(cfg, tmp_path)["norms"]
+    group = group_from_spec(spec)
+    inst = build_instance(group, Subgroup.from_generators(group, gens), cfg.seed)
+    states = step_trace(inst, fourier_transform(group), PipelineConfig(second))
+    exact = [math.sqrt(math.fsum(np.square(state.view(np.float64)).ravel().tolist()))
+             for state in states]
+    assert norms[0] == 1.0 and len(norms) == 4
+    assert np.abs(np.array(norms) - exact).max() <= 16 * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("second", SECOND_TRANSFORMS)
+@pytest.mark.parametrize("spec", ["Z2^12", "Z3xZ9", "D16"])
+def test_transform_of_the_traced_psi2_is_psi3_and_keeps_psi2(spec, second):
+    """apply and apply_inverse, a copy and then the in-place core that a run
+    hands its own psi2 to, give step_trace's psi3 bit for bit and leave
+    their input unchanged."""
+    group = group_from_spec(spec)
+    fourier = fourier_transform(group)
+    transform = fourier.apply if second == "forward" else fourier.apply_inverse
+    if spec == "Z2^12":
+        hiddens = [Subgroup.from_generators(group, [1 << i for i in range(bits)])
+                   for bits in (8, 12)]
+    else:
+        hiddens = all_subgroups(group)
+    for hidden in hiddens:
+        inst = build_instance(group, hidden, seed=1)
+        _, _, psi2, psi3 = step_trace(inst, fourier, PipelineConfig(second))
+        before = psi2.copy()
+        assert np.array_equal(transform(psi2), psi3), hidden.elements
+        assert np.array_equal(psi2, before)
+
+
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """simulate on D2048 with K = <r^8> writes the same report.json under one
+    and two BLAS threads: its norms are summed without BLAS.  Each run is a
+    fresh process, since BLAS reads its thread count at import."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(hspsim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    code = ("from hspsim.config import config_from_dict\n"
+            "from hspsim.experiments import run_experiment\n"
+            "run_experiment(config_from_dict({'experiment': 'simulate', 'group': 'D2048', "
+            "'hidden_generators': [8], 'trials': 64}), 'out')")
+    reports = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        thread_env = {**env, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-c", code], cwd=tmp_path / threads, env=thread_env,
+                       check=True)
+        reports.append((tmp_path / threads / "out" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("spec", ["Z65536", "D32768"])

@@ -30,6 +30,7 @@ from hspsim.representations import fourier_transform
 from oracles import (
     character_trivial_on,
     closure_by_pairs,
+    coset_ids_by_cosets,
     is_closed_by_pairs,
     is_normal_by_conjugation,
     product_op_by_digits,
@@ -251,6 +252,19 @@ def test_cosets_partition_evenly(spec):
             inst = build_instance(group, sub, seed)
             values = np.random.default_rng(seed).permutation(len(expected)).tolist()
             assert inst.f_table.tolist() == [values[index[g]] for g in range(group.order)]
+
+
+@pytest.mark.parametrize("spec", [f"D{n}" for n in range(3, 17)] + ["Z2^5", "Z3xZ9", "Z2xZ16"])
+def test_coset_ids_match_one_product_per_coset(spec):
+    """Both paths of coset_ids, the running minimum over K where K is smaller
+    than G/K and one product per coset elsewhere, give the ids of the loop."""
+    group = group_from_spec(spec)
+    subgroups = all_subgroups(group)
+    assert {sub.order < sub.num_cosets for sub in subgroups} == {True, False}
+    for sub in subgroups:
+        ids = coset_ids(group, sub)
+        assert ids.dtype == np.int64
+        assert np.array_equal(ids, coset_ids_by_cosets(group, sub)), sub.elements
 
 
 def _divisors(n):

@@ -525,10 +525,11 @@ def test_recover_ranks_dihedral_candidates_without_pipeline(granularity, tmp_pat
 
 class _DriftingTransform(FourierTransform):
     """Moves 1e-9 of norm^2 from the first column to the last after the second
-    transform: the first and the last block drift, the whole stack does not."""
+    transform: the first and the last block drift, the whole stack does not.
+    The run path calls the in-place forward core, not `apply`."""
 
-    def apply(self, columns):
-        out = super().apply(columns)
+    def _apply_in_place(self, state):
+        out = super()._apply_in_place(state)
         first, last = (float(np.sum(np.abs(out[:, c]) ** 2)) for c in (0, -1))
         out[:, 0] *= np.sqrt(1 + 1e-9 / first)
         out[:, -1] *= np.sqrt(1 - 1e-9 / last)
