@@ -11,9 +11,10 @@ arrays built on first use, is the one statement of which irrep entry
 it (Moore, Rockmore and Russell, quant-ph/0304064: each D_N block entry
 is one DFT coefficient of the rotation or the reflection half of a
 column), so the run path makes no Python object per row.  The irreps
-and the dense F (`fourier-check`, tests) are read off the plan: its
-gather over rows of the conjugated DFT kernel is the entry table
-T[(i, j, k), g] = pi_i(g)[j, k], and F = diag(scale) conj(T).
+and the dense F (`fourier-check`, tests) are the run's own core applied
+to the identity: its unscaled output on the columns e_g, conjugated, is
+the entry table T[(i, j, k), g] = pi_i(g)[j, k], and F = diag(scale) conj(T)
+is `apply(I)` bit for bit.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import IntegrityError, ResourceCapError
-from .groups import (MAX_TABLE_ORDER, CyclicGroup, DihedralGroup, FiniteGroup, ProductGroup,
-                     character_pairing)
+from .groups import MAX_TABLE_ORDER, CyclicGroup, DihedralGroup, FiniteGroup, ProductGroup
 
-# rows per block of the entry table: freeing whole-table temporaries raised
-# the allocator's mmap threshold and `irreps` D1024 peak RSS by about 10 MB
-_ENTRY_ROWS = 128
+# identity columns per block of the entry table: freeing whole-table temporaries
+# raised the allocator's mmap threshold and `irreps` D1024 peak RSS by about 10 MB
+_ENTRY_COLUMNS = 128
 # rows per block of the Gram F F^dagger: 2 * 16 * 512 * |G| bytes beside F
 _GRAM_ROWS = 512
 
@@ -149,20 +149,33 @@ class FourierTransform:
     def apply(self, columns: np.ndarray) -> np.ndarray:
         """F @ columns for a (|G|, m) array, which is left as it was: the
         forward core on a C-ordered complex128 copy."""
-        return self._apply_in_place(columns.astype(np.complex128, order="C"))
+        return self._apply_in_place(self._copy(columns))
 
     def apply_inverse(self, rows: np.ndarray) -> np.ndarray:
         """F^dagger @ rows for a (|G|, m) array, which is left as it was: the
         inverse core on a C-ordered complex128 copy."""
-        return self._apply_inverse_in_place(rows.astype(np.complex128, order="C"))
+        return self._apply_inverse_in_place(self._copy(rows))
 
-    def _apply_in_place(self, state: np.ndarray) -> np.ndarray:
-        """F @ state for a C-ordered complex128 (|G|, m) state, which it
-        overwrites: unnormalised FFT in place, gather, row scale in place."""
+    def _copy(self, x: np.ndarray) -> np.ndarray:
+        """A C-ordered complex128 copy of x, refused unless its shape is (|G|, m)."""
+        if x.ndim != 2 or x.shape[0] != self.group.order:
+            raise ValueError(
+                f"expected a (|G|, m) = ({self.group.order}, m) array, got shape {x.shape}")
+        return x.astype(np.complex128, order="C")
+
+    def _unscaled_in_place(self, state: np.ndarray) -> np.ndarray:
+        """conj(T) @ state for a C-ordered complex128 (|G|, m) state, which it
+        overwrites: unnormalised FFT in place, then the plan's gather."""
         p = self._plan
         _fft_axes(state.reshape(p.shape + (-1,)), p.axes, np.fft.fft)
         out = state[p.src]
         out[p.pair_rows] += p.pair_sign[:, None] * state[p.pair_src]
+        return out
+
+    def _apply_in_place(self, state: np.ndarray) -> np.ndarray:
+        """F @ state for a C-ordered complex128 (|G|, m) state, which it
+        overwrites: the unscaled core, then the row scale in place."""
+        out = self._unscaled_in_place(state)
         out *= self._layout.scale[:, None]
         return out
 
@@ -178,31 +191,19 @@ class FourierTransform:
         _fft_axes(spec.reshape(p.shape + (-1,)), p.axes, partial(np.fft.ifft, norm="forward"))
         return spec
 
-    def _kernel_rows(self, spec: np.ndarray) -> np.ndarray:
-        """Rows `spec` of W, the conjugated kernel of the unnormalised FFT in
-        `apply`: spectrum entry y of a column x is sum_g conj(W[y, g]) x[g]."""
-        idx = np.arange(self.group.order, dtype=np.int64)
-        if not isinstance(self.group, DihedralGroup):
-            t, big = character_pairing(self.group, spec, idx)
-            return _roots(big)[t]
-        # the FFT runs along the rotation axis: W[(b, f), (b', t)] = w^(f t) if b = b', else 0
-        n = self.group.n
-        half, freq = np.divmod(spec, n)
-        rows = np.zeros((len(spec), 2, n), dtype=np.complex128)
-        rows[np.arange(len(spec)), half] = _roots(n)[np.multiply.outer(freq, idx[:n]) % n]
-        return rows.reshape(len(spec), -1)
-
     def _entries(self) -> np.ndarray:
         """The entry table T[r, g] = pi_i(g)[j, k] for row r = (i, j, k): the
-        gather of `apply` over kernel rows, so that F = diag(scale) conj(T)."""
-        if self.group.order > MAX_TABLE_ORDER:
+        conjugated unscaled core on blocks of identity columns, each written
+        through a slice of T, so that F = diag(scale) conj(T) is `apply(I)`."""
+        order = self.group.order
+        if order > MAX_TABLE_ORDER:
             raise ResourceCapError(
                 f"dense table of {self.group.name} needs order <= {MAX_TABLE_ORDER}")
-        p = self._plan
-        table = np.empty((len(p.src), self.group.order), dtype=np.complex128)
-        for lo in range(0, len(p.src), _ENTRY_ROWS):
-            table[lo:lo + _ENTRY_ROWS] = self._kernel_rows(p.src[lo:lo + _ENTRY_ROWS])
-        table[p.pair_rows] += p.pair_sign[:, None] * self._kernel_rows(p.pair_src)
+        table = np.empty((order, order), dtype=np.complex128)
+        for lo in range(0, order, _ENTRY_COLUMNS):
+            columns = table[:, lo:lo + _ENTRY_COLUMNS]
+            identity = np.eye(order, columns.shape[1], -lo, dtype=np.complex128)
+            np.conjugate(self._unscaled_in_place(identity), out=columns)
         return table
 
 
@@ -242,11 +243,6 @@ def _fft_axes(x: np.ndarray, axes: tuple[int, ...], fft) -> None:
         b[...] = diff
 
 
-def _roots(denominator: int) -> np.ndarray:
-    """exp(2*pi*i*t/denominator) for t = 0..denominator-1; index it by t mod denominator."""
-    return np.exp(2j * np.pi * (np.arange(denominator, dtype=np.int64) / denominator))
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -273,7 +269,7 @@ def _inventory(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
 
 def irreps_of(group: FiniteGroup) -> list[Irrep]:
     """Complete set of inequivalent unitary irreps for a built-in group kind,
-    read off the FFT plan's entry table in label order."""
+    read off the run's forward core as an entry table in label order."""
     fourier = fourier_transform(group, BasisOrdering.LABEL)
     return _irreps(fourier, _readonly(fourier._entries()))
 
@@ -309,7 +305,7 @@ def fourier_transform(
 def fourier_operator(
     group: FiniteGroup, ordering: BasisOrdering = BasisOrdering.DIM_THEN_LABEL
 ) -> FourierOperator:
-    """`fourier_transform` plus its dense |G| x |G| matrix, read off the FFT plan."""
+    """`fourier_transform` plus its dense |G| x |G| matrix, `apply` of the identity."""
     fourier = fourier_transform(group, ordering)
     return _operator(fourier, fourier._entries())
 

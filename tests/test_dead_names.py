@@ -1,6 +1,7 @@
 """No dead names in the package: every import of a `src/hspsim` module is read
-in that module, and every module-level private name is read somewhere in
-`src/hspsim`.  Stdlib `ast` only, so the check needs nothing installed."""
+in that module, and every private name defined at module level or in a
+class body is read somewhere in `src/hspsim`.  Stdlib `ast` only, so the
+check needs nothing installed."""
 
 import ast
 from pathlib import Path
@@ -30,11 +31,15 @@ def _imported(tree: ast.Module) -> list[str]:
 
 
 def _private_definitions(tree: ast.Module) -> list[str]:
-    """Module-level functions, classes and assignments named `_x` (not `__x__`)."""
+    """Module-level functions, classes and assignments, and the methods and
+    properties in a module-level class body, named `_x` (not `__x__`)."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [f.name for f in node.body
+                          if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
         elif isinstance(node, ast.Assign):
             names += [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
@@ -70,4 +75,4 @@ def test_no_unreferenced_private_name():
     referenced = set().union(*map(_references, modules.values()))
     dead = [f"{name}: {private}" for name, tree in modules.items()
             for private in _private_definitions(tree) if private not in referenced]
-    assert not dead, "module-level private names nothing in src/ reads: " + ", ".join(dead)
+    assert not dead, "private names nothing in src/ reads: " + ", ".join(dead)

@@ -1,9 +1,11 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from hspsim import representations
 from hspsim.config import config_from_dict
 from hspsim.errors import ResourceCapError
 from hspsim.experiments import run_experiment
@@ -174,6 +176,45 @@ def test_fft_transform_matches_dense_matrix(spec, ordering):
     assert np.array_equal(fourier.apply_inverse(x), fop.apply_inverse(x))
 
 
+@pytest.mark.parametrize("ordering", list(BasisOrdering))
+@pytest.mark.parametrize(
+    "spec", ["Z1", "Z2", "Z6", "Z3xZ9", "Z2^5", "Z2xZ16", "D1", "D2", "D3", "D8", "D16"])
+def test_dense_f_is_the_run_transform(spec, ordering):
+    """The dense F is `apply` of the identity bit for bit, and the closed-form
+    identity column is `apply(e_0)` down to the sign of each zero."""
+    group = group_from_spec(spec)
+    fourier = fourier_transform(group, ordering)
+    eye = np.eye(group.order)
+    assert np.array_equal(fourier_operator(group, ordering).matrix, fourier.apply(eye))
+    assert fourier.identity_column().tobytes() == fourier.apply(eye[:, :1])[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("spec", ["D6", "Z3xZ9"])
+def test_entry_table_does_not_depend_on_block_size(spec, monkeypatch):
+    """One column per block, 7 (the last block partial) and |G| give the same bits."""
+    group = group_from_spec(spec)
+    tables = []
+    for width in (1, 7, group.order):
+        monkeypatch.setattr(representations, "_ENTRY_COLUMNS", width)
+        tables.append(fourier_transform(group)._entries().tobytes())
+    assert tables[0] == tables[1] == tables[2]
+
+
+@pytest.mark.parametrize("spec", ["Z6", "D4", "Z2^3"])
+def test_transforms_refuse_a_state_that_is_not_g_by_m(spec):
+    """Both directions refuse a vector or a wrong row count in their one copy
+    step, naming the expected and the received shape, and leave it as it was."""
+    fourier = fourier_transform(group_from_spec(spec))
+    n = fourier.group.order
+    for bad in (np.ones(n), np.ones((n + 1, 2))):
+        before = bad.copy()
+        for direction in (fourier.apply, fourier.apply_inverse):
+            expected = f"expected a (|G|, m) = ({n}, m) array, got shape {bad.shape}"
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                direction(bad)
+            assert np.array_equal(bad, before)
+
+
 @pytest.mark.parametrize("width", [1, 5, 16])
 @pytest.mark.parametrize("spec", ["Z2^12", "Z2xZ16", "Z3xZ9", "Z32", "D16", "D2"])
 def test_transform_is_bit_identical_to_fftn(spec, width):
@@ -251,6 +292,18 @@ def test_verify_representation_suite_values():
         assert report["max_unitarity_residual"] < tol
         # F F^dagger - I is also a unitarity residual, so it is part of the maximum
         assert report["max_unitarity_residual"] >= report["max_schur_residual"]
+
+
+@pytest.mark.parametrize("spec", ["Z2", "Z2^3", "Z2^6", "Z4", "D2"])
+def test_completeness_is_exact_where_characters_are_units(spec):
+    """Characters of exponent-2 and exponent-4 groups come off the FFT exactly."""
+    assert verify_representation_suite(group_from_spec(spec))["completeness_defect"] == 0.0
+
+
+def test_z2n_characters_are_exactly_plus_minus_one():
+    chars = np.array([ir.character() for ir in irreps_of(group_from_spec("Z2^4"))])
+    assert set(chars.real.ravel().tolist()) == {-1.0, 1.0}
+    assert not chars.imag.any()
 
 
 @pytest.mark.parametrize("spec", ["D256", "Z2^9"])
