@@ -35,7 +35,6 @@ from .recovery import (
     subgroup_consistency_rank,
 )
 from .representations import (
-    BasisOrdering,
     FourierOperator,
     FourierTransform,
     Irrep,

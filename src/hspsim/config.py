@@ -20,7 +20,6 @@ from .errors import ConfigError, ResourceCapError
 from .groups import (MAX_TABLE_ORDER, FiniteGroup, ProductGroup, Subgroup, group_from_spec,
                      is_z2n)
 from .recovery import RANK_ORDER_CAP
-from .representations import BasisOrdering
 from .transversals import PeriodicInstance, check_offset_bound
 
 TRANSVERSAL_KINDS = ("shor", "offset")
@@ -58,7 +57,6 @@ class ExperimentConfig:
     allow_any_q: bool = False
     second_transform: str = "forward"
     measure_granularity: str = "full_triple"
-    ordering: str = BasisOrdering.DIM_THEN_LABEL.value
     bound: int | None = None
     seeds: int | None = None
     dist: str | None = None
@@ -151,17 +149,16 @@ _SECOND_TRANSFORM = Field("second_transform", "second_transform", str,
                           choices=SECOND_TRANSFORMS)
 _MEASURE_GRANULARITY = Field("measure_granularity", "measure_granularity", str,
                              choices=MEASURE_GRANULARITIES)
-_ORDERING = Field("ordering", "ordering", str, choices=tuple(o.value for o in BasisOrdering))
 
 # The fields each experiment accepts, besides "experiment" itself.
 SCHEMA = {
     "simulate": (_SEED, _GROUP, _HIDDEN, _ORACLE_SEED, _TRIALS, _SECOND_TRANSFORM,
-                 _MEASURE_GRANULARITY, _ORDERING),
+                 _MEASURE_GRANULARITY),
     "simon": (_SEED, _GROUP, _HIDDEN, _ORACLE_SEED, _TRIALS),
-    "shor": (_SEED, _N, _A, _Q, _TRANSVERSAL, _TRIALS, _ALLOW_ANY_Q, _SECOND_TRANSFORM),
+    "shor": (_SEED, _N, _A, _Q, _TRANSVERSAL, _TRIALS, _ALLOW_ANY_Q),
     "sweep-transversal": (_SEED, _N, _A, _Q, _BOUND, _SEEDS, _ALLOW_ANY_Q),
     "irreps": (_SEED, _GROUP),
-    "fourier-check": (_SEED, _GROUP, _ORDERING),
+    "fourier-check": (_SEED, _GROUP),
     "recover": (_SEED, _GROUP, _DIST, _SECOND_TRANSFORM, _MEASURE_GRANULARITY, _ORACLE_SEED),
 }
 

@@ -151,14 +151,15 @@ def _evolve(
     fourier: FourierTransform, cfg: PipelineConfig, level_sets: np.ndarray, widths
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """psi3 of one pipeline run per row of `level_sets`, side by side, as
-    `_blackbox` lays them out.  The second transform consumes psi2 in place,
-    so a run holds psi2 and the transform's output, and psi3 alone on return.
-    Returns psi3, `starts` and the norms of the three checks: after the first
-    transform (one, shared by every run), the blackbox and the second
+    `_blackbox` lays them out.  The second transform consumes psi2, kept by no
+    one else, so a run holds psi2 and the transform's output, and psi3 alone on
+    return.  Returns psi3, `starts` and the norms of the three checks: after the
+    first transform (one, shared by every run), the blackbox and the second
     transform (one per run)."""
-    psi2, starts, norms = _blackbox(fourier, level_sets, widths)
+    parts = list(_blackbox(fourier, level_sets, widths))
     forward = cfg.second_transform == "forward"
-    psi3 = (fourier._apply_in_place if forward else fourier._apply_inverse_in_place)(psi2)
+    psi3 = (fourier._apply_in_place if forward else fourier._apply_inverse_in_place)(parts.pop(0))
+    starts, norms = parts
     norms.append(_check_norm(psi3, starts, "the second Fourier transform"))
     return psi3, starts, norms
 

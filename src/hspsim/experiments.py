@@ -34,8 +34,7 @@ from .reporting import (
     write_json,
     write_samples_csv,
 )
-from .representations import (BasisOrdering, fourier_transform, irreps_of,
-                              verify_representation_suite)
+from .representations import fourier_transform, irreps_of, verify_representation_suite
 from .transversals import (
     offset_transversal,
     peak_mass,
@@ -88,15 +87,14 @@ def _run_irreps(cfg: ExperimentConfig, out: Path) -> dict:
 
 def _run_fourier_check(cfg: ExperimentConfig, out: Path) -> dict:
     group = cfg.resolved.group
-    suite = verify_representation_suite(group, BasisOrdering(cfg.ordering))
-    return {**suite, "group": group.name, "ordering": cfg.ordering}
+    return {**verify_representation_suite(group), "group": group.name}
 
 
 def _pipeline_pieces(cfg: ExperimentConfig):
     group, hidden = cfg.resolved.group, cfg.resolved.hidden
     seed = cfg.seed if cfg.oracle_seed is None else cfg.oracle_seed
     instance = build_instance(group, hidden, seed)
-    fourier = fourier_transform(group, BasisOrdering(cfg.ordering))
+    fourier = fourier_transform(group)
     pipeline_cfg = PipelineConfig(cfg.second_transform, cfg.measure_granularity)
     return group, hidden, instance, fourier, pipeline_cfg
 
@@ -156,7 +154,7 @@ def _run_shor(cfg: ExperimentConfig, out: Path) -> dict:
     else:
         tau = offset_transversal(cfg.big_q, cfg.transversal.bound, cfg.seed)
         tau_name = f"offset(seed={cfg.seed}, bound={cfg.transversal.bound})"
-    dist = shor_pipeline(instance, tau, cfg.second_transform)
+    dist = shor_pipeline(instance, tau)
     write_distribution_csv(out / "distribution.csv", dist)
     report = {
         "N": cfg.modulus,

@@ -5,9 +5,9 @@ have two or four characters plus 2-dim rotation blocks
 rho_k(r) = diag(w^k, w^-k), rho_k(s) = antidiag(1, 1).  F stacks the
 entrywise-conjugated irrep entries row by row, scaled by sqrt(d/|G|).
 
-A `FourierTransform` is a group and a row ordering; its layout, numpy
-arrays built on first use, is the one statement of which irrep entry
-(i, j, k) sits in which row at scale sqrt(d_i/|G|).  The FFT plan reads
+A `FourierTransform` is a group; its layout, numpy arrays built on first
+use, is the one statement of which irrep entry (i, j, k) sits in which row
+at scale sqrt(d_i/|G|), blocks by dimension then label.  The FFT plan reads
 it (Moore, Rockmore and Russell, quant-ph/0304064: each D_N block entry
 is one DFT coefficient of the rotation or the reflection half of a
 column), so the run path makes no Python object per row.  The irreps
@@ -19,7 +19,6 @@ is `apply(I)` bit for bit.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -33,14 +32,6 @@ from .groups import MAX_TABLE_ORDER, CyclicGroup, DihedralGroup, FiniteGroup, Pr
 _ENTRY_COLUMNS = 128
 # rows per block of the Gram F F^dagger: 2 * 16 * 512 * |G| bytes beside F
 _GRAM_ROWS = 512
-
-
-class BasisOrdering(str, enum.Enum):
-    """Row ordering of the Fourier operator; blocks are row-major in (j, k)."""
-
-    DIM_THEN_LABEL = "dim_then_label"
-    LABEL = "label"
-    DIM_DESC_THEN_LABEL = "dim_desc_then_label"
 
 
 @dataclass(frozen=True)
@@ -100,13 +91,10 @@ class FourierTransform:
     column), applied by FFT without storing F."""
 
     group: FiniteGroup
-    ordering: BasisOrdering
 
     @cached_property
     def _layout(self) -> _Layout:
         labels, dims = _inventory(self.group)
-        order = np.lexsort(_ORDER_KEYS[self.ordering](labels, dims))
-        labels, dims = labels[order], dims[order]
         size = dims * dims
         block = np.repeat(np.arange(len(size)), size)
         dim = dims[block]
@@ -182,12 +170,13 @@ class FourierTransform:
     def _apply_inverse_in_place(self, state: np.ndarray) -> np.ndarray:
         """F^dagger @ state for a C-ordered complex128 (|G|, m) state, which it
         overwrites: row scale in place, scatter-add, unnormalised inverse FFT
-        in place on the scattered spectrum."""
+        in place on the spectrum, after dropping the scattered state."""
         p = self._plan
         state *= self._layout.scale[:, None]
         spec = np.zeros(state.shape, dtype=np.complex128)
         np.add.at(spec, p.src, state)
         np.add.at(spec, p.pair_src, p.pair_sign[:, None] * state[p.pair_rows])
+        del state
         _fft_axes(spec.reshape(p.shape + (-1,)), p.axes, partial(np.fft.ifft, norm="forward"))
         return spec
 
@@ -254,7 +243,7 @@ def _dihedral_signs(n: int) -> list[tuple[int, int]]:
 
 
 def _inventory(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, dims) of the irreps of a built-in group kind, in label order."""
+    """(labels, dims) of a built-in kind's irreps in label order, 1-dim first: F's row order."""
     if isinstance(group, (CyclicGroup, ProductGroup)):
         dims = np.ones(group.order, dtype=np.int64)
     elif isinstance(group, DihedralGroup):
@@ -270,7 +259,7 @@ def _inventory(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
 def irreps_of(group: FiniteGroup) -> list[Irrep]:
     """Complete set of inequivalent unitary irreps for a built-in group kind,
     read off the run's forward core as an entry table in label order."""
-    fourier = fourier_transform(group, BasisOrdering.LABEL)
+    fourier = fourier_transform(group)
     return _irreps(fourier, _readonly(fourier._entries()))
 
 
@@ -285,28 +274,15 @@ def _irreps(fourier: FourierTransform, table: np.ndarray) -> list[Irrep]:
     return out
 
 
-# np.lexsort keys (last key primary) of the blocks for each row ordering;
-# blocks stay row-major in (j, k)
-_ORDER_KEYS = {
-    BasisOrdering.DIM_THEN_LABEL: lambda labels, dims: (labels, dims),
-    BasisOrdering.LABEL: lambda labels, dims: (labels,),
-    BasisOrdering.DIM_DESC_THEN_LABEL: lambda labels, dims: (labels, -dims),
-}
-
-
-def fourier_transform(
-    group: FiniteGroup, ordering: BasisOrdering = BasisOrdering.DIM_THEN_LABEL
-) -> FourierTransform:
+def fourier_transform(group: FiniteGroup) -> FourierTransform:
     """Fourier transform applied by FFT; row (i, j, k) at column g is
     sqrt(d_i/|G|) * conj(pi_i(g))[j, k]."""
-    return FourierTransform(group, BasisOrdering(ordering))
+    return FourierTransform(group)
 
 
-def fourier_operator(
-    group: FiniteGroup, ordering: BasisOrdering = BasisOrdering.DIM_THEN_LABEL
-) -> FourierOperator:
+def fourier_operator(group: FiniteGroup) -> FourierOperator:
     """`fourier_transform` plus its dense |G| x |G| matrix, `apply` of the identity."""
-    fourier = fourier_transform(group, ordering)
+    fourier = fourier_transform(group)
     return _operator(fourier, fourier._entries())
 
 
@@ -314,7 +290,7 @@ def _operator(fourier: FourierTransform, table: np.ndarray) -> FourierOperator:
     """The operator whose matrix F = diag(scale) conj(T) is made in place from T."""
     np.conjugate(table, out=table)
     table *= fourier._layout.scale[:, None]
-    return FourierOperator(fourier.group, fourier.ordering, _readonly(table))
+    return FourierOperator(fourier.group, _readonly(table))
 
 
 def _completeness_defect(fourier: FourierTransform, table: np.ndarray) -> float:
@@ -330,13 +306,11 @@ def _completeness_defect(fourier: FourierTransform, table: np.ndarray) -> float:
     return float(np.abs(regular).max())
 
 
-def verify_representation_suite(
-    group: FiniteGroup, ordering: BasisOrdering = BasisOrdering.DIM_THEN_LABEL
-) -> dict:
+def verify_representation_suite(group: FiniteGroup) -> dict:
     """Completeness, Schur orthogonality and unitarity residuals of irreps_of,
-    from one entry table in the row order `ordering`, which then becomes F in
-    place: F F^dagger = I is exactly Schur orthogonality."""
-    fourier = fourier_transform(group, ordering)
+    from one entry table, which then becomes F in place: F F^dagger = I is
+    exactly Schur orthogonality."""
+    fourier = fourier_transform(group)
     table = fourier._entries()
     unitarity = max(ir.max_unitarity_residual() for ir in _irreps(fourier, table))
     completeness = _completeness_defect(fourier, table)

@@ -25,8 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import (OutcomeDistribution, PipelineConfig, check_state_size,
-                     finalize_distribution)
+from .engine import OutcomeDistribution, check_state_size, finalize_distribution
 from .errors import ConfigError
 
 PERIOD_STATE_CAP = 1 << 22
@@ -180,9 +179,7 @@ def _spectrum(instance: PeriodicInstance, tau: Transversal) -> np.ndarray:
     return np.concatenate([half, half[1:(m + 1) // 2][::-1]] * g)
 
 
-def shor_pipeline(
-    instance: PeriodicInstance, tau: Transversal, second_transform: str = "forward"
-) -> OutcomeDistribution:
+def shor_pipeline(instance: PeriodicInstance, tau: Transversal) -> OutcomeDistribution:
     """Exact left-register distribution over Z_Q for the composed table f~.
 
     Identical to running the two-register pipeline on domain Z_Q with right
@@ -190,9 +187,8 @@ def shor_pipeline(
     Each level set lies on a coset of gZ_Q, g = gcd(Q, r), and its indicator
     is real: one rfft of length m = Q/g, mirrored by |X[m-y]| = |X[y]|.
     The inverse transform of a real vector has the same moduli, so both
-    second transforms give this one distribution.
+    second transforms give this one distribution: there is none to choose.
     """
-    PipelineConfig(second_transform)  # refuses an unknown transform
     return finalize_distribution(range(instance.q), _spectrum(instance, tau))
 
 

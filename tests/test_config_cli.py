@@ -24,6 +24,7 @@ from hspsim.config import (
 )
 from hspsim.errors import ConfigError, ResourceCapError
 from hspsim.experiments import run_experiment
+from hspsim.reporting import read_distribution_csv
 from hspsim.transversals import (PeriodicInstance, offset_transversal, peak_mass, shor_pipeline,
                                  shor_transversal)
 
@@ -184,7 +185,7 @@ def test_parse_caps_group_order_of_dense_array_experiments():
         '{"experiment":"simon","group":"Z2^4","hidden_generators":[[1,0,1,0],[0,1,0,1]],"trials":12}',
         '{"experiment":"simulate","group":"D4","hidden_generators":[2],"oracle_seed":7,"trials":3}',
         '{"experiment":"irreps","group":"Z12"}',
-        '{"experiment":"fourier-check","group":"D6","ordering":"dim_desc_then_label"}',
+        '{"experiment":"fourier-check","group":"D6"}',
         '{"experiment":"sweep-transversal","N":21,"a":2,"Q":512,"bound":21,"seeds":10}',
         '{"experiment":"recover","group":"D4","dist":"distribution.csv"}',
     ],
@@ -241,7 +242,7 @@ def test_reports_echo_config_for_replay(tmp_path):
     assert echoed == parse_config(text)
     assert report["config"] == {
         "experiment": "shor", "seed": 1, "N": 15, "a": 7, "Q": 16,
-        "transversal": {"kind": "shor", "bound": 1}, "trials": 0, "second_transform": "forward",
+        "transversal": {"kind": "shor", "bound": 1}, "trials": 0,
     }
 
 
@@ -330,20 +331,109 @@ _PAST_INT64 = str((1 << 54) + 1)  # times Q = 512 is 2^63 + 512
     pytest.param(None, {"experiment": "simon", "group": "Z6", "hidden_generators": [3]}, 2,
                  "configuration error: field 'group': simon needs a Z2^n group, got 'Z6'",
                  id="simon-on-Z6"),
+    pytest.param(None, {"experiment": "simulate", "group": "D4", "hidden_generators": 2}, 2,
+                 "configuration error: field 'hidden_generators' must be a list",
+                 id="hidden-not-a-list"),
+    pytest.param(None, {"experiment": "simulate", "group": "D4", "hidden_generators": [True]},
+                 2, "configuration error: field 'hidden_generators' has invalid entry True",
+                 id="hidden-bool-entry"),
+    pytest.param(None, {"experiment": "simulate", "group": "D4", "hidden_generators": [1.5]},
+                 2, "configuration error: field 'hidden_generators' has invalid entry 1.5",
+                 id="hidden-float-entry"),
+    pytest.param(None, {"experiment": "simon", "group": "Z2^3",
+                        "hidden_generators": [[1, "0", 1]]}, 2,
+                 "configuration error: field 'hidden_generators' has invalid entry [1, '0', 1]",
+                 id="hidden-text-coordinate"),
+    pytest.param(None, {"experiment": "shor", "N": 15, "a": 7, "Q": 16, "transversal": "shor"},
+                 2, "configuration error: field 'transversal' must be an object",
+                 id="transversal-not-an-object"),
+    pytest.param(None, {"experiment": "shor", "N": 15, "a": 7, "Q": 16,
+                        "transversal": {"kind": "least"}}, 2,
+                 "configuration error: field 'transversal.kind' must be one of "
+                 "['shor', 'offset']", id="transversal-kind"),
+    pytest.param(None, {"experiment": "shor", "N": 15, "a": 7, "Q": 16,
+                        "transversal": {"kind": "offset", "bound": 0}}, 2,
+                 "configuration error: field 'transversal.bound' must be a positive integer",
+                 id="transversal-bound-zero"),
+    pytest.param(None, {"experiment": "shor", "N": 15, "a": 7, "Q": 16,
+                        "transversal": {"kind": "offset", "bound": True}}, 2,
+                 "configuration error: field 'transversal.bound' must be a positive integer",
+                 id="transversal-bound-bool"),
+    pytest.param(None, {"experiment": "shor", "N": "15", "a": 7, "Q": 16}, 2,
+                 "configuration error: field 'N' must be an integer, got '15'",
+                 id="integer-given-text"),
+    pytest.param(None, {"experiment": "irreps", "group": 4}, 2,
+                 "configuration error: field 'group' must be a string, got 4",
+                 id="string-given-integer"),
+    pytest.param(None, {"experiment": "shor", "N": 15, "a": 7, "Q": 12, "allow_any_q": 1}, 2,
+                 "configuration error: field 'allow_any_q' must be a boolean, got 1",
+                 id="boolean-given-integer"),
+    pytest.param(None, {"experiment": "shor", "N": 15, "a": 7, "Q": 16, "trials": True}, 2,
+                 "configuration error: field 'trials' must be an integer, got True",
+                 id="integer-given-boolean"),
+    pytest.param(None, {"experiment": "simulate", "group": "D4", "hidden_generators": [2],
+                        "measure_granularity": "irrep"}, 2,
+                 "configuration error: field 'measure_granularity' must be one of "
+                 "['full_triple', 'irrep_label_only']", id="outside-choices"),
+    pytest.param(None, ["experiment", "irreps"], 2,
+                 "configuration error: configuration must be a JSON object",
+                 id="config-not-an-object"),
+    # F has one row order, and shor's law is the same under either transform
+    pytest.param(None, {"experiment": "simulate", "group": "D4", "hidden_generators": [2],
+                        "ordering": "label"}, 2,
+                 "configuration error: unknown field 'ordering' for experiment 'simulate'",
+                 id="simulate-ordering-removed"),
+    pytest.param(None, {"experiment": "fourier-check", "group": "D4", "ordering": "label"}, 2,
+                 "configuration error: unknown field 'ordering' for experiment 'fourier-check'",
+                 id="fourier-ordering-removed"),
+    pytest.param(None, {"experiment": "shor", "N": 15, "a": 7, "Q": 16,
+                        "second_transform": "inverse"}, 2,
+                 "configuration error: unknown field 'second_transform' for experiment 'shor'",
+                 id="shor-second-transform-removed"),
+    pytest.param(["simulate", "--instance", "missing.json"], None, 2,
+                 "configuration error: cannot read instance file: [Errno 2] "
+                 "No such file or directory: 'missing.json'", id="instance-unreadable"),
+    pytest.param(["simulate"], "{not json", 2,
+                 "configuration error: instance file is not valid JSON: Expecting property "
+                 "name enclosed in double quotes: line 1 column 2 (char 1)",
+                 id="instance-not-json"),
+    pytest.param(["simulate"], [1], 2,
+                 "configuration error: instance file must hold a JSON object",
+                 id="instance-not-an-object"),
+    pytest.param(["simulate"], {"group": "D4", "hidden_generators": [2], "oracle_seed": 3}, 2,
+                 "configuration error: unknown field 'oracle_seed' in instance file",
+                 id="instance-unknown-key"),
 ])
 def test_cli_error_lines_are_pinned(tmp_path, monkeypatch, capsys, argv, instance, code, line):
-    """Each refusal's exact stderr line and exit code, whichever object states the rule."""
+    """Each refusal's exact stderr line and exit code, whichever object states the
+    rule.  With no argv the config reaches main as it stands; an instance that
+    is text is written to the instance file as it stands, anything else as JSON."""
+    monkeypatch.chdir(tmp_path)
     if argv is None:
         monkeypatch.setattr(cli, "_config_dict", lambda args: instance)
         argv = ["irreps", "Z1"]
     elif instance is not None:
         path = tmp_path / "instance.json"
-        path.write_text(json.dumps(instance), encoding="utf-8")
+        text = instance if isinstance(instance, str) else json.dumps(instance)
+        path.write_text(text, encoding="utf-8")
         argv = argv + ["--instance", str(path)]
     assert main(argv + ["--out-dir", str(tmp_path / "run")]) == code
     captured = capsys.readouterr()
     assert captured.err == line + "\n" and captured.out == ""
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--instance", "instance.json", "--ordering", "label"],
+    ["fourier", "D4", "--ordering", "label"],
+    ["shor", "--N", "15", "--a", "7", "--Q", "16", "--second-transform", "inverse"],
+], ids=["simulate-ordering", "fourier-ordering", "shor-second-transform"])
+def test_cli_refuses_removed_flags(capsys, argv):
+    """The flags of removed fields are gone with them: argparse exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def _count_resolutions(monkeypatch) -> Counter:
@@ -546,6 +636,16 @@ def test_cli_recover_round_trip(tmp_path, capsys):
         assert report["candidates"][0]["total_variation"] < 1e-10
 
 
+def test_cli_recover_csv_table_is_pinned(tmp_path, monkeypatch, capsys):
+    """`recover --format csv` prints the ranking as a table: rank, the elements
+    joined by |, and the total variation with 17 significant digits."""
+    monkeypatch.chdir(tmp_path)
+    Path("z4.csv").write_text("outcome_label,probability\n0,0.5\n2,0.5\n")
+    assert main(["recover", "--group", "Z4", "--dist", "z4.csv", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (
+        "rank,elements,total_variation\n0,0|2,0\n1,0,0.5\n2,0|1|2|3,0.5\n")
+
+
 def test_cli_refuses_group_orders_beyond_int64(tmp_path, capsys):
     dist = tmp_path / "x.csv"
     dist.write_text("outcome_label,probability\n0,1\n")
@@ -583,6 +683,13 @@ def test_cli_recover_bad_dist_exits_2(tmp_path, capsys):
         bad.write_text("outcome_label,probability\n" + rows + "\n")
         assert main(["recover", "--dist", str(bad), "--group", "Z2"]) == 2
         assert "'dist'" in capsys.readouterr().err
+
+
+def test_distribution_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "dist.csv"
+    path.write_text("outcome_label,probability\n0:0:0,0.5\n\n1:0:0,0.5\n\n")
+    dist = read_distribution_csv(path)
+    assert list(dist.labels) == [(0, 0, 0), (1, 0, 0)] and dist.probs.tolist() == [0.5, 0.5]
 
 
 def test_cli_sweep_transversal(tmp_path, capsys):
@@ -692,7 +799,6 @@ FLAG_VALUES = {
     "allow_any_q": True,
     "second_transform": "inverse",
     "measure_granularity": "irrep_label_only",
-    "ordering": "dim_desc_then_label",
 }
 
 
@@ -713,6 +819,91 @@ def test_cli_sets_every_schema_field_like_json(tmp_path, monkeypatch, experiment
     from_cli = config_from_dict(cli._config_dict(build_parser().parse_args(argv)))
     assert from_cli == from_json
     assert getattr(from_json, field.attr) != getattr(ExperimentConfig(experiment), field.attr)
+
+
+# Per experiment: one small config that can show the effect of each of its
+# fields, and the values each field without `choices` is changed to; a
+# `choices` field is changed to each of its other choices.  Q = 48 needs
+# allow_any_q, so switching it off changes the exit status.
+OUTCOME_BASES = {
+    "simulate": (
+        {"group": "D4", "hidden_generators": [2], "trials": 4},
+        {"seed": [5], "group": ["D5"], "hidden_generators": [[4]], "oracle_seed": [3],
+         "trials": [7]},
+    ),
+    "simon": (
+        {"group": "Z2^3", "hidden_generators": [5], "trials": 6},
+        {"seed": [5], "group": ["Z2^4"], "hidden_generators": [[3]], "oracle_seed": [3],
+         "trials": [9]},
+    ),
+    "shor": (
+        {"N": 21, "a": 2, "Q": 48, "allow_any_q": True, "trials": 4,
+         "transversal": {"kind": "offset", "bound": 7}},
+        {"seed": [5], "N": [15], "a": [5], "Q": [64], "trials": [6], "allow_any_q": [False],
+         "transversal": [{"kind": "shor"}, {"kind": "offset", "bound": 9}]},
+    ),
+    "sweep-transversal": (
+        {"N": 21, "a": 2, "Q": 48, "allow_any_q": True, "bound": 7, "seeds": 2},
+        {"seed": [5], "N": [15], "a": [5], "Q": [64], "bound": [9], "seeds": [3],
+         "allow_any_q": [False]},
+    ),
+    "irreps": ({"group": "D4"}, {"seed": [5], "group": ["Z8"]}),
+    "fourier-check": ({"group": "D4"}, {"seed": [5], "group": ["D6"]}),
+    "recover": (
+        {"group": "D4", "dist": "k2.csv"},
+        {"seed": [5], "group": ["Z8"], "dist": ["k4.csv"], "oracle_seed": [3]},
+    ),
+}
+# The fields that change no outcome, each with its reason.
+NO_OUTCOME = {
+    ("irreps", "seed"): "an irreps run has no randomness",
+    ("fourier-check", "seed"): "a fourier-check run has no randomness",
+    ("recover", "seed"): "a recover run has no randomness",
+    # both are kept because the benchmark passes --oracle-seed
+    ("simon", "oracle_seed"): "f only relabels the cosets, and no simon output shows f",
+    ("recover", "oracle_seed"): "a subgroup's law does not depend on f, and recover builds no f",
+}
+
+
+def _outcome(raw: dict, out: Path, monkeypatch, capsys):
+    """The exit status, every artifact's bytes and the report without its
+    `config` and `seed` keys of one run of `raw` through main."""
+    monkeypatch.setattr(cli, "_config_dict", lambda args: raw)
+    code = main(["irreps", "Z1", "--out-dir", str(out)])
+    capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in sorted(out.glob("*")) if p.name != "report.json"}
+    report = json.loads((out / "report.json").read_text()) if code == 0 else None
+    if report is not None:
+        del report["config"], report["seed"]
+    return code, files, report
+
+
+@pytest.mark.parametrize("experiment", list(SCHEMA))
+def test_every_config_field_changes_an_outcome(tmp_path, monkeypatch, capsys, experiment):
+    """Each field of each experiment, changed from the base config, changes the
+    exit status, an artifact's bytes or the report beyond its config echo, unless
+    NO_OUTCOME names it; those must change none."""
+    monkeypatch.chdir(tmp_path)
+    for name, generator in (("k2", 2), ("k4", 4)):
+        simulate = {"experiment": "simulate", "group": "D4", "hidden_generators": [generator]}
+        run_experiment(config_from_dict(simulate), tmp_path / name)
+        Path(f"{name}.csv").write_bytes((tmp_path / name / "distribution.csv").read_bytes())
+    base, values = OUTCOME_BASES[experiment]
+    base = {"experiment": experiment, **base}
+    expected = _outcome(base, tmp_path / "base", monkeypatch, capsys)
+    assert expected[0] == 0
+    defaults = ExperimentConfig(experiment)
+    wrong = []
+    for field in SCHEMA[experiment]:
+        current = base.get(field.key, getattr(defaults, field.attr))
+        variants = [c for c in field.choices if c != current] or values.get(field.key)
+        assert variants, f"no value to change {experiment}.{field.key} to"
+        for value in variants:
+            out = tmp_path / f"{field.key}-{value}"
+            changed = _outcome({**base, field.key: value}, out, monkeypatch, capsys) != expected
+            if changed == ((experiment, field.key) in NO_OUTCOME):
+                wrong.append((field.key, value, "changed" if changed else "unchanged"))
+    assert not wrong, f"{experiment}: outcomes that disagree with NO_OUTCOME: {wrong}"
 
 
 def _readme_command_lines():

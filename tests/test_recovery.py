@@ -542,4 +542,4 @@ def test_norm_drift_in_one_candidate_block_is_refused():
     dist = run_pipeline(build_instance(group, Subgroup.from_generators(group, [2]), 0), fourier)
     subgroup_consistency_rank(dist, group, fourier)
     with pytest.raises(IntegrityError, match="after the second Fourier transform"):
-        subgroup_consistency_rank(dist, group, _DriftingTransform(group, fourier.ordering))
+        subgroup_consistency_rank(dist, group, _DriftingTransform(group))

@@ -1,4 +1,3 @@
-import itertools
 import re
 import tracemalloc
 
@@ -11,7 +10,6 @@ from hspsim.errors import ResourceCapError
 from hspsim.experiments import run_experiment
 from hspsim.groups import CyclicGroup, DihedralGroup, FiniteGroup, ProductGroup, group_from_spec
 from hspsim.representations import (
-    BasisOrdering,
     _completeness_defect,
     fourier_operator,
     fourier_transform,
@@ -138,20 +136,15 @@ def test_abelian_reduction_row_permutation(n):
     assert sorted(perm) == list(range(n))
 
 
-def test_alternative_basis_orderings():
-    d4 = DihedralGroup(4)
-    default = fourier_operator(d4)
-    by_label = fourier_operator(d4, BasisOrdering.LABEL)
-    desc = fourier_operator(d4, BasisOrdering.DIM_DESC_THEN_LABEL)
-    assert default.row_index != desc.row_index
-    assert sorted(default.row_index) == sorted(desc.row_index)
-    for fop in (by_label, desc):
-        assert fop.max_unitarity_residual() < 1e-12
-    # same rows, different order
-    assert desc.row_index[0][0] == 4
-    lookup = {idx: row for idx, row in zip(default.row_index, default.matrix)}
-    for idx, row in zip(desc.row_index, desc.matrix):
-        assert np.abs(lookup[idx] - row).max() == 0.0
+@pytest.mark.parametrize("spec", ["D4", "D5", "Z2xZ4"])
+def test_rows_are_blocks_by_dimension_then_label(spec):
+    """F has one row order: its irrep blocks by dimension, then by label, each
+    row-major in (j, k)."""
+    group = group_from_spec(spec)
+    dims = {ir.label: ir.dim for ir in irreps_of(group)}
+    expected = [(i, j, k) for i in sorted(dims, key=lambda i: (dims[i], i))
+                for j in range(dims[i]) for k in range(dims[i])]
+    assert list(fourier_transform(group).row_index) == expected
 
 
 EQUIVALENCE_GROUPS = [
@@ -160,32 +153,30 @@ EQUIVALENCE_GROUPS = [
 ]
 
 
-@pytest.mark.parametrize("ordering", list(BasisOrdering))
 @pytest.mark.parametrize("spec", EQUIVALENCE_GROUPS)
-def test_fft_transform_matches_dense_matrix(spec, ordering):
+def test_fft_transform_matches_dense_matrix(spec):
     group = group_from_spec(spec)
-    fop = fourier_operator(group, ordering)
+    fop = fourier_operator(group)
     rng = np.random.default_rng(group.order)
     x = rng.normal(size=(group.order, 3)) + 1j * rng.normal(size=(group.order, 3))
     assert np.abs(fop.apply(x) - fop.matrix @ x).max() < 1e-12
     assert np.abs(fop.apply_inverse(x) - fop.matrix.conj().T @ x).max() < 1e-12
     assert np.array_equal(fop.identity_column(), fop.matrix[:, 0])
-    fourier = fourier_transform(group, ordering)
+    fourier = fourier_transform(group)
     assert fourier.row_index == fop.row_index
     assert np.array_equal(fourier.apply(x), fop.apply(x))
     assert np.array_equal(fourier.apply_inverse(x), fop.apply_inverse(x))
 
 
-@pytest.mark.parametrize("ordering", list(BasisOrdering))
 @pytest.mark.parametrize(
     "spec", ["Z1", "Z2", "Z6", "Z3xZ9", "Z2^5", "Z2xZ16", "D1", "D2", "D3", "D8", "D16"])
-def test_dense_f_is_the_run_transform(spec, ordering):
+def test_dense_f_is_the_run_transform(spec):
     """The dense F is `apply` of the identity bit for bit, and the closed-form
     identity column is `apply(e_0)` down to the sign of each zero."""
     group = group_from_spec(spec)
-    fourier = fourier_transform(group, ordering)
+    fourier = fourier_transform(group)
     eye = np.eye(group.order)
-    assert np.array_equal(fourier_operator(group, ordering).matrix, fourier.apply(eye))
+    assert np.array_equal(fourier_operator(group).matrix, fourier.apply(eye))
     assert fourier.identity_column().tobytes() == fourier.apply(eye[:, :1])[:, 0].tobytes()
 
 
@@ -234,9 +225,8 @@ def test_transform_is_bit_identical_to_fftn(spec, width):
         assert np.array_equal(columns, before)
 
 
-@pytest.mark.parametrize("ordering", list(BasisOrdering))
 @pytest.mark.parametrize("spec", EQUIVALENCE_GROUPS)
-def test_fourier_rows_match_closed_form_irreps(spec, ordering):
+def test_fourier_rows_match_closed_form_irreps(spec):
     """irreps_of, the dense F and the FFT transform all read the plan; each
     agrees with the textbook irreps written element by element."""
     group = group_from_spec(spec)
@@ -250,13 +240,13 @@ def test_fourier_rows_match_closed_form_irreps(spec, ordering):
     for ir in irreps:
         assert np.abs(ir.matrices - oracle[ir.label]).max() < 1e-12
 
-    fop = fourier_operator(group, ordering)
+    fop = fourier_operator(group)
     dims = {label: dim for label, dim, _ in closed}
     dense = np.array(
         [np.sqrt(dims[i] / group.order) * np.conj(oracle[i][:, j, k]) for i, j, k in fop.row_index]
     )
     assert np.abs(fop.matrix - dense).max() < 1e-12
-    fourier = fourier_transform(group, ordering)
+    fourier = fourier_transform(group)
     rng = np.random.default_rng(group.order + 1)
     x = rng.normal(size=(group.order, 3)) + 1j * rng.normal(size=(group.order, 3))
     assert np.abs(fourier.apply(x) - dense @ x).max() < 1e-12
@@ -270,14 +260,14 @@ def test_completeness_defect_reads_the_regular_character(spec):
     (d^2 / |G| missing at e), or with a 1-dim block replaced by another, which
     keeps sum_i d_i^2 = |G|, the defect is far from 0."""
     group = group_from_spec(spec)
-    fourier = fourier_transform(group, BasisOrdering.LABEL)
+    fourier = fourier_transform(group)
     table, block = fourier._entries(), fourier._layout.block
     assert _completeness_defect(fourier, table) < 1e-12
     dropped = table.copy()
     dropped[block == block[-1]] = 0
     assert group.order * _completeness_defect(fourier, dropped) >= 1.0 - 1e-12
     if len(block) > 1:
-        # label order puts the trivial character first and a 1-dim irrep second
+        # the rows put the trivial character first and a 1-dim irrep second
         twice = table.copy()
         twice[block == 1] = table[block == 0]
         assert group.order * _completeness_defect(fourier, twice) > 0.1
@@ -285,8 +275,8 @@ def test_completeness_defect_reads_the_regular_character(spec):
 
 def test_verify_representation_suite_values():
     cases = (("Z8", 1e-13), ("D6", 1e-12), ("D3", 1e-12))
-    for (spec, tol), ordering in itertools.product(cases, BasisOrdering):
-        report = verify_representation_suite(group_from_spec(spec), ordering)
+    for spec, tol in cases:
+        report = verify_representation_suite(group_from_spec(spec))
         assert report["completeness_defect"] < tol
         assert report["max_schur_residual"] < tol
         assert report["max_unitarity_residual"] < tol

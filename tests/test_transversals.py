@@ -149,12 +149,13 @@ def test_exact_case_support_and_probabilities():
     + [(21, 2, q) for q in (1, 2, 3, 8, 15, 512, 1000)],
 )
 def test_pipeline_matches_direct_summation(modulus, base, big_q):
-    """The mirrored real-FFT half spectrum, odd and even Q, against O(Q^2) summation."""
+    """The mirrored real-FFT half spectrum, odd and even Q, against O(Q^2)
+    summation of the forward and of the inverse transform: one law for both."""
     inst = PeriodicInstance(modulus, base, big_q, allow_any_q=bool(big_q & (big_q - 1)))
     for tau in (shor_transversal(big_q), offset_transversal(big_q, modulus, seed=3)):
         values = approximate_function(inst, tau).values
+        dist = shor_pipeline(inst, tau)
         for forward in (True, False):
-            dist = shor_pipeline(inst, tau, "forward" if forward else "inverse")
             expected = direct_fourier_probs(values, big_q, forward=forward)
             assert np.abs(np.asarray(dist.probs) - np.asarray(expected)).max() < 1e-12
 
@@ -310,9 +311,9 @@ def test_period_law_matches_level_sets_of_composed_table(big_q):
         values = composed_table(base, modulus, tau.table)
         if big_q == 4:
             assert len(set(values)) < inst.period
-        for transform in ("forward", "inverse"):
-            dist = shor_pipeline(inst, tau, transform)
-            expected = _level_set_law(values, big_q, transform == "forward")
+        dist = shor_pipeline(inst, tau)
+        for forward in (True, False):
+            expected = _level_set_law(values, big_q, forward)
             assert np.abs(np.asarray(dist.probs) - expected).max() < 1e-12
 
 
