@@ -136,15 +136,22 @@ def test_abelian_reduction_row_permutation(n):
     assert sorted(perm) == list(range(n))
 
 
+def _dim_then_label_rows(group):
+    """F's one row order: its irrep blocks by dimension, then by label, each
+    row-major in (j, k)."""
+    dims = {ir.label: ir.dim for ir in irreps_of(group)}
+    return [(i, j, k) for i in sorted(dims, key=lambda i: (dims[i], i))
+            for j in range(dims[i]) for k in range(dims[i])]
+
+
+# The row order each equivalence case checks F against, by its case id.
+ROW_ORDERS = {"dim_then_label": _dim_then_label_rows}
+
+
 @pytest.mark.parametrize("spec", ["D4", "D5", "Z2xZ4"])
 def test_rows_are_blocks_by_dimension_then_label(spec):
-    """F has one row order: its irrep blocks by dimension, then by label, each
-    row-major in (j, k)."""
     group = group_from_spec(spec)
-    dims = {ir.label: ir.dim for ir in irreps_of(group)}
-    expected = [(i, j, k) for i in sorted(dims, key=lambda i: (dims[i], i))
-                for j in range(dims[i]) for k in range(dims[i])]
-    assert list(fourier_transform(group).row_index) == expected
+    assert list(fourier_transform(group).row_index) == _dim_then_label_rows(group)
 
 
 EQUIVALENCE_GROUPS = [
@@ -153,8 +160,9 @@ EQUIVALENCE_GROUPS = [
 ]
 
 
+@pytest.mark.parametrize("row_order", list(ROW_ORDERS))
 @pytest.mark.parametrize("spec", EQUIVALENCE_GROUPS)
-def test_fft_transform_matches_dense_matrix(spec):
+def test_fft_transform_matches_dense_matrix(spec, row_order):
     group = group_from_spec(spec)
     fop = fourier_operator(group)
     rng = np.random.default_rng(group.order)
@@ -162,19 +170,22 @@ def test_fft_transform_matches_dense_matrix(spec):
     assert np.abs(fop.apply(x) - fop.matrix @ x).max() < 1e-12
     assert np.abs(fop.apply_inverse(x) - fop.matrix.conj().T @ x).max() < 1e-12
     assert np.array_equal(fop.identity_column(), fop.matrix[:, 0])
+    assert list(fop.row_index) == ROW_ORDERS[row_order](group)
     fourier = fourier_transform(group)
     assert fourier.row_index == fop.row_index
     assert np.array_equal(fourier.apply(x), fop.apply(x))
     assert np.array_equal(fourier.apply_inverse(x), fop.apply_inverse(x))
 
 
+@pytest.mark.parametrize("row_order", list(ROW_ORDERS))
 @pytest.mark.parametrize(
     "spec", ["Z1", "Z2", "Z6", "Z3xZ9", "Z2^5", "Z2xZ16", "D1", "D2", "D3", "D8", "D16"])
-def test_dense_f_is_the_run_transform(spec):
+def test_dense_f_is_the_run_transform(spec, row_order):
     """The dense F is `apply` of the identity bit for bit, and the closed-form
     identity column is `apply(e_0)` down to the sign of each zero."""
     group = group_from_spec(spec)
     fourier = fourier_transform(group)
+    assert list(fourier.row_index) == ROW_ORDERS[row_order](group)
     eye = np.eye(group.order)
     assert np.array_equal(fourier_operator(group).matrix, fourier.apply(eye))
     assert fourier.identity_column().tobytes() == fourier.apply(eye[:, :1])[:, 0].tobytes()
@@ -225,8 +236,9 @@ def test_transform_is_bit_identical_to_fftn(spec, width):
         assert np.array_equal(columns, before)
 
 
+@pytest.mark.parametrize("row_order", list(ROW_ORDERS))
 @pytest.mark.parametrize("spec", EQUIVALENCE_GROUPS)
-def test_fourier_rows_match_closed_form_irreps(spec):
+def test_fourier_rows_match_closed_form_irreps(spec, row_order):
     """irreps_of, the dense F and the FFT transform all read the plan; each
     agrees with the textbook irreps written element by element."""
     group = group_from_spec(spec)
@@ -241,6 +253,7 @@ def test_fourier_rows_match_closed_form_irreps(spec):
         assert np.abs(ir.matrices - oracle[ir.label]).max() < 1e-12
 
     fop = fourier_operator(group)
+    assert list(fop.row_index) == ROW_ORDERS[row_order](group)
     dims = {label: dim for label, dim, _ in closed}
     dense = np.array(
         [np.sqrt(dims[i] / group.order) * np.conj(oracle[i][:, j, k]) for i, j, k in fop.row_index]
