@@ -14,8 +14,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
-from .engine import (STATE_SIZE_CAP, MEASURE_GRANULARITIES, SECOND_TRANSFORMS,
-                     check_state_size)
+from .engine import STATE_SIZE_CAP, MEASURE_GRANULARITIES, check_state_size
 from .errors import ConfigError, ResourceCapError
 from .groups import (MAX_TABLE_ORDER, FiniteGroup, ProductGroup, Subgroup, group_from_spec,
                      is_z2n)
@@ -55,7 +54,6 @@ class ExperimentConfig:
     big_q: int | None = None
     transversal: TransversalSpec = TransversalSpec()
     allow_any_q: bool = False
-    second_transform: str = "forward"
     measure_granularity: str = "full_triple"
     bound: int | None = None
     seeds: int | None = None
@@ -145,21 +143,18 @@ _TRANSVERSAL = Field("transversal", "transversal", _parse_transversal, dump=asdi
 _BOUND = Field("bound", "bound", required=True, minimum=1)
 _SEEDS = Field("seeds", "seeds", required=True, minimum=1)
 _DIST = Field("dist", "dist", str, required=True)
-_SECOND_TRANSFORM = Field("second_transform", "second_transform", str,
-                          choices=SECOND_TRANSFORMS)
 _MEASURE_GRANULARITY = Field("measure_granularity", "measure_granularity", str,
                              choices=MEASURE_GRANULARITIES)
 
 # The fields each experiment accepts, besides "experiment" itself.
 SCHEMA = {
-    "simulate": (_SEED, _GROUP, _HIDDEN, _ORACLE_SEED, _TRIALS, _SECOND_TRANSFORM,
-                 _MEASURE_GRANULARITY),
+    "simulate": (_SEED, _GROUP, _HIDDEN, _ORACLE_SEED, _TRIALS, _MEASURE_GRANULARITY),
     "simon": (_SEED, _GROUP, _HIDDEN, _ORACLE_SEED, _TRIALS),
     "shor": (_SEED, _N, _A, _Q, _TRANSVERSAL, _TRIALS, _ALLOW_ANY_Q),
     "sweep-transversal": (_SEED, _N, _A, _Q, _BOUND, _SEEDS, _ALLOW_ANY_Q),
-    "irreps": (_SEED, _GROUP),
-    "fourier-check": (_SEED, _GROUP),
-    "recover": (_SEED, _GROUP, _DIST, _SECOND_TRANSFORM, _MEASURE_GRANULARITY, _ORACLE_SEED),
+    "irreps": (_GROUP,),
+    "fourier-check": (_GROUP,),
+    "recover": (_SEED, _GROUP, _DIST, _MEASURE_GRANULARITY, _ORACLE_SEED),
 }
 
 

@@ -1,17 +1,16 @@
 """Exact two-register state-vector execution of the measurement pipeline.
 
 The run initializes |0>|identity>, Fourier-transforms the left register,
-applies the blackbox, transforms the left register again
-(forward by default, inverse by configuration), and returns the exact
-Born distribution of the left register, marginalized (never collapsed)
-over the right register.  Exact distributions are first class; sampling
-is a seeded layer on top.  State sizes are capped at |G|*|H| <= 65536,
-for stacked runs at |G| times their summed |H|.
+applies the blackbox, transforms the left register forward again, and
+returns the exact Born distribution of the left register, marginalized
+(never collapsed) over the right register.  Exact distributions are
+first class; sampling is a seeded layer on top.  State sizes are capped
+at |G|*|H| <= 65536, for stacked runs at |G| times their summed |H|.
 
-The transforms are applied by FFT (the in-place cores behind
-`FourierTransform.apply` and `apply_inverse`); the first one is written
-directly, since F|e> is column 0 of F.  The blackbox meets only
-|psi1>|e>, so it is one scatter of that column onto the level sets of f:
+The transforms are applied by FFT (the in-place core behind
+`FourierTransform.apply`); the first one is written directly, since F|e>
+is column 0 of F.  The blackbox meets only |psi1>|e>, so it is one
+scatter of that column onto the level sets of f:
 psi2[g, h] = (F|e>)[g] if h = f(g), else 0.  A run therefore evolves
 psi2 -> psi3 alone, and the second transform consumes psi2 in place, so
 a run holds at most psi2 and the transform's output.  No |G| x |G|
@@ -40,18 +39,14 @@ NORM_TOL = 1e-12
 PROB_CLAMP = 1e-15
 PROB_SUM_TOL = 1e-10
 
-SECOND_TRANSFORMS = ("forward", "inverse")
 MEASURE_GRANULARITIES = ("full_triple", "irrep_label_only")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    second_transform: str = "forward"
     measure_granularity: str = "full_triple"
 
     def __post_init__(self):
-        if self.second_transform not in SECOND_TRANSFORMS:
-            raise ValueError(f"second_transform must be one of {SECOND_TRANSFORMS}")
         if self.measure_granularity not in MEASURE_GRANULARITIES:
             raise ValueError(f"measure_granularity must be one of {MEASURE_GRANULARITIES}")
 
@@ -148,7 +143,7 @@ def _blackbox(
 
 
 def _evolve(
-    fourier: FourierTransform, cfg: PipelineConfig, level_sets: np.ndarray, widths
+    fourier: FourierTransform, level_sets: np.ndarray, widths
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """psi3 of one pipeline run per row of `level_sets`, side by side, as
     `_blackbox` lays them out.  The second transform consumes psi2, kept by no
@@ -157,8 +152,7 @@ def _evolve(
     first transform (one, shared by every run), the blackbox and the second
     transform (one per run)."""
     parts = list(_blackbox(fourier, level_sets, widths))
-    forward = cfg.second_transform == "forward"
-    psi3 = (fourier._apply_in_place if forward else fourier._apply_inverse_in_place)(parts.pop(0))
+    psi3 = fourier._apply_in_place(parts.pop(0))
     starts, norms = parts
     norms.append(_check_norm(psi3, starts, "the second Fourier transform"))
     return psi3, starts, norms
@@ -192,7 +186,7 @@ def run_with_norms(
     for psi0, whose one nonzero entry is 1.0, then the norms the run's three
     checks computed.  No state is built for them."""
     _check_group(instance, fourier)
-    psi3, _, norms = _evolve(fourier, cfg, instance.f_table[None], [instance.codomain.order])
+    psi3, _, norms = _evolve(fourier, instance.f_table[None], [instance.codomain.order])
     dist = left_register_distribution(psi3, fourier, cfg)
     return dist, [1.0] + [float(n[0]) for n in norms]
 
@@ -202,7 +196,7 @@ def level_set_laws(
 ) -> list[OutcomeDistribution]:
     """The outcome distribution of one pipeline run per row of `level_sets`, all
     evolved together from psi2 to psi3; run b's f takes g to level_sets[b, g] < widths[b]."""
-    psi3, starts, _ = _evolve(fourier, cfg, level_sets, widths)
+    psi3, starts, _ = _evolve(fourier, level_sets, widths)
     blocks = np.split(psi3, starts[1:], axis=1)
     return [left_register_distribution(block, fourier, cfg) for block in blocks]
 
@@ -220,18 +214,14 @@ def left_register_distribution(
     return finalize_distribution(outcome_labels(fourier, cfg), probs)
 
 
-def step_trace(
-    instance: HspInstance,
-    fourier: FourierTransform,
-    cfg: PipelineConfig = PipelineConfig(),
-) -> list[np.ndarray]:
+def step_trace(instance: HspInstance, fourier: FourierTransform) -> list[np.ndarray]:
     """Snapshots psi0..psi3 of the pipeline, each a (|G|, |H|) array of amplitudes:
     the full-evolution oracle of the tests, which no run path calls.  psi0 (e at
     row 0) and psi1 (F|e> in column 0) are written from their closed forms, and
     psi2 is built a second time, since the run that makes psi3 consumes its own."""
     _check_group(instance, fourier)
     level_sets, widths = instance.f_table[None], [instance.codomain.order]
-    psi3 = _evolve(fourier, cfg, level_sets, widths)[0]
+    psi3 = _evolve(fourier, level_sets, widths)[0]
     psi2 = _blackbox(fourier, level_sets, widths)[0]
     psi0 = np.zeros_like(psi2)
     psi0[0, 0] = 1.0

@@ -95,7 +95,7 @@ def _pipeline_pieces(cfg: ExperimentConfig):
     seed = cfg.seed if cfg.oracle_seed is None else cfg.oracle_seed
     instance = build_instance(group, hidden, seed)
     fourier = fourier_transform(group)
-    pipeline_cfg = PipelineConfig(cfg.second_transform, cfg.measure_granularity)
+    pipeline_cfg = PipelineConfig(cfg.measure_granularity)
     return group, hidden, instance, fourier, pipeline_cfg
 
 
@@ -203,7 +203,7 @@ def _run_sweep(cfg: ExperimentConfig, out: Path) -> dict:
 
 def _run_recover(cfg: ExperimentConfig, out: Path) -> dict:
     group = cfg.resolved.group
-    pipeline_cfg = PipelineConfig(cfg.second_transform, cfg.measure_granularity)
+    pipeline_cfg = PipelineConfig(cfg.measure_granularity)
     # a malformed CSV and a label the pipeline cannot produce both raise ValueError
     try:
         dist = read_distribution_csv(cfg.dist)

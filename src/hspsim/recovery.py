@@ -165,7 +165,7 @@ def annihilator_law(group: FiniteGroup, candidates, labels) -> np.ndarray:
 
     The exact outcome law of hidden subgroup K_c in an abelian kind, in
     the order of the character labels `labels`: F|e> is the uniform
-    superposition, so either transform gives the uniform law on the
+    superposition, so the second transform gives the uniform law on the
     annihilator of K_c, for every instance and seed.
     """
     member = membership(group, candidates).astype(np.float64)

@@ -14,13 +14,14 @@ column), so the run path makes no Python object per row.  The irreps
 and the dense F (`fourier-check`, tests) are the run's own core applied
 to the identity: its unscaled output on the columns e_g, conjugated, is
 the entry table T[(i, j, k), g] = pi_i(g)[j, k], and F = diag(scale) conj(T)
-is `apply(I)` bit for bit.
+is `apply(I)` bit for bit.  F is only ever applied forward: its rows, and
+not F^dagger's, are indexed by the irrep entries that outcomes are named by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -139,11 +140,6 @@ class FourierTransform:
         forward core on a C-ordered complex128 copy."""
         return self._apply_in_place(self._copy(columns))
 
-    def apply_inverse(self, rows: np.ndarray) -> np.ndarray:
-        """F^dagger @ rows for a (|G|, m) array, which is left as it was: the
-        inverse core on a C-ordered complex128 copy."""
-        return self._apply_inverse_in_place(self._copy(rows))
-
     def _copy(self, x: np.ndarray) -> np.ndarray:
         """A C-ordered complex128 copy of x, refused unless its shape is (|G|, m)."""
         if x.ndim != 2 or x.shape[0] != self.group.order:
@@ -155,7 +151,7 @@ class FourierTransform:
         """conj(T) @ state for a C-ordered complex128 (|G|, m) state, which it
         overwrites: unnormalised FFT in place, then the plan's gather."""
         p = self._plan
-        _fft_axes(state.reshape(p.shape + (-1,)), p.axes, np.fft.fft)
+        _fft_axes(state.reshape(p.shape + (-1,)), p.axes)
         out = state[p.src]
         out[p.pair_rows] += p.pair_sign[:, None] * state[p.pair_src]
         return out
@@ -166,19 +162,6 @@ class FourierTransform:
         out = self._unscaled_in_place(state)
         out *= self._layout.scale[:, None]
         return out
-
-    def _apply_inverse_in_place(self, state: np.ndarray) -> np.ndarray:
-        """F^dagger @ state for a C-ordered complex128 (|G|, m) state, which it
-        overwrites: row scale in place, scatter-add, unnormalised inverse FFT
-        in place on the spectrum, after dropping the scattered state."""
-        p = self._plan
-        state *= self._layout.scale[:, None]
-        spec = np.zeros(state.shape, dtype=np.complex128)
-        np.add.at(spec, p.src, state)
-        np.add.at(spec, p.pair_src, p.pair_sign[:, None] * state[p.pair_rows])
-        del state
-        _fft_axes(spec.reshape(p.shape + (-1,)), p.axes, partial(np.fft.ifft, norm="forward"))
-        return spec
 
     def _entries(self) -> np.ndarray:
         """The entry table T[r, g] = pi_i(g)[j, k] for row r = (i, j, k): the
@@ -213,15 +196,15 @@ class FourierOperator(FourierTransform):
         return worst
 
 
-def _fft_axes(x: np.ndarray, axes: tuple[int, ...], fft) -> None:
-    """`fft` along each of `axes`, last axis first, as np.fft.fftn does, in
+def _fft_axes(x: np.ndarray, axes: tuple[int, ...]) -> None:
+    """The unnormalised FFT along each of `axes`, last axis first, as np.fft.fftn does, in
     place on the complex array x.  An axis of length 2 takes the butterfly
     (a + b, a - b), which is exactly what the FFT computes for n = 2; the
     butterflies share one scratch array, half the size of x, for a - b."""
     scratch = None
     for axis in reversed(axes):
         if x.shape[axis] != 2:
-            fft(x, axis=axis, out=x)
+            np.fft.fft(x, axis=axis, out=x)
             continue
         head = (slice(None),) * axis
         a, b = x[head + (0,)], x[head + (1,)]

@@ -186,8 +186,6 @@ def shor_pipeline(instance: PeriodicInstance, tau: Transversal) -> OutcomeDistri
     register Z_N: the sum over the level sets S of f~ of |DFT(1_S)|^2 / Q^2.
     Each level set lies on a coset of gZ_Q, g = gcd(Q, r), and its indicator
     is real: one rfft of length m = Q/g, mirrored by |X[m-y]| = |X[y]|.
-    The inverse transform of a real vector has the same moduli, so both
-    second transforms give this one distribution: there is none to choose.
     """
     return finalize_distribution(range(instance.q), _spectrum(instance, tau))
 

@@ -27,7 +27,6 @@ def dense_pipeline_probs(
     n_h: int,
     fourier: np.ndarray,
     f_values,
-    forward: bool = True,
 ) -> np.ndarray:
     """Left-register marginal via full (|G||H|)^2 matrices on the joint space."""
     dim = n_g * n_h
@@ -37,10 +36,9 @@ def dense_pipeline_probs(
         for h in range(n_h):
             target = g * n_h + (f_values[g] - h) % n_h
             perm[target, g * n_h + h] = 1.0
-    second = left if forward else left.conj().T
     psi = np.zeros(dim, dtype=np.complex128)
     psi[0] = 1.0
-    psi = second @ (perm @ (left @ psi))
+    psi = left @ (perm @ (left @ psi))
     probs = np.abs(psi.reshape(n_g, n_h)) ** 2
     return probs.sum(axis=1)
 
@@ -127,18 +125,10 @@ def coset_ids_by_cosets(group, subgroup) -> np.ndarray:
     return ids
 
 
-def fourier_by_fftn(fourier, columns: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """F @ columns, or F^dagger @ columns, through numpy's fftn (ifftn with
-    norm="forward") over the transform plan's axes, with the plan's gather
-    (scatter-add) of spectrum entries and its row scale."""
+def fourier_by_fftn(fourier, columns: np.ndarray) -> np.ndarray:
+    """F @ columns through numpy's fftn over the transform plan's axes, with
+    the plan's gather of spectrum entries and its row scale."""
     plan, scale = fourier._plan, fourier._layout.scale[:, None]
-    if inverse:
-        scaled = scale * columns
-        spec = np.zeros_like(scaled)
-        np.add.at(spec, plan.src, scaled)
-        np.add.at(spec, plan.pair_src, plan.pair_sign[:, None] * scaled[plan.pair_rows])
-        out = np.fft.ifftn(spec.reshape(plan.shape + (-1,)), axes=plan.axes, norm="forward")
-        return out.reshape(columns.shape)
     spec = np.fft.fftn(columns.reshape(plan.shape + (-1,)), axes=plan.axes).reshape(columns.shape)
     out = spec[plan.src]
     out[plan.pair_rows] += plan.pair_sign[:, None] * spec[plan.pair_src]

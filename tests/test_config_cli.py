@@ -378,7 +378,8 @@ _PAST_INT64 = str((1 << 54) + 1)  # times Q = 512 is 2^63 + 512
     pytest.param(None, ["experiment", "irreps"], 2,
                  "configuration error: configuration must be a JSON object",
                  id="config-not-an-object"),
-    # F has one row order, and shor's law is the same under either transform
+    # F has one row order, a run's second transform is always F, and neither
+    # irreps nor fourier-check has any randomness
     pytest.param(None, {"experiment": "simulate", "group": "D4", "hidden_generators": [2],
                         "ordering": "label"}, 2,
                  "configuration error: unknown field 'ordering' for experiment 'simulate'",
@@ -390,6 +391,20 @@ _PAST_INT64 = str((1 << 54) + 1)  # times Q = 512 is 2^63 + 512
                         "second_transform": "inverse"}, 2,
                  "configuration error: unknown field 'second_transform' for experiment 'shor'",
                  id="shor-second-transform-removed"),
+    pytest.param(None, {"experiment": "simulate", "group": "D4", "hidden_generators": [2],
+                        "second_transform": "inverse"}, 2,
+                 "configuration error: unknown field 'second_transform' for experiment "
+                 "'simulate'", id="simulate-second-transform-removed"),
+    pytest.param(None, {"experiment": "recover", "group": "D4", "dist": "distribution.csv",
+                        "second_transform": "inverse"}, 2,
+                 "configuration error: unknown field 'second_transform' for experiment "
+                 "'recover'", id="recover-second-transform-removed"),
+    pytest.param(None, {"experiment": "irreps", "group": "D4", "seed": 1}, 2,
+                 "configuration error: unknown field 'seed' for experiment 'irreps'",
+                 id="irreps-seed-removed"),
+    pytest.param(None, {"experiment": "fourier-check", "group": "D4", "seed": 1}, 2,
+                 "configuration error: unknown field 'seed' for experiment 'fourier-check'",
+                 id="fourier-check-seed-removed"),
     pytest.param(["simulate", "--instance", "missing.json"], None, 2,
                  "configuration error: cannot read instance file: [Errno 2] "
                  "No such file or directory: 'missing.json'", id="instance-unreadable"),
@@ -427,7 +442,12 @@ def test_cli_error_lines_are_pinned(tmp_path, monkeypatch, capsys, argv, instanc
     ["simulate", "--instance", "instance.json", "--ordering", "label"],
     ["fourier", "D4", "--ordering", "label"],
     ["shor", "--N", "15", "--a", "7", "--Q", "16", "--second-transform", "inverse"],
-], ids=["simulate-ordering", "fourier-ordering", "shor-second-transform"])
+    ["simulate", "--instance", "instance.json", "--second-transform", "inverse"],
+    ["recover", "--group", "D4", "--dist", "distribution.csv", "--second-transform", "inverse"],
+    ["irreps", "D4", "--seed", "1"],
+    ["fourier", "D4", "--seed", "1"],
+], ids=["simulate-ordering", "fourier-ordering", "shor-second-transform",
+        "simulate-second-transform", "recover-second-transform", "irreps-seed", "fourier-seed"])
 def test_cli_refuses_removed_flags(capsys, argv):
     """The flags of removed fields are gone with them: argparse exits 2."""
     with pytest.raises(SystemExit) as exc:
@@ -797,7 +817,6 @@ FLAG_VALUES = {
     "oracle_seed": 3,
     "trials": 7,
     "allow_any_q": True,
-    "second_transform": "inverse",
     "measure_granularity": "irrep_label_only",
 }
 
@@ -847,19 +866,18 @@ OUTCOME_BASES = {
         {"seed": [5], "N": [15], "a": [5], "Q": [64], "bound": [9], "seeds": [3],
          "allow_any_q": [False]},
     ),
-    "irreps": ({"group": "D4"}, {"seed": [5], "group": ["Z8"]}),
-    "fourier-check": ({"group": "D4"}, {"seed": [5], "group": ["D6"]}),
+    "irreps": ({"group": "D4"}, {"group": ["Z8"]}),
+    "fourier-check": ({"group": "D4"}, {"group": ["D6"]}),
     "recover": (
         {"group": "D4", "dist": "k2.csv"},
         {"seed": [5], "group": ["Z8"], "dist": ["k4.csv"], "oracle_seed": [3]},
     ),
 }
-# The fields that change no outcome, each with its reason.
+# The fields that change no outcome, each with its reason.  Each is kept only
+# because the benchmark sets it: its recover config carries "seed": 0, and it
+# passes --oracle-seed to simon and recover.
 NO_OUTCOME = {
-    ("irreps", "seed"): "an irreps run has no randomness",
-    ("fourier-check", "seed"): "a fourier-check run has no randomness",
     ("recover", "seed"): "a recover run has no randomness",
-    # both are kept because the benchmark passes --oracle-seed
     ("simon", "oracle_seed"): "f only relabels the cosets, and no simon output shows f",
     ("recover", "oracle_seed"): "a subgroup's law does not depend on f, and recover builds no f",
 }

@@ -14,7 +14,6 @@ import hspsim
 from hspsim.config import config_from_dict
 from hspsim.engine import (
     MEASURE_GRANULARITIES,
-    SECOND_TRANSFORMS,
     OutcomeDistribution,
     PipelineConfig,
     finalize_distribution,
@@ -97,35 +96,34 @@ def test_pipeline_matches_dense_unitary_simulation(spec):
         if group.order * hidden.num_cosets > 64:
             continue
         inst = build_instance(group, hidden, seed=2)
-        for forward in (True, False):
-            cfg = PipelineConfig("forward" if forward else "inverse")
-            dist = run_pipeline(inst, fop, cfg)
-            expected = dense_pipeline_probs(
-                group.order,
-                inst.codomain.order,
-                fop.matrix,
-                inst.f_table.tolist(),
-                forward=forward,
-            )
-            assert np.abs(np.asarray(dist.probs) - expected).max() < 1e-12
+        dist = run_pipeline(inst, fop)
+        expected = dense_pipeline_probs(
+            group.order,
+            inst.codomain.order,
+            fop.matrix,
+            inst.f_table.tolist(),
+        )
+        assert np.abs(np.asarray(dist.probs) - expected).max() < 1e-12
 
 
 @pytest.mark.parametrize(
     "spec", ["Z4", "Z6", "Z8", "Z12", "Z16", "Z2^3", "Z2^4", "Z2xZ4", "Z2^2xZ4"]
 )
 def test_forward_and_inverse_transforms_relabel_by_negation(spec):
+    """On an abelian group the law of F^dagger is the law of F relabelled by
+    y -> -y, and psi2 is real, so the law of F is itself symmetric under
+    negation: an inverse second transform would give the very same law.  The
+    sieve recovers K from the support of that law."""
     group = group_from_spec(spec)
     fop = fourier_operator(group)
     for hidden in all_subgroups(group):
         inst = build_instance(group, hidden, seed=0)
-        fwd = run_pipeline(inst, fop, PipelineConfig("forward"))
-        inv = run_pipeline(inst, fop, PipelineConfig("inverse"))
-        fwd_map, inv_map = fwd.as_mapping(), inv.as_mapping()
+        fwd = run_pipeline(inst, fop)
+        fwd_map = fwd.as_mapping()
         for y in range(group.order):
-            assert abs(fwd_map[y] - inv_map[group.inv(y)]) < 1e-12
+            assert abs(fwd_map[y] - fwd_map[group.inv(y)]) < 1e-12
         k_fwd = character_sieve(SampleSet(group, tuple(fwd.support(1e-10))))
-        k_inv = character_sieve(SampleSet(group, tuple(inv.support(1e-10))))
-        assert k_fwd.candidate.elements == k_inv.candidate.elements == hidden.elements
+        assert k_fwd.candidate.elements == hidden.elements
 
 
 def test_distribution_independent_of_injection_seed():
@@ -203,14 +201,14 @@ def test_first_step_is_uniform_for_abelian_groups():
 def test_irrep_label_granularity_aggregates_blocks():
     """irrep_label_only sums each block's row probabilities in row order,
     bit for bit as a loop over row_index does."""
-    cfg = PipelineConfig("forward", "irrep_label_only")
+    cfg = PipelineConfig("irrep_label_only")
     for spec in ["D3", "D4", "D5", "D8", "D16"]:
         group = group_from_spec(spec)
         fourier = fourier_transform(group)
         for hidden in all_subgroups(group):
             inst = build_instance(group, hidden, seed=0)
             coarse = run_pipeline(inst, fourier, cfg)
-            probs = (np.abs(step_trace(inst, fourier, cfg)[3]) ** 2).sum(axis=1)
+            probs = (np.abs(step_trace(inst, fourier)[3]) ** 2).sum(axis=1)
             labels = tuple(dict.fromkeys(i for i, _, _ in fourier.row_index))
             agg = {lab: 0.0 for lab in labels}
             for (i, _, _), p in zip(fourier.row_index, probs):
@@ -221,15 +219,19 @@ def test_irrep_label_granularity_aggregates_blocks():
             assert np.array_equal(coarse.probs, expected.probs), (spec, hidden)
 
 
+# The one second transform, kept as a parameter so the cases keep their ids.
+SECOND = ["forward"]
+
+
 @pytest.mark.parametrize("granularity", MEASURE_GRANULARITIES)
-@pytest.mark.parametrize("second", SECOND_TRANSFORMS)
+@pytest.mark.parametrize("second", SECOND)
 @pytest.mark.parametrize("spec", ["Z2^12", "Z3xZ9", "D16"])
 def test_run_is_the_marginal_of_the_traced_final_state(spec, second, granularity):
     """run_pipeline, which never builds psi0 or psi1, gives the very floats of
     the Born marginal of step_trace's psi3, summed row by row."""
     group = group_from_spec(spec)
     fourier = fourier_transform(group)
-    cfg = PipelineConfig(second, granularity)
+    cfg = PipelineConfig(granularity)
     if spec == "Z2^12":
         hiddens = [Subgroup.from_generators(group, [1 << i for i in range(bits)])
                    for bits in (8, 12)]
@@ -238,7 +240,7 @@ def test_run_is_the_marginal_of_the_traced_final_state(spec, second, granularity
     labels = outcome_labels(fourier, cfg)
     for hidden in hiddens:
         inst = build_instance(group, hidden, seed=3)
-        probs = (np.abs(step_trace(inst, fourier, cfg)[3]) ** 2).sum(axis=1)
+        probs = (np.abs(step_trace(inst, fourier)[3]) ** 2).sum(axis=1)
         if granularity == "irrep_label_only":
             agg = dict.fromkeys(labels, 0.0)
             for (i, _, _), p in zip(fourier.row_index, probs.tolist()):
@@ -259,20 +261,17 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("second", SECOND_TRANSFORMS)
+@pytest.mark.parametrize("second", SECOND)
 def test_run_holds_psi2_and_one_transform_buffer(second):
     """On Z2^12 with an 8-dim K (16 cosets, 1 MiB per state) a run holds psi2,
     which the second transform overwrites, and the transform's output: 2.13
-    MiB forward, and 2.01 MiB inverse, whose core frees psi2 once it is
-    scattered, before its butterflies take a half-state scratch (2.88 MiB
-    while the run still held psi2).  A transform that copied psi2 peaked at
-    3.07 MiB either way, and building all four states at 6.2 (forward) and
-    7.3 MiB (inverse)."""
+    MiB.  A transform that copied psi2 peaked at 3.07 MiB, and building all
+    four states at 6.2 MiB."""
     group = group_from_spec("Z2^12")
     hidden = Subgroup.from_generators(group, [1 << i for i in range(8)])
     inst = build_instance(group, hidden, seed=0)
     fourier = fourier_transform(group)
-    cfg = PipelineConfig(second)
+    cfg = PipelineConfig()
     # the row layout and FFT plan are cached before the traced run
     run_pipeline(inst, fourier, cfg)
     assert _traced_peak(lambda: run_pipeline(inst, fourier, cfg)) < 2.5 * 2**20
@@ -284,10 +283,9 @@ def test_coset_law_of_every_d16_subgroup_stays_below_a_mebibyte():
     group = group_from_spec("D16")
     candidates = all_subgroups(group)
     fourier = fourier_transform(group)
-    for second in SECOND_TRANSFORMS:
-        cfg = PipelineConfig(second)
-        coset_law(fourier, cfg, candidates)
-        assert _traced_peak(lambda: coset_law(fourier, cfg, candidates)) < 2**20, second
+    cfg = PipelineConfig()
+    coset_law(fourier, cfg, candidates)
+    assert _traced_peak(lambda: coset_law(fourier, cfg, candidates)) < 2**20
 
 
 def test_simulate_holds_no_state_beside_its_artifacts(tmp_path):
@@ -301,35 +299,33 @@ def test_simulate_holds_no_state_beside_its_artifacts(tmp_path):
     assert _traced_peak(lambda: run_experiment(cfg, tmp_path / "run")) < 3 * 2**20
 
 
-@pytest.mark.parametrize("second", SECOND_TRANSFORMS)
+@pytest.mark.parametrize("second", SECOND)
 @pytest.mark.parametrize("spec, gens", [("D8", [2]), ("D16", [4, 17]), ("Z3xZ9", [3]),
                                         ("Z2^6", [5, 10]), ("D2048", [8])])
 def test_simulate_norms_are_the_norms_of_the_traced_states(tmp_path, spec, gens, second):
     """simulate's norms, taken from the run's checks, are those of step_trace's
     four states, summed exactly by math.fsum, to 16 ulps of 1.0 (3.6e-15);
     psi0's is exactly 1.0.  The checks' one-pass sums were off by at most
-    2.0e-15 (on D2048 forward), np.linalg.norm by up to 2.9e-15."""
+    2.0e-15 (on D2048), np.linalg.norm by up to 2.9e-15."""
     cfg = config_from_dict({"experiment": "simulate", "group": spec, "hidden_generators": gens,
-                            "trials": 4, "second_transform": second})
+                            "trials": 4})
     norms = run_experiment(cfg, tmp_path)["norms"]
     group = group_from_spec(spec)
     inst = build_instance(group, Subgroup.from_generators(group, gens), cfg.seed)
-    states = step_trace(inst, fourier_transform(group), PipelineConfig(second))
+    states = step_trace(inst, fourier_transform(group))
     exact = [math.sqrt(math.fsum(np.square(state.view(np.float64)).ravel().tolist()))
              for state in states]
     assert norms[0] == 1.0 and len(norms) == 4
     assert np.abs(np.array(norms) - exact).max() <= 16 * np.finfo(np.float64).eps
 
 
-@pytest.mark.parametrize("second", SECOND_TRANSFORMS)
+@pytest.mark.parametrize("second", SECOND)
 @pytest.mark.parametrize("spec", ["Z2^12", "Z3xZ9", "D16"])
 def test_transform_of_the_traced_psi2_is_psi3_and_keeps_psi2(spec, second):
-    """apply and apply_inverse, a copy and then the in-place core that a run
-    hands its own psi2 to, give step_trace's psi3 bit for bit and leave
-    their input unchanged."""
+    """apply, a copy and then the in-place core that a run hands its own psi2
+    to, gives step_trace's psi3 bit for bit and leaves its input unchanged."""
     group = group_from_spec(spec)
     fourier = fourier_transform(group)
-    transform = fourier.apply if second == "forward" else fourier.apply_inverse
     if spec == "Z2^12":
         hiddens = [Subgroup.from_generators(group, [1 << i for i in range(bits)])
                    for bits in (8, 12)]
@@ -337,9 +333,9 @@ def test_transform_of_the_traced_psi2_is_psi3_and_keeps_psi2(spec, second):
         hiddens = all_subgroups(group)
     for hidden in hiddens:
         inst = build_instance(group, hidden, seed=1)
-        _, _, psi2, psi3 = step_trace(inst, fourier, PipelineConfig(second))
+        _, _, psi2, psi3 = step_trace(inst, fourier)
         before = psi2.copy()
-        assert np.array_equal(transform(psi2), psi3), hidden.elements
+        assert np.array_equal(fourier.apply(psi2), psi3), hidden.elements
         assert np.array_equal(psi2, before)
 
 
@@ -387,7 +383,7 @@ def test_run_path_builds_no_row_index(spec, gens, granularity):
     group = group_from_spec(spec)
     inst = build_instance(group, Subgroup.from_generators(group, gens), seed=0)
     fourier = fourier_transform(group)
-    run_pipeline(inst, fourier, PipelineConfig("forward", granularity))
+    run_pipeline(inst, fourier, PipelineConfig(granularity))
     assert "row_index" not in vars(fourier)
 
 
@@ -398,6 +394,19 @@ def test_pipeline_rejects_mismatched_fourier_operator():
     inst = build_instance(group, hidden, seed=0)
     with pytest.raises(ValueError, match="match"):
         run_pipeline(inst, other)
+
+
+def test_engine_refuses_malformed_inputs():
+    """An unknown granularity, labels and probabilities of different lengths,
+    and a negative sample count are each refused with the rule they break."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"measure_granularity must be one of {MEASURE_GRANULARITIES}")):
+        PipelineConfig("bogus")
+    with pytest.raises(ValueError, match="labels and probabilities differ in length"):
+        OutcomeDistribution((0, 1, 2), np.array([0.5, 0.5]))
+    dist = OutcomeDistribution((0, 1), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="sample count must be non-negative, got -1"):
+        sample(dist, -1, 0)
 
 
 def test_pipeline_state_size_cap():
@@ -579,7 +588,7 @@ def test_label_strs_match_the_oracle(tmp_path):
     d8_inst = build_instance(d8, Subgroup.from_generators(d8, [2]), seed=0)
     triples = run_pipeline(d8_inst, fourier_transform(d8))
     irrep_only = run_pipeline(d8_inst, fourier_transform(d8),
-                              PipelineConfig("forward", "irrep_label_only"))
+                              PipelineConfig("irrep_label_only"))
     plain = run_pipeline(build_instance(z, Subgroup.from_generators(z, [1]), seed=0),
                          fourier_transform(z))
     assert isinstance(triples.labels[0], tuple)
@@ -623,7 +632,7 @@ def test_report_json_matches_one_dumps_per_key(tmp_path, spec, gens, granularity
     assert (tmp_path / "report.json").read_text(encoding="utf-8") == _one_dumps_per_key(plain)
     group = cfg.resolved.group
     dist = run_pipeline(build_instance(group, cfg.resolved.hidden, seed=5), fourier_transform(group),
-                        PipelineConfig("forward", granularity))
+                        PipelineConfig(granularity))
     assert plain["distribution"] == [[label_str(lab), p]
                                      for lab, p in zip(dist.labels, dist.probs.tolist())]
     rows = (tmp_path / "distribution.csv").read_text(encoding="utf-8").splitlines()[1:]

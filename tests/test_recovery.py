@@ -9,7 +9,6 @@ from hspsim import engine, groups, oracle
 from hspsim.config import config_from_dict
 from hspsim.engine import (
     MEASURE_GRANULARITIES,
-    SECOND_TRANSFORMS,
     OutcomeDistribution,
     PipelineConfig,
     outcome_labels,
@@ -55,7 +54,7 @@ ABELIAN_SPECS = [f"Z{n}" for n in range(1, 33)] + [
     "Z2^2", "Z2^3", "Z2^4", "Z2^5", "Z2xZ4", "Z2xZ8", "Z4xZ4", "Z2xZ16",
     "Z2^2xZ4", "Z2^3xZ4", "Z2xZ4^2", "Z3xZ9",
 ]
-PIPELINE_CONFIGS = [PipelineConfig(t, m) for t in SECOND_TRANSFORMS for m in MEASURE_GRANULARITIES]
+PIPELINE_CONFIGS = [PipelineConfig(m) for m in MEASURE_GRANULARITIES]
 
 
 def _refuse_pipeline(monkeypatch):
@@ -363,7 +362,7 @@ def test_consistency_rank_refuses_stray_labels(spec, granularity, labels, stray,
     before any candidate is predicted."""
     _refuse_pipeline(monkeypatch)
     dist = OutcomeDistribution(labels, np.array([0.5, 0.5]))
-    cfg = PipelineConfig("forward", granularity)
+    cfg = PipelineConfig(granularity)
     with pytest.raises(ValueError, match=re.escape(f"label {stray} is not an outcome")):
         subgroup_consistency_rank(dist, group_from_spec(spec), cfg=cfg)
 
@@ -390,7 +389,7 @@ def test_consistency_rank_with_coarse_measurement():
     group = group_from_spec("D4")
     hidden = Subgroup.from_generators(group, [2])
     fop = fourier_operator(group)
-    cfg = PipelineConfig("forward", "irrep_label_only")
+    cfg = PipelineConfig("irrep_label_only")
     dist = run_pipeline(build_instance(group, hidden, seed=0), fop, cfg)
     ranking = subgroup_consistency_rank(dist, group, fop, cfg)
     by_elements = {sub.elements: tv for sub, tv in ranking.entries}
@@ -507,7 +506,7 @@ def test_recover_ranks_dihedral_candidates_without_pipeline(granularity, tmp_pat
     the true K at TV 0 and the tie classes of the per-candidate pipeline loop."""
     group = group_from_spec("D16")
     fourier = fourier_transform(group)
-    cfg = PipelineConfig("forward", granularity)
+    cfg = PipelineConfig(granularity)
     hidden = Subgroup.from_generators(group, [4, 17])
     dist = run_pipeline(build_instance(group, hidden, seed=5), fourier, cfg)
     candidates = all_subgroups(group)
